@@ -5,8 +5,11 @@
 // fleet where EVERY island gets the same per-island generation budget.
 // A fleet of N islands therefore does N× the search work of a single
 // lineage — but since islands advance independently between migrations,
-// that work parallelizes across N workers, so the MODELED wall clock at
-// full placement is measured_wall / N. The interesting question the JSON
+// that work parallelizes across N workers. The fleet is measured SERIALLY
+// (one island slice at a time, one pool thread per island), so the
+// MODELED wall clock at full placement — N islands on N cores — is
+// measured_wall / N (the model leaves out epoch-barrier waits and the
+// serial migration step). The interesting question the JSON
 // answers: at equal modeled wall clock, does a wider fleet find a better
 // circuit than a single lineage? (Paper Table 1 circuits; the CI smoke
 // keeps budgets small — raise the env vars for the real experiment.)
@@ -108,10 +111,12 @@ int main() {
       p.generations = generations;
       p.seed = seed;
       p.lambda = 4;
+      p.threads = 1;
       island::FleetOptions fleet;
       fleet.islands = n;
       fleet.topology = core::Topology::kRing;
       fleet.migration_interval = interval;
+      fleet.parallelism = 1; // serial measurement; see the header comment
 
       util::Stopwatch watch;
       const core::EvolveResult r =

@@ -4,6 +4,9 @@
 // paper). These binaries print the same row layout as the paper so
 // paper-vs-measured comparison (EXPERIMENTS.md) is a visual diff.
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,17 +20,47 @@
 
 namespace rcgp::benchtool {
 
-/// Environment-variable override with a default (all benches are budgeted
-/// so a full run finishes on a laptop; raise the env vars to approach the
-/// paper's 5*10^7-generation budget).
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
+/// Exits with status 2 after naming the malformed variable, so a typo in a
+/// budget never silently runs a different experiment.
+[[noreturn]] inline void reject_env(const char* name, const char* value,
+                                    const char* expected) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, value);
+  std::exit(2);
 }
 
+/// Environment-variable override with a default (all benches are budgeted
+/// so a full run finishes on a laptop; raise the env vars to approach the
+/// paper's 5*10^7-generation budget). The whole value must be a decimal
+/// unsigned integer: empty text, a sign, trailing characters ("four",
+/// "2e5") and overflow are rejected.
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) {
+    return fallback;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || errno == ERANGE || *end != '\0') {
+    reject_env(name, v, "an unsigned integer");
+  }
+  return x;
+}
+
+/// Same rules for a finite, non-negative decimal number.
 inline double env_f64(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v ? std::strtod(v, nullptr) : fallback;
+  if (v == nullptr) {
+    return fallback;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (*v == '\0' || errno == ERANGE || *end != '\0' || !std::isfinite(x) ||
+      x < 0.0) {
+    reject_env(name, v, "a non-negative number");
+  }
+  return x;
 }
 
 struct Row {
@@ -63,7 +96,8 @@ inline Row run_flow_row(const std::string& name, std::uint64_t generations,
   opt.evolve.seed = seed;
   // λ-parallel offspring evaluation; results are bit-identical for any
   // thread count (docs/PARALLELISM.md), so this only changes wall time.
-  // 0 = hardware concurrency.
+  // 0 = hardware concurrency; either way the pool is capped at ⌈λ/4⌉
+  // threads, so at this λ = 4 the generation runs inline.
   opt.evolve.threads = static_cast<unsigned>(env_u64("RCGP_THREADS", 0));
   const auto r = core::synthesize(b.spec, opt);
   row.init = r.initial_cost;

@@ -56,17 +56,10 @@ constexpr double kGenerationSecondsBounds[] = {
 } // namespace
 
 unsigned EvalPool::resolve_threads(unsigned requested, unsigned lambda) {
-  unsigned t = requested;
-  if (t == 0) {
-    t = std::thread::hardware_concurrency();
-    if (t == 0) {
-      t = 1;
-    }
-  }
-  if (lambda > 0 && t > lambda) {
-    t = lambda;
-  }
-  return t == 0 ? 1 : t;
+  const unsigned t =
+      requested != 0 ? requested : std::thread::hardware_concurrency();
+  const unsigned blocks = (lambda + kBlock - 1) / kBlock;
+  return std::max(1u, std::min(t, blocks));
 }
 
 EvalPool::EvalPool(unsigned threads) : threads_(threads) {
@@ -148,12 +141,15 @@ void EvalPool::run_tasks(Scratch& scratch, const EvalJob& job,
       .arg("lambda", job.lambda);
   util::Stopwatch watch;
   const unsigned lambda = job.lambda;
+  // ⌈λ / threads⌉ per claim: each thread takes about one equal share, so
+  // the workers finish together (λ = 9 on 3 threads runs 3/3/3, not 4/4/1).
+  const unsigned block = (lambda + threads_ - 1) / threads_;
   for (;;) {
-    const unsigned k0 = next_task_.fetch_add(kBlock, std::memory_order_relaxed);
+    const unsigned k0 = next_task_.fetch_add(block, std::memory_order_relaxed);
     if (k0 >= lambda) {
       break;
     }
-    const unsigned k1 = std::min(k0 + kBlock, lambda);
+    const unsigned k1 = std::min(k0 + block, lambda);
     if (!aborted_.load(std::memory_order_relaxed)) {
       // One abort poll per block keeps the granularity of the old
       // task-at-a-time loop without re-checking mid-batch; the abort

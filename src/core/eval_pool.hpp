@@ -53,20 +53,26 @@ struct EvalJob {
 /// threads == 1, which runs inline on the caller thread through the same
 /// code path and is the reference "sequential loop".
 ///
-/// Workers claim offspring in fixed blocks of kBlock and evaluate each
-/// block through the λ-batched dirty-cone path (core::evaluate_delta_batch):
-/// one gate-major simulation pass over the whole block against the
-/// worker's read-only base SimCache. Per-offspring cost still scales with
-/// the mutated cone, but the base port tables are walked once per gate for
-/// the block instead of once per offspring, and there is no per-sibling
-/// undo/restore. Block partitioning cannot affect results — each offspring
-/// is a pure function of (seed, g, k, parent) and the batched simulation
-/// is bit-identical to the sequential one — so any thread count, block
-/// size, and claim order produce the same generation.
+/// The pool is sized from the work a generation can split: at most
+/// ⌈λ / kBlock⌉ threads (resolve_threads), so no worker wakes without a
+/// block to claim, and at the paper's λ = 4 every run takes the inline
+/// threads == 1 path with no hand-off at all. Each generation is cut into
+/// blocks of ⌈λ / threads⌉ offspring so the workers finish together, and
+/// each block is evaluated through the λ-batched dirty-cone path
+/// (core::evaluate_delta_batch): one gate-major simulation pass over the
+/// whole block against the worker's read-only base SimCache. Per-offspring
+/// cost still scales with the mutated cone, but the base port tables are
+/// walked once per gate for the block instead of once per offspring, and
+/// there is no per-sibling undo/restore. Block partitioning cannot affect
+/// results — each offspring is a pure function of (seed, g, k, parent) and
+/// the batched simulation is bit-identical to the sequential one — so any
+/// thread count, block size, and claim order produce the same generation.
 class EvalPool {
 public:
   /// threads must be >= 1; threads - 1 worker threads are spawned once
-  /// and live until destruction (threads == 1 spawns none).
+  /// and live until destruction (threads == 1 spawns none). Pass the
+  /// result of resolve_threads: a wider pool still computes the same
+  /// generation, it only claims smaller blocks.
   explicit EvalPool(unsigned threads);
   ~EvalPool();
 
@@ -75,13 +81,14 @@ public:
 
   unsigned threads() const { return threads_; }
 
-  /// Offspring claimed per worker grab — the λ-batch width of one
-  /// evaluate_delta_batch call. Small enough that late workers still get
-  /// work at common λ, large enough to amortize the gate-major pass.
+  /// Smallest block worth a worker of its own: a thread is only added per
+  /// kBlock offspring, because a smaller share of a generation does not
+  /// repay the two condition-variable hand-offs it costs.
   static constexpr unsigned kBlock = 4;
 
-  /// Picks the pool width: `requested` (0 = hardware concurrency),
-  /// clamped to [1, lambda] — more workers than offspring never help.
+  /// Picks the pool width: `requested` (0 = hardware concurrency), capped
+  /// at ⌈lambda / kBlock⌉ (at least 1). The cap applies to an explicit
+  /// request too: results are bit-identical for every thread count.
   static unsigned resolve_threads(unsigned requested, unsigned lambda);
 
   /// Evaluates offspring 0..job.lambda-1 into out[k]; blocks until every

@@ -29,7 +29,8 @@ struct EvolveParams {
   std::uint64_t seed = 1;
 
   /// Worker threads for λ-parallel offspring evaluation (0 = hardware
-  /// concurrency), clamped to [1, λ]. Offspring k of generation g draws
+  /// concurrency), capped at ⌈λ/4⌉ (EvalPool::resolve_threads), so the
+  /// paper's λ = 4 always runs inline. Offspring k of generation g draws
   /// from its own counter-based RNG stream derived from (seed, g, k), so
   /// the result is bit-identical for every thread count — `threads` is a
   /// pure throughput knob (docs/PARALLELISM.md).

@@ -340,6 +340,8 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   LocalSliceExecutor local;
   SliceExecutor* executor =
       options.executor != nullptr ? options.executor : &local;
+  const bool local_slices =
+      dynamic_cast<LocalSliceExecutor*>(executor) != nullptr;
 
   const std::uint64_t user_max = params.budget.max_generations;
   std::vector<IslandPlan> plan(N);
@@ -685,6 +687,13 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
                 ? static_cast<unsigned>(std::min<std::size_t>(
                       options.parallelism, active.size()))
                 : static_cast<unsigned>(active.size());
+        // Islands before lineages: concurrent local slices share the cores
+        // instead of each resolving threads = 0 to all of them.
+        if (params.threads == 0 && local_slices) {
+          sp.threads =
+              par > 1 ? std::max(1u, std::thread::hardware_concurrency() / par)
+                      : 0;
+        }
         std::atomic<std::size_t> next{0};
         const auto worker = [&] {
           for (std::size_t k = next.fetch_add(1); k < active.size();

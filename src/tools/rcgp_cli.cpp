@@ -37,8 +37,9 @@
 //
 // Parallelism (see docs/PARALLELISM.md):
 //   synth --threads=N            λ-parallel offspring evaluation (0 = all
-//                                hardware threads, the default). Results
-//                                are bit-identical for every thread count.
+//                                hardware threads, the default), capped at
+//                                ⌈λ/4⌉ threads. Results are bit-identical
+//                                for every thread count.
 //   synth --optimizer=NAME       evolve | multistart | anneal | window
 //   synth --restarts=N           independent restarts for --optimizer=multistart
 //

@@ -221,22 +221,26 @@ TEST(CostCache, ScratchBytesStabilize) {
 TEST(CostCache, EvolveBitIdenticalAcrossThreadCounts) {
   const auto b = benchmarks::get("graycode4");
   const Netlist initial = init_netlist("graycode4");
-  core::OptimizerOptions oo;
-  oo.algorithm = core::Algorithm::kEvolve;
-  oo.evolve.generations = 300;
-  oo.evolve.lambda = 4;
-  oo.evolve.seed = 5;
-  oo.evolve.fitness.schedule = BufferSchedule::kOptimized;
-  oo.evolve.threads = 1;
-  const auto r1 = core::Optimizer(oo).run(initial, b.spec);
-  oo.evolve.threads = 8;
-  const auto r8 = core::Optimizer(oo).run(initial, b.spec);
-  EXPECT_EQ(r1.evolve.best, r8.evolve.best);
-  EXPECT_EQ(r1.evolve.best_fitness.n_r, r8.evolve.best_fitness.n_r);
-  EXPECT_EQ(r1.evolve.best_fitness.n_g, r8.evolve.best_fitness.n_g);
-  EXPECT_EQ(r1.evolve.best_fitness.n_b, r8.evolve.best_fitness.n_b);
-  EXPECT_EQ(r1.evolve.evaluations, r8.evolve.evaluations);
-  EXPECT_EQ(r1.evolve.improvements, r8.evolve.improvements);
+  // λ = 4 resolves 8 threads to the inline path; λ = 9 to 3 real workers,
+  // each syncing its own CostCache scratch.
+  for (const unsigned lambda : {4u, 9u}) {
+    core::OptimizerOptions oo;
+    oo.algorithm = core::Algorithm::kEvolve;
+    oo.evolve.generations = 300;
+    oo.evolve.lambda = lambda;
+    oo.evolve.seed = 5;
+    oo.evolve.fitness.schedule = BufferSchedule::kOptimized;
+    oo.evolve.threads = 1;
+    const auto r1 = core::Optimizer(oo).run(initial, b.spec);
+    oo.evolve.threads = 8;
+    const auto r8 = core::Optimizer(oo).run(initial, b.spec);
+    EXPECT_EQ(r1.evolve.best, r8.evolve.best) << "lambda " << lambda;
+    EXPECT_EQ(r1.evolve.best_fitness.n_r, r8.evolve.best_fitness.n_r);
+    EXPECT_EQ(r1.evolve.best_fitness.n_g, r8.evolve.best_fitness.n_g);
+    EXPECT_EQ(r1.evolve.best_fitness.n_b, r8.evolve.best_fitness.n_b);
+    EXPECT_EQ(r1.evolve.evaluations, r8.evolve.evaluations);
+    EXPECT_EQ(r1.evolve.improvements, r8.evolve.improvements);
+  }
 }
 
 } // namespace

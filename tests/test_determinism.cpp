@@ -7,6 +7,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sim_cec.hpp"
+#include "core/eval_pool.hpp"
 #include "core/flow.hpp"
 #include "core/optimizer.hpp"
 #include "rqfp/simd.hpp"
@@ -29,10 +30,17 @@ rqfp::Netlist init_netlist(const std::string& name) {
   return synthesize(b.spec, opt).initial;
 }
 
-EvolveParams small_params(std::uint64_t seed, unsigned threads) {
+// λ = 4 is the paper's setting; at that λ the pool resolves every thread
+// count to the inline path. λ = 9 resolves to real workers claiming ragged
+// blocks (2 threads: 5/4, 3 threads: 3/3/3), so every multi-thread check
+// below runs at both.
+constexpr unsigned kLambdas[] = {4, 9};
+
+EvolveParams small_params(std::uint64_t seed, unsigned threads,
+                          unsigned lambda = 4) {
   EvolveParams p;
   p.generations = 400;
-  p.lambda = 4;
+  p.lambda = lambda;
   p.seed = seed;
   p.threads = threads;
   return p;
@@ -98,19 +106,37 @@ TEST(Determinism, RngStreamIsAPureFunctionOfItsCounters) {
 TEST(Determinism, ThreadCountDoesNotChangeEvolveResult) {
   const auto initial = init_netlist("graycode4");
   const auto b = benchmarks::get("graycode4");
-  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    const auto r1 = run_evolve(initial, b.spec, small_params(seed, 1));
-    const auto r2 = run_evolve(initial, b.spec, small_params(seed, 2));
-    const auto r8 = run_evolve(initial, b.spec, small_params(seed, 8));
-    const std::string what = "seed " + std::to_string(seed);
-    expect_bit_identical(r1.evolve, r2.evolve, what + ", 1 vs 2 threads");
-    expect_bit_identical(r1.evolve, r8.evolve, what + ", 1 vs 8 threads");
-    // The facade-level summary fields must agree too.
-    EXPECT_EQ(r1.best, r8.best) << what;
-    EXPECT_EQ(r1.evaluations, r8.evaluations) << what;
-    EXPECT_EQ(r1.stop_reason, r8.stop_reason) << what;
-    // And the search must still have done real work on a real problem.
-    EXPECT_TRUE(cec::sim_check(r1.best, b.spec).all_match) << what;
+  for (const unsigned lambda : kLambdas) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      const auto at = [&](unsigned threads) {
+        return run_evolve(initial, b.spec, small_params(seed, threads, lambda));
+      };
+      const auto r1 = at(1);
+      const auto r2 = at(2);
+      const auto r8 = at(8);
+      const std::string what =
+          "lambda " + std::to_string(lambda) + ", seed " + std::to_string(seed);
+      expect_bit_identical(r1.evolve, r2.evolve, what + ", 1 vs 2 threads");
+      expect_bit_identical(r1.evolve, r8.evolve, what + ", 1 vs 8 threads");
+      // The facade-level summary fields must agree too.
+      EXPECT_EQ(r1.best, r8.best) << what;
+      EXPECT_EQ(r1.evaluations, r8.evaluations) << what;
+      EXPECT_EQ(r1.stop_reason, r8.stop_reason) << what;
+      // And the search must still have done real work on a real problem.
+      EXPECT_TRUE(cec::sim_check(r1.best, b.spec).all_match) << what;
+    }
+  }
+}
+
+TEST(Determinism, PoolWidthIsCappedAtOneThreadPerBlock) {
+  struct Case {
+    unsigned requested, lambda, expected;
+  };
+  // 0 = hardware concurrency, which the λ = 4 cap brings to 1 anywhere.
+  for (const Case c : {Case{0, 4, 1}, Case{8, 4, 1}, Case{8, 8, 2},
+                       Case{2, 9, 2}, Case{8, 9, 3}, Case{1, 0, 1}}) {
+    EXPECT_EQ(EvalPool::resolve_threads(c.requested, c.lambda), c.expected)
+        << "requested " << c.requested << ", lambda " << c.lambda;
   }
 }
 
@@ -142,44 +168,49 @@ TEST(Determinism, ResumeAtDifferentThreadCountMatchesUninterrupted) {
   const auto initial = init_netlist("graycode4");
   const auto b = benchmarks::get("graycode4");
 
-  EvolveParams p = small_params(23, 0);
-  p.generations = 600;
+  for (const unsigned lambda : kLambdas) {
+    const std::string what = "lambda " + std::to_string(lambda);
+    EvolveParams p = small_params(23, 0, lambda);
+    p.generations = 600;
 
-  // Reference: one uninterrupted single-threaded run.
-  EvolveParams ref = p;
-  ref.threads = 1;
-  const auto uninterrupted = run_evolve(initial, b.spec, ref);
+    // Reference: one uninterrupted single-threaded run.
+    EvolveParams ref = p;
+    ref.threads = 1;
+    const auto uninterrupted = run_evolve(initial, b.spec, ref);
 
-  // Interrupted: run the first 250 generations with 2 threads, writing
-  // checkpoints; then resume the remaining 350 with 8 threads. The
-  // checkpoint stores no RNG engine state, so the thread-count switch is
-  // free: streams are re-derived from (seed, generation, k).
-  const std::string path =
-      ::testing::TempDir() + "determinism_resume.ckpt";
-  std::remove(path.c_str());
+    // Interrupted: run the first 250 generations with 2 threads, writing
+    // checkpoints; then resume the remaining 350 with 8 threads. The
+    // checkpoint stores no RNG engine state, so the thread-count switch is
+    // free: streams are re-derived from (seed, generation, k).
+    const std::string path = ::testing::TempDir() + "determinism_resume_" +
+                             std::to_string(lambda) + ".ckpt";
+    std::remove(path.c_str());
 
-  EvolveParams chunk = p;
-  chunk.threads = 2;
-  chunk.checkpoint_path = path;
-  chunk.checkpoint_interval = 100;
-  RunLimits first_leg;
-  first_leg.max_generations = 250;
-  const auto partial = run_evolve(initial, b.spec, chunk, first_leg);
-  ASSERT_EQ(partial.stop_reason, robust::StopReason::kGenerationBudget);
-  ASSERT_LT(partial.evolve.generations_run, p.generations);
+    EvolveParams chunk = p;
+    chunk.threads = 2;
+    chunk.checkpoint_path = path;
+    chunk.checkpoint_interval = 100;
+    RunLimits first_leg;
+    first_leg.max_generations = 250;
+    const auto partial = run_evolve(initial, b.spec, chunk, first_leg);
+    ASSERT_EQ(partial.stop_reason, robust::StopReason::kGenerationBudget)
+        << what;
+    ASSERT_LT(partial.evolve.generations_run, p.generations) << what;
 
-  OptimizerOptions resume_opts;
-  resume_opts.algorithm = Algorithm::kEvolve;
-  resume_opts.evolve = chunk;
-  resume_opts.evolve.threads = 8;
-  const auto resumed = Optimizer(resume_opts).resume(b.spec);
+    OptimizerOptions resume_opts;
+    resume_opts.algorithm = Algorithm::kEvolve;
+    resume_opts.evolve = chunk;
+    resume_opts.evolve.threads = 8;
+    const auto resumed = Optimizer(resume_opts).resume(b.spec);
 
-  EXPECT_TRUE(resumed.evolve.resumed);
-  EvolveResult final = resumed.evolve;
-  final.resumed = false; // the only field allowed to differ
-  expect_bit_identical(uninterrupted.evolve, final,
-                       "resumed(2->8 threads) vs uninterrupted(1 thread)");
-  std::remove(path.c_str());
+    EXPECT_TRUE(resumed.evolve.resumed) << what;
+    EvolveResult final = resumed.evolve;
+    final.resumed = false; // the only field allowed to differ
+    expect_bit_identical(
+        uninterrupted.evolve, final,
+        what + ", resumed(2->8 threads) vs uninterrupted(1 thread)");
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Determinism, SimdTierDoesNotChangeEvolveResult) {
@@ -193,16 +224,19 @@ TEST(Determinism, SimdTierDoesNotChangeEvolveResult) {
   const auto initial = init_netlist("graycode4");
   const auto b = benchmarks::get("graycode4");
 
-  rqfp::simd::force_tier(rqfp::simd::Tier::kScalar);
-  const auto ref = run_evolve(initial, b.spec, small_params(17, 1));
-  for (const rqfp::simd::Tier tier : rqfp::simd::available_tiers()) {
-    rqfp::simd::force_tier(tier);
-    const std::string what =
-        std::string("tier ") + std::string(rqfp::simd::to_string(tier));
-    const auto r1 = run_evolve(initial, b.spec, small_params(17, 1));
-    const auto r4 = run_evolve(initial, b.spec, small_params(17, 4));
-    expect_bit_identical(ref.evolve, r1.evolve, what + ", 1 thread");
-    expect_bit_identical(ref.evolve, r4.evolve, what + ", 4 threads");
+  for (const unsigned lambda : kLambdas) {
+    rqfp::simd::force_tier(rqfp::simd::Tier::kScalar);
+    const auto ref = run_evolve(initial, b.spec, small_params(17, 1, lambda));
+    for (const rqfp::simd::Tier tier : rqfp::simd::available_tiers()) {
+      rqfp::simd::force_tier(tier);
+      const std::string what =
+          "lambda " + std::to_string(lambda) + ", tier " +
+          std::string(rqfp::simd::to_string(tier));
+      const auto r1 = run_evolve(initial, b.spec, small_params(17, 1, lambda));
+      const auto r4 = run_evolve(initial, b.spec, small_params(17, 4, lambda));
+      expect_bit_identical(ref.evolve, r1.evolve, what + ", 1 thread");
+      expect_bit_identical(ref.evolve, r4.evolve, what + ", 4 threads");
+    }
   }
 }
 
@@ -212,17 +246,23 @@ TEST(Determinism, EvaluationBudgetIsThreadCountInvariant) {
   // the subtlest thread-count hazard — must not depend on `threads`.
   const auto initial = init_netlist("decoder_2_4");
   const auto b = benchmarks::get("decoder_2_4");
-  EvolveParams p = small_params(5, 1);
-  p.generations = 100000;
-  RunLimits limits;
-  limits.max_evaluations = 1604;
-  const auto r1 = run_evolve(initial, b.spec, p, limits);
-  p.threads = 8;
-  const auto r8 = run_evolve(initial, b.spec, p, limits);
-  EXPECT_EQ(r1.stop_reason, robust::StopReason::kEvaluationBudget);
-  EXPECT_EQ(r1.evolve.evaluations, 1601u);
-  EXPECT_EQ(r1.evolve.generations_run, 400u);
-  expect_bit_identical(r1.evolve, r8.evolve, "eval budget 1 vs 8 threads");
+  for (const unsigned lambda : kLambdas) {
+    const std::string what = "lambda " + std::to_string(lambda);
+    EvolveParams p = small_params(5, 1, lambda);
+    p.generations = 100000;
+    // 400 whole generations after the initial evaluation fit; the 401st
+    // would overshoot the 3 spare evaluations.
+    RunLimits limits;
+    limits.max_evaluations = 1 + 400 * lambda + 3;
+    const auto r1 = run_evolve(initial, b.spec, p, limits);
+    p.threads = 8;
+    const auto r8 = run_evolve(initial, b.spec, p, limits);
+    EXPECT_EQ(r1.stop_reason, robust::StopReason::kEvaluationBudget) << what;
+    EXPECT_EQ(r1.evolve.evaluations, 1 + 400 * lambda) << what;
+    EXPECT_EQ(r1.evolve.generations_run, 400u) << what;
+    expect_bit_identical(r1.evolve, r8.evolve,
+                         what + ", eval budget 1 vs 8 threads");
+  }
 }
 
 } // namespace

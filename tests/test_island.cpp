@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sim_cec.hpp"
+#include "core/eval_pool.hpp"
 #include "core/flow.hpp"
 #include "core/optimizer.hpp"
 #include "io/rqfp_writer.hpp"
@@ -140,6 +144,48 @@ TEST(IslandFleet, ParallelismDoesNotChangeResults) {
   fleet.parallelism = 4;
   const EvolveResult wide = island::run_fleet(init, b.spec, p, fleet);
   expect_same_result(serial, wide);
+}
+
+/// Local executor that records the widest pool any slice resolved to.
+class PoolWidthProbe : public island::LocalSliceExecutor {
+public:
+  island::SliceResult run(const island::Slice& slice,
+                          std::span<const tt::TruthTable> spec,
+                          const EvolveParams& params,
+                          const robust::EvolveCheckpoint& state) override {
+    const unsigned width =
+        core::EvalPool::resolve_threads(params.threads, params.lambda);
+    unsigned seen = widest.load();
+    while (seen < width && !widest.compare_exchange_weak(seen, width)) {
+    }
+    return LocalSliceExecutor::run(slice, spec, params, state);
+  }
+  std::atomic<unsigned> widest{0};
+};
+
+TEST(IslandFleet, ConcurrentIslandsSplitTheCores) {
+  // At λ = 16 a lone lineage would resolve threads = 0 to up to 4 pool
+  // threads; 4 concurrent islands must share the cores instead.
+  const auto b = benchmarks::get("decoder_2_4");
+  const auto init = init_netlist("decoder_2_4");
+  EvolveParams p = small_params(300, 41);
+  p.lambda = 16;
+  p.threads = 1;
+
+  FleetOptions fleet;
+  fleet.islands = 4;
+  fleet.migration_interval = 100;
+  fleet.parallelism = 4;
+  const EvolveResult pinned = island::run_fleet(init, b.spec, p, fleet);
+
+  PoolWidthProbe probe;
+  fleet.executor = &probe;
+  p.threads = 0;
+  const EvolveResult automatic = island::run_fleet(init, b.spec, p, fleet);
+  expect_same_result(pinned, automatic);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_GE(probe.widest.load(), 1u);
+  EXPECT_LE(probe.widest.load(), std::max(1u, hw / fleet.parallelism));
 }
 
 TEST(IslandFleet, FileBackedMatchesInMemory) {
