@@ -37,7 +37,7 @@ int main() {
         const auto r = core::synthesize(b.spec, opt);
         sum_r += r.optimized_cost.n_r;
         sum_g += r.optimized_cost.n_g;
-        sum_t += r.evolution.seconds;
+        sum_t += r.optimization.evolve.seconds;
       }
       std::printf("%-12s %6.2f | %8.2f %8.2f %8.2f\n", name, mu,
                   sum_r / num_seeds, sum_g / num_seeds, sum_t / num_seeds);

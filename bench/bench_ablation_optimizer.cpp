@@ -71,8 +71,8 @@ int main() {
       sa.t += res_sa.seconds;
 
       core::OptimizerOptions mo = eo;
-      mo.algorithm = core::Algorithm::kMultistart;
-      mo.restarts = 4;
+      mo.island.islands = 4; // independent lineages, no migration
+      mo.island.topology = core::Topology::kNone;
       const auto res_multi = core::Optimizer(mo).run(init, b.spec);
       multi.r += res_multi.best_fitness.n_r;
       multi.g += res_multi.best_fitness.n_g;

@@ -43,8 +43,8 @@ int main() {
         const auto r = core::synthesize(b.spec, opt);
         sum_r += r.optimized_cost.n_r;
         sum_g += r.optimized_cost.n_g;
-        sum_t += r.evolution.seconds;
-        sat_calls += r.evolution.sat_confirmations;
+        sum_t += r.optimization.evolve.seconds;
+        sat_calls += r.optimization.evolve.sat_confirmations;
       }
       std::printf("%-12s %-14s | %8.2f %8.2f %8.3f %10llu\n", name,
                   sat ? "sim+SAT" : "sim only", sum_r / num_seeds,
@@ -73,7 +73,7 @@ int main() {
         const auto r = core::synthesize(b.spec, opt);
         sum_r += r.optimized_cost.n_r;
         sum_g += r.optimized_cost.n_g;
-        sum_t += r.evolution.seconds;
+        sum_t += r.optimization.evolve.seconds;
       }
       std::printf("%-12s %6u | %8.2f %8.2f %8.3f\n", name, lambda,
                   sum_r / num_seeds, sum_g / num_seeds, sum_t / num_seeds);
@@ -83,26 +83,26 @@ int main() {
 
   // Part 2b: restart sweep (our extension) at constant total budget.
   std::printf("-- multistart sweep at constant total budget --\n");
-  std::printf("%-12s %8s | %8s %8s\n", "testcase", "restarts", "n_r", "n_g");
+  std::printf("%-12s %8s | %8s %8s\n", "testcase", "islands", "n_r", "n_g");
   for (const char* name : {"decoder_2_4", "full_adder"}) {
     const auto b = benchmarks::get(name);
     core::FlowOptions probe;
     probe.run_cgp = false;
     const auto init = core::synthesize(b.spec, probe).initial;
-    for (const unsigned restarts : {1u, 2u, 4u, 8u}) {
+    for (const unsigned islands : {1u, 2u, 4u, 8u}) {
       double sum_r = 0;
       double sum_g = 0;
       for (std::uint64_t s = 0; s < num_seeds; ++s) {
         core::OptimizerOptions oo;
-        oo.algorithm = core::Algorithm::kMultistart;
-        oo.restarts = restarts;
+        oo.island.islands = islands; // independent lineages, no migration
+        oo.island.topology = core::Topology::kNone;
         oo.evolve.generations = generations * 4;
         oo.evolve.seed = 5000 + s;
         const auto r = core::Optimizer(oo).run(init, b.spec);
         sum_r += r.best_fitness.n_r;
         sum_g += r.best_fitness.n_g;
       }
-      std::printf("%-12s %8u | %8.2f %8.2f\n", name, restarts,
+      std::printf("%-12s %8u | %8.2f %8.2f\n", name, islands,
                   sum_r / num_seeds, sum_g / num_seeds);
     }
     std::printf("\n");

@@ -102,16 +102,16 @@ void BM_Resyn2(benchmark::State& state) {
 }
 BENCHMARK(BM_Resyn2);
 
-void BM_RqfpSimulateLive(benchmark::State& state) {
+void BM_RqfpSimulate(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");
   core::FlowOptions opt;
   opt.run_cgp = false;
   const auto init = core::synthesize(b.spec, opt).initial;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rqfp::simulate_live(init));
+    benchmark::DoNotOptimize(rqfp::simulate(init));
   }
 }
-BENCHMARK(BM_RqfpSimulateLive);
+BENCHMARK(BM_RqfpSimulate);
 
 void BM_MutateOffspring(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");

@@ -102,7 +102,7 @@ inline Row run_flow_row(const std::string& name, std::uint64_t generations,
   const auto r = core::synthesize(b.spec, opt);
   row.init = r.initial_cost;
   row.rcgp = r.optimized_cost;
-  row.rcgp_seconds = r.evolution.seconds;
+  row.rcgp_seconds = r.optimization.evolve.seconds;
   row.rcgp_equivalent = cec::sim_check(r.optimized, b.spec).all_match;
   row.polished = row.rcgp;
   if (polish) {

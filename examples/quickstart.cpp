@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
               result.initial_cost.to_string().c_str());
   std::printf("after RCGP:     %s\n",
               result.optimized_cost.to_string().c_str());
+  const core::EvolveResult& evolution = result.optimization.evolve;
   std::printf("evolution: %llu generations, %llu improvements, %.2fs\n",
-              static_cast<unsigned long long>(
-                  result.evolution.generations_run),
-              static_cast<unsigned long long>(result.evolution.improvements),
-              result.evolution.seconds);
+              static_cast<unsigned long long>(evolution.generations_run),
+              static_cast<unsigned long long>(evolution.improvements),
+              evolution.seconds);
 
   // 4. Formal sign-off: SAT-based equivalence against the specification.
   const auto cec = cec::sat_check(result.optimized, spec.spec);

@@ -36,20 +36,13 @@ JobExecution execute_request(const core::SynthesisRequest& job,
   core::RequestDefaults defaults;
   defaults.generations = options.default_generations;
   defaults.threads = options.threads_per_job;
-  const core::OptimizerOptions oo = core::optimizer_options_for(job, defaults);
-
   core::FlowOptions fo;
-  fo.optimizer = oo.algorithm;
-  fo.evolve = oo.evolve;
-  fo.anneal = oo.anneal;
-  fo.window = oo.window;
-  fo.restarts = oo.restarts;
-  fo.island = oo.island;
-  fo.limits = oo.limits;
+  static_cast<core::OptimizerOptions&>(fo) =
+      core::optimizer_options_for(job, defaults);
   fo.limits.stop = ctx.stop;
   if (!ctx.checkpoint_path.empty()) {
-    fo.limits.checkpoint_path = ctx.checkpoint_path;
-    fo.limits.checkpoint_interval = options.checkpoint_interval;
+    fo.evolve.checkpoint_path = ctx.checkpoint_path;
+    fo.evolve.checkpoint_interval = options.checkpoint_interval;
     fo.resume = ctx.resume_from_checkpoint;
     if (fo.island.islands > 1) {
       // Island fleets keep per-island checkpoints plus a manifest in a

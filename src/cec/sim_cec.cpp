@@ -44,19 +44,8 @@ SimResult sim_check(const rqfp::Netlist& net,
   if (spec.size() != net.num_pos()) {
     throw std::invalid_argument("sim_check: PO count mismatch");
   }
-  const auto out = rqfp::simulate_live(net);
+  const auto out = rqfp::simulate(net);
   return sim_compare(out, spec);
-}
-
-SimResult sim_check_delta(const rqfp::Netlist& base,
-                          const rqfp::Netlist& child,
-                          std::span<const tt::TruthTable> spec,
-                          rqfp::SimCache& cache) {
-  if (spec.size() != child.num_pos()) {
-    throw std::invalid_argument("sim_check_delta: PO count mismatch");
-  }
-  rqfp::simulate_delta(base, child, cache, cache.po_scratch);
-  return sim_compare(cache.po_scratch, spec);
 }
 
 SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
@@ -67,8 +56,8 @@ SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
   static obs::Counter& c_checks =
       obs::registry().counter("cec.sim_random_checks");
   c_checks.inc();
-  // sim_check / sim_check_delta are the per-offspring fitness hot path and
-  // stay span-free; this random-vector CEC entry runs per verification.
+  // sim_check and sim_compare sit on the fitness path and stay span-free;
+  // this random-vector CEC entry runs per verification.
   obs::Span span("cec.sim");
   span.arg("words", static_cast<std::uint64_t>(num_words));
   rqfp::SimBatch patterns(a.num_pis(), num_words);

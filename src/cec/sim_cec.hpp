@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rqfp/netlist.hpp"
-#include "rqfp/simulate.hpp"
 #include "tt/truth_table.hpp"
 #include "util/rng.hpp"
 
@@ -23,10 +22,10 @@ struct SimResult {
 };
 
 /// Scores already-simulated PO tables against a specification — the shared
-/// tail of every simulation equivalence check (sim_check, sim_check_delta,
-/// and the λ-batched evaluator). Increments the cec.sim_checks counter
-/// once, so telemetry stays one check per offspring regardless of which
-/// path simulated it. Requires out.size() == spec.size() (checked).
+/// tail of every simulation equivalence check (sim_check and the λ-batched
+/// evaluator). Increments the cec.sim_checks counter once, so telemetry
+/// stays one check per offspring regardless of which path simulated it.
+/// Requires out.size() == spec.size() (checked).
 SimResult sim_compare(std::span<const tt::TruthTable> out,
                       std::span<const tt::TruthTable> spec);
 
@@ -34,15 +33,6 @@ SimResult sim_compare(std::span<const tt::TruthTable> out,
 /// netlist's PIs. Requires spec.size() == net.num_pos().
 SimResult sim_check(const rqfp::Netlist& net,
                     std::span<const tt::TruthTable> spec);
-
-/// Incremental variant of sim_check: bit-identical result for `child`,
-/// but only the dirty cone relative to `base` — whose port values `cache`
-/// holds (rqfp::build_sim_cache) — is re-simulated. The cache is restored
-/// afterwards, so one cache serves all λ offspring of a CGP generation.
-SimResult sim_check_delta(const rqfp::Netlist& base,
-                          const rqfp::Netlist& child,
-                          std::span<const tt::TruthTable> spec,
-                          rqfp::SimCache& cache);
 
 /// Random-pattern check of two netlists with identical PI/PO counts; used
 /// when the PI count makes exhaustive tables impractical.

@@ -65,7 +65,7 @@ struct EvalJob {
 /// walked once per gate for the block instead of once per offspring, and
 /// there is no per-sibling undo/restore. Block partitioning cannot affect
 /// results — each offspring is a pure function of (seed, g, k, parent) and
-/// the batched simulation is bit-identical to the sequential one — so any
+/// the batched simulation is bit-identical to a from-scratch one — so any
 /// thread count, block size, and claim order produce the same generation.
 class EvalPool {
 public:

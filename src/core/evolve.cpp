@@ -176,16 +176,10 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
       stop_reason = robust::StopReason::kEvaluationBudget;
       return true;
     }
-    if (params.time_limit_seconds > 0.0 ||
-        params.budget.deadline_seconds > 0.0) {
-      const double t = elapsed();
-      if ((params.time_limit_seconds > 0.0 &&
-           t > params.time_limit_seconds) ||
-          (params.budget.deadline_seconds > 0.0 &&
-           t > params.budget.deadline_seconds)) {
-        stop_reason = robust::StopReason::kTimeLimit;
-        return true;
-      }
+    if (params.budget.deadline_seconds > 0.0 &&
+        elapsed() > params.budget.deadline_seconds) {
+      stop_reason = robust::StopReason::kTimeLimit;
+      return true;
     }
     return false;
   };
@@ -196,20 +190,9 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
   // partial generation is discarded. The evaluation budget is not polled
   // here — it is fully decided at the boundary.
   const auto mid_generation_abort = [&]() -> bool {
-    if (params.budget.stop_requested()) {
-      return true;
-    }
-    if (params.time_limit_seconds > 0.0 ||
-        params.budget.deadline_seconds > 0.0) {
-      const double t = elapsed();
-      if ((params.time_limit_seconds > 0.0 &&
-           t > params.time_limit_seconds) ||
-          (params.budget.deadline_seconds > 0.0 &&
-           t > params.budget.deadline_seconds)) {
-        return true;
-      }
-    }
-    return false;
+    return params.budget.stop_requested() ||
+           (params.budget.deadline_seconds > 0.0 &&
+            elapsed() > params.budget.deadline_seconds);
   };
 
   const bool checkpointing = !params.checkpoint_path.empty();

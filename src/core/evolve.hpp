@@ -47,8 +47,6 @@ struct EvolveParams {
   /// §3.2.3 argues shrink reduces the search space).
   bool disable_shrink = false;
 
-  /// Stop early after this many seconds (0 = no limit).
-  double time_limit_seconds = 0.0;
   /// Stop early after this many generations without improvement (0 = off).
   std::uint64_t stagnation_limit = 0;
 

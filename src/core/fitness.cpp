@@ -61,37 +61,6 @@ Fitness evaluate(const rqfp::Netlist& net,
   return from_sim(net, cec::sim_check(net, spec), options);
 }
 
-Fitness evaluate_delta(const rqfp::Netlist& base, rqfp::SimCache& cache,
-                       const rqfp::Netlist& child,
-                       std::span<const tt::TruthTable> spec,
-                       const FitnessOptions& options) {
-  return from_sim(child, cec::sim_check_delta(base, child, spec, cache),
-                  options);
-}
-
-Fitness evaluate_delta(const rqfp::Netlist& base, rqfp::SimCache& cache,
-                       rqfp::CostCache& cost_cache,
-                       const rqfp::Netlist& child,
-                       std::span<const tt::TruthTable> spec,
-                       const FitnessOptions& options) {
-  const auto sim = cec::sim_check_delta(base, child, spec, cache);
-  Fitness f;
-  f.objective = options.objective;
-  f.success_rate = sim.success_rate;
-  if (!sim.all_match) {
-    return f; // incorrect offspring never reach the cost phase
-  }
-  f.success_rate = 1.0;
-  if (!cost_cache.valid || cost_cache.schedule != options.schedule) {
-    rqfp::build_cost_cache(base, options.schedule, cost_cache);
-  }
-  const auto cost = rqfp::cost_of_delta(base, child, cost_cache);
-  f.n_r = cost.n_r;
-  f.n_g = cost.n_g;
-  f.n_b = cost.n_b;
-  return f;
-}
-
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,

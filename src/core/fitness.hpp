@@ -61,38 +61,19 @@ Fitness evaluate(const rqfp::Netlist& net,
                  std::span<const tt::TruthTable> spec,
                  const FitnessOptions& options = {});
 
-/// Incremental evaluation: bit-identical Fitness for `child`, but the
-/// simulation phase re-computes only the dirty cone relative to `base`,
-/// whose port values `cache` holds (rqfp::build_sim_cache). `base` and
-/// `child` must share PI and gate counts — exactly what CGP mutation
-/// preserves. The cache is restored before returning, so one per-worker
-/// cache serves every offspring of a generation without allocating.
-Fitness evaluate_delta(const rqfp::Netlist& base, rqfp::SimCache& cache,
-                       const rqfp::Netlist& child,
-                       std::span<const tt::TruthTable> spec,
-                       const FitnessOptions& options = {});
-
-/// Fully incremental evaluation: the simulation phase runs through the
-/// dirty-cone SimCache as above, and — when the child is functionally
-/// correct — the cost phase runs through `cost_cache` (rqfp::cost_of_delta)
-/// instead of a from-scratch cost_of. `cost_cache` must describe `base`
-/// under options.schedule (rqfp::build_cost_cache / update_cost_cache);
-/// a cache bound to a different schedule or not yet built is rebuilt for
-/// `base` on the spot. Neither cache is left modified, so one pair serves
-/// every offspring of a generation.
-Fitness evaluate_delta(const rqfp::Netlist& base, rqfp::SimCache& cache,
-                       rqfp::CostCache& cost_cache,
-                       const rqfp::Netlist& child,
-                       std::span<const tt::TruthTable> spec,
-                       const FitnessOptions& options = {});
-
-/// λ-batched fully incremental evaluation: one gate-major simulation pass
+/// λ-batched incremental evaluation — the one offspring-evaluation path of
+/// the (1+λ) loop. One gate-major simulation pass
 /// (rqfp::simulate_delta_batch) scores every child of a block against the
-/// shared `cache`, which must hold `base`'s port values and is only read —
-/// no per-sibling undo/restore. Per child the Fitness is bit-identical to
-/// evaluate_delta(base, cache, cost_cache, *children[c], spec, options),
-/// and cec.sim_checks still advances once per child. out_fitness must
-/// provide children.size() slots; `batch` is reusable scratch.
+/// shared `cache`, which must hold `base`'s port values and is only read.
+/// Children must share `base`'s PI and gate counts — exactly what CGP
+/// mutation preserves. Functionally correct children are then priced
+/// through `cost_cache` (rqfp::cost_of_delta); it must describe `base`
+/// under options.schedule (rqfp::build_cost_cache / update_cost_cache),
+/// and one bound to another schedule or not yet built is rebuilt for
+/// `base` on the spot. Per child the Fitness is bit-identical to
+/// evaluate(*children[c], spec, options), and cec.sim_checks advances once
+/// per child. out_fitness must provide children.size() slots; `batch` is
+/// reusable scratch.
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,

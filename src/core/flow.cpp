@@ -1,6 +1,7 @@
 #include "core/flow.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/window.hpp"
 
@@ -59,12 +60,17 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   obs::PhaseCollector phases;
   // Checked between phases: a cooperative stop skips the remaining
   // optional phases but the mandatory mapping still runs, so the caller
-  // always gets a valid (if unoptimized) netlist back. Both the legacy
-  // evolve.budget token and the facade-level limits token are honored.
+  // always gets a valid (if unoptimized) netlist back. Both the
+  // evolve.budget token and the limits token are honored.
   const auto stopped = [&] {
     return options.evolve.budget.stop_requested() ||
-           options.limits.budget().stop_requested();
+           options.limits.stop_requested();
   };
+  // Costs are priced the way the CGP loop scores them.
+  const rqfp::BufferSchedule schedule =
+      options.algorithm == Algorithm::kAnneal
+          ? options.anneal.fitness.schedule
+          : options.evolve.fitness.schedule;
 
   // Phase 1: conventional logic synthesis (ABC resyn2 stand-in).
   aig::Aig net = input.cleanup();
@@ -102,7 +108,7 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
     throw std::logic_error("flow: initialization produced illegal netlist: " +
                            problem);
   }
-  result.initial_cost = rqfp::cost_of(result.initial, options.schedule);
+  result.initial_cost = rqfp::cost_of(result.initial, schedule);
 
   // Phase 4: CGP-based optimization against the exact specification.
   const auto spec = [&] {
@@ -114,27 +120,15 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   }
   if (options.run_cgp && !stopped()) {
     obs::PhaseSpan timer("cgp");
-    OptimizerOptions oo;
-    oo.algorithm = options.optimizer;
-    oo.evolve = options.evolve;
-    oo.evolve.fitness.schedule = options.schedule;
-    oo.anneal = options.anneal;
-    oo.anneal.fitness.schedule = options.schedule;
-    oo.window = options.window;
-    oo.restarts = options.restarts;
-    oo.island = options.island;
-    oo.limits = options.limits;
     // A fleet resume restores from state_dir through run() — never-started
     // islands still need the mapped baseline as their starting netlist.
     const bool fleet_resume =
         options.resume && !options.island.state_dir.empty();
-    if (fleet_resume) {
-      oo.island.resume = true;
-    }
-    const Optimizer optimizer(oo);
+    OptimizerOptions oo = options;
+    oo.island.resume = oo.island.resume || fleet_resume;
+    const Optimizer optimizer(std::move(oo));
     if (options.resume && !fleet_resume) {
-      if (options.evolve.checkpoint_path.empty() &&
-          options.limits.checkpoint_path.empty()) {
+      if (options.evolve.checkpoint_path.empty()) {
         throw std::invalid_argument(
             "flow: resume requested without a checkpoint path");
       }
@@ -156,7 +150,6 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
       }
       result.optimization = optimizer.run(*start, spec);
     }
-    result.evolution = result.optimization.evolve;
     result.optimized = result.optimization.best;
   } else {
     result.optimized = result.initial;
@@ -164,13 +157,7 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   if (options.run_exact_polish && !stopped()) {
     obs::PhaseSpan timer("exact-polish");
     ExactPolishParams polish;
-    polish.budget = options.evolve.budget;
-    if (options.limits.stop) {
-      polish.budget.stop = options.limits.stop;
-    }
-    if (options.limits.deadline_seconds > 0.0) {
-      polish.budget.deadline_seconds = options.limits.deadline_seconds;
-    }
+    polish.budget = robust::overlay(options.evolve.budget, options.limits);
     result.optimized = exact_polish(result.optimized, polish);
   }
   if (options.evolve.paranoia >= robust::ParanoiaLevel::kBoundaries) {
@@ -178,7 +165,7 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   }
   {
     obs::PhaseSpan timer("cost");
-    result.optimized_cost = rqfp::cost_of(result.optimized, options.schedule);
+    result.optimized_cost = rqfp::cost_of(result.optimized, schedule);
   }
   result.seconds_total = watch.seconds();
   result.phases = phases.records();

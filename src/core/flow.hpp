@@ -16,8 +16,15 @@ namespace rcgp::core {
 /// Options for the end-to-end RCGP synthesis flow (Fig. 2 of the paper):
 /// RTL/AIG input → logic synthesis (resyn2) → AQFP-oriented MIG →
 /// RQFP netlist conversion → splitter insertion → CGP optimization →
-/// buffer insertion.
-struct FlowOptions {
+/// buffer insertion. The inherited OptimizerOptions configure the CGP
+/// phase and are handed to core::Optimizer as they are. Beyond that,
+/// evolve.budget and `limits` also bound the flow: a cooperative stop
+/// skips the remaining optional phases (the mapping phases still run so
+/// the result is always a valid netlist), and evolve.paranoia ≥
+/// kBoundaries re-validates the netlist at flow phase boundaries. Costs
+/// are priced with the fitness schedule of the configured algorithm
+/// (anneal.fitness for kAnneal, evolve.fitness otherwise).
+struct FlowOptions : OptimizerOptions {
   bool run_aig_optimization = true; // ABC resyn2 equivalent
   bool run_fraig = false;           // SAT sweeping after resyn2
   bool run_mig_optimization = true; // mockturtle aqfp_resynthesis equivalent
@@ -29,32 +36,12 @@ struct FlowOptions {
   /// Extension: after CGP, replace small windows with SAT-proven optimal
   /// sub-circuits (closes the gap to the exact optima at laptop budgets).
   bool run_exact_polish = false;
-  /// Continue the CGP phase from the configured checkpoint path instead
-  /// of starting fresh (see docs/ROBUSTNESS.md). The checkpoint must stem
+  /// Continue the CGP phase from evolve.checkpoint_path instead of
+  /// starting fresh (see docs/ROBUSTNESS.md). The checkpoint must stem
   /// from the same specification and evolve configuration. Only
-  /// Algorithm::kEvolve supports checkpointing.
+  /// Algorithm::kEvolve supports checkpointing; with islands > 1 the
+  /// fleet is restored from island.state_dir instead.
   bool resume = false;
-  /// Which optimizer the CGP phase runs (evolve | multistart | anneal |
-  /// window); all of them are configured below and share `limits`.
-  Algorithm optimizer = Algorithm::kEvolve;
-  /// evolve.budget doubles as the flow-level budget: a cooperative stop
-  /// skips the remaining optional phases (the mapping phases still run so
-  /// the result is always a valid netlist), and evolve.paranoia ≥
-  /// kBoundaries re-validates the netlist at flow phase boundaries.
-  EvolveParams evolve;
-  AnnealParams anneal;           // Algorithm::kAnneal
-  WindowParams window;           // Algorithm::kWindow geometry
-  unsigned restarts = 4;         // Algorithm::kMultistart
-  /// Island-model scale-out for the CGP phase (docs/ISLANDS.md). With
-  /// islands > 1 and Algorithm::kEvolve, the phase runs an island fleet;
-  /// `resume` above then restores the fleet from island.state_dir instead
-  /// of from a single checkpoint file.
-  IslandSettings island;
-  /// Cross-algorithm limits (deadline, stop token, checkpointing); set
-  /// fields override the per-algorithm params and also bound the
-  /// flow-level phases.
-  RunLimits limits;
-  rqfp::BufferSchedule schedule = rqfp::BufferSchedule::kAsap;
   /// Optional CGP starting point (not owned), e.g. a de-canonicalized
   /// synthesis-cache hit for the same function class. When it is a valid
   /// netlist over the right PIs/POs that implements the specification, the
@@ -77,9 +64,6 @@ struct FlowResult {
 
   /// Full facade result of the CGP phase (whichever algorithm ran).
   OptimizeResult optimization;
-  /// Evolve-specific detail — alias of optimization.evolve, kept for the
-  /// historical call sites (populated for kEvolve / kMultistart only).
-  EvolveResult evolution;
   double seconds_total = 0.0;
 
   /// Per-phase wall-clock breakdown (aig-opt / fraig / mig-opt / rqfp-map /

@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "island/island.hpp"
 #include "obs/metrics.hpp"
@@ -11,7 +12,6 @@ namespace rcgp::core {
 std::string_view to_string(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kEvolve: return "evolve";
-    case Algorithm::kMultistart: return "multistart";
     case Algorithm::kAnneal: return "anneal";
     case Algorithm::kWindow: return "window";
   }
@@ -20,12 +20,11 @@ std::string_view to_string(Algorithm algorithm) {
 
 Algorithm parse_algorithm(std::string_view name) {
   if (name == "evolve") return Algorithm::kEvolve;
-  if (name == "multistart") return Algorithm::kMultistart;
   if (name == "anneal") return Algorithm::kAnneal;
   if (name == "window") return Algorithm::kWindow;
-  throw std::invalid_argument(
-      "unknown optimizer algorithm '" + std::string(name) +
-      "' (expected evolve|multistart|anneal|window)");
+  throw std::invalid_argument("unknown optimizer algorithm '" +
+                              std::string(name) +
+                              "' (expected evolve|anneal|window)");
 }
 
 std::string_view to_string(Topology topology) {
@@ -48,63 +47,35 @@ Topology parse_topology(std::string_view name) {
                               "' (expected none|ring|star|full)");
 }
 
+namespace {
+
+OptimizeResult from_evolve(EvolveResult evolve) {
+  OptimizeResult r;
+  r.best = evolve.best;
+  r.best_fitness = evolve.best_fitness;
+  r.evaluations = evolve.evaluations;
+  r.seconds = evolve.seconds;
+  r.stop_reason = evolve.stop_reason;
+  r.evolve = std::move(evolve);
+  return r;
+}
+
+} // namespace
+
 Optimizer::Optimizer(OptimizerOptions options) : options_(std::move(options)) {
-  if (options_.algorithm == Algorithm::kMultistart &&
-      options_.restarts == 0) {
-    throw std::invalid_argument("Optimizer: restarts must be >= 1");
-  }
   if (options_.island.islands == 0) {
     throw std::invalid_argument("Optimizer: islands must be >= 1");
   }
   if (options_.island.islands > 1 &&
-      options_.algorithm != Algorithm::kEvolve &&
-      options_.algorithm != Algorithm::kMultistart) {
+      options_.algorithm != Algorithm::kEvolve) {
     throw std::invalid_argument(
         "Optimizer: islands > 1 requires Algorithm::kEvolve");
   }
 }
 
-// The merge rule is additive: a default (zero / empty / null) RunLimits
-// field keeps whatever the per-algorithm params say, a set field wins.
 EvolveParams Optimizer::evolve_params() const {
   EvolveParams p = options_.evolve;
-  const RunLimits& l = options_.limits;
-  if (l.deadline_seconds > 0.0) {
-    p.budget.deadline_seconds = l.deadline_seconds;
-  }
-  if (l.max_generations) {
-    p.budget.max_generations = l.max_generations;
-  }
-  if (l.max_evaluations) {
-    p.budget.max_evaluations = l.max_evaluations;
-  }
-  if (l.stop) {
-    p.budget.stop = l.stop;
-  }
-  if (!l.checkpoint_path.empty()) {
-    p.checkpoint_path = l.checkpoint_path;
-  }
-  if (l.checkpoint_interval) {
-    p.checkpoint_interval = l.checkpoint_interval;
-  }
-  return p;
-}
-
-AnnealParams Optimizer::anneal_params() const {
-  AnnealParams p = options_.anneal;
-  const RunLimits& l = options_.limits;
-  if (l.deadline_seconds > 0.0) {
-    p.budget.deadline_seconds = l.deadline_seconds;
-  }
-  if (l.max_generations) {
-    p.budget.max_generations = l.max_generations;
-  }
-  if (l.max_evaluations) {
-    p.budget.max_evaluations = l.max_evaluations;
-  }
-  if (l.stop) {
-    p.budget.stop = l.stop;
-  }
+  p.budget = robust::overlay(p.budget, options_.limits);
   return p;
 }
 
@@ -115,50 +86,17 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
   OptimizeResult r;
   switch (options_.algorithm) {
     case Algorithm::kEvolve: {
-      const IslandSettings& is = options_.island;
-      if (is.islands > 1 || is.resume || is.executor != nullptr) {
-        island::FleetOptions fo;
-        fo.islands = is.islands;
-        fo.topology = is.topology;
-        fo.migration_interval = is.migration_interval;
-        fo.migration_size = is.migration_size;
-        fo.state_dir = is.state_dir;
-        fo.resume = is.resume;
-        fo.executor = is.executor;
-        fo.parallelism = is.parallelism;
-        r.evolve = island::run_fleet(initial, spec, evolve_params(), fo);
-      } else {
-        r.evolve = detail::evolve_impl(initial, spec, evolve_params());
-      }
-      r.best = r.evolve.best;
-      r.best_fitness = r.evolve.best_fitness;
-      r.evaluations = r.evolve.evaluations;
-      r.seconds = r.evolve.seconds;
-      r.stop_reason = r.evolve.stop_reason;
-      break;
-    }
-    case Algorithm::kMultistart: {
-      // A thin alias over the island runner: `restarts` islands with
-      // Topology::kNone reproduce the historical sequential multistart
-      // trajectories bit-identically (docs/ISLANDS.md).
-      EvolveParams p = evolve_params();
-      p.checkpoint_path.clear();
-      island::FleetOptions fo;
-      fo.islands = options_.restarts;
-      fo.topology = Topology::kNone;
-      fo.state_dir = options_.island.state_dir;
-      fo.resume = options_.island.resume;
-      fo.executor = options_.island.executor;
-      r.evolve = island::run_fleet(initial, spec, p, fo);
-      r.best = r.evolve.best;
-      r.best_fitness = r.evolve.best_fitness;
-      r.evaluations = r.evolve.evaluations;
-      r.seconds = r.evolve.seconds;
-      r.stop_reason = r.evolve.stop_reason;
+      const island::FleetOptions& fleet = options_.island;
+      r = from_evolve(
+          fleet.islands > 1 || fleet.resume || fleet.executor != nullptr
+              ? island::run_fleet(initial, spec, evolve_params(), fleet)
+              : detail::evolve_impl(initial, spec, evolve_params()));
       break;
     }
     case Algorithm::kAnneal: {
-      r.anneal = detail::anneal_impl(initial, spec, anneal_params());
+      AnnealParams p = options_.anneal;
+      p.budget = robust::overlay(p.budget, options_.limits);
+      r.anneal = detail::anneal_impl(initial, spec, p);
       r.best = r.anneal.best;
       r.best_fitness = r.anneal.best_fitness;
       // Annealing evaluates once per step (plus the best-seen re-check,
@@ -191,20 +129,13 @@ OptimizeResult Optimizer::resume(std::span<const tt::TruthTable> spec) const {
         "Optimizer::resume: only Algorithm::kEvolve supports checkpointed "
         "resume");
   }
-  EvolveParams p = evolve_params();
+  const EvolveParams p = evolve_params();
   if (p.checkpoint_path.empty()) {
     throw std::invalid_argument(
         "Optimizer::resume: no checkpoint path configured (set "
-        "RunLimits::checkpoint_path or EvolveParams::checkpoint_path)");
+        "EvolveParams::checkpoint_path)");
   }
-  OptimizeResult r;
-  r.evolve = detail::evolve_resume_impl(p.checkpoint_path, spec, p);
-  r.best = r.evolve.best;
-  r.best_fitness = r.evolve.best_fitness;
-  r.evaluations = r.evolve.evaluations;
-  r.seconds = r.evolve.seconds;
-  r.stop_reason = r.evolve.stop_reason;
-  return r;
+  return from_evolve(detail::evolve_resume_impl(p.checkpoint_path, spec, p));
 }
 
 } // namespace rcgp::core

@@ -12,23 +12,19 @@
 #include "rqfp/netlist.hpp"
 #include "tt/truth_table.hpp"
 
-namespace rcgp::island {
-class SliceExecutor;
-} // namespace rcgp::island
-
 namespace rcgp::core {
 
 /// Which search algorithm an Optimizer runs. All of them consume the same
-/// genotype, mutation operators, and RunLimits; they differ only in the
-/// outer search strategy.
+/// genotype, mutation operators, and run limits; they differ only in the
+/// outer search strategy. N independent lineages are an island fleet
+/// (OptimizerOptions::island) with Topology::kNone.
 enum class Algorithm : std::uint8_t {
-  kEvolve,     ///< single (1+λ) CGP run (the paper's Algorithm 1)
-  kMultistart, ///< `restarts` decorrelated (1+λ) runs, best-of
-  kAnneal,     ///< simulated-annealing ablation over the same operators
-  kWindow,     ///< windowed (1+λ) sweep for large netlists
+  kEvolve, ///< (1+λ) CGP (the paper's Algorithm 1), one or more islands
+  kAnneal, ///< simulated-annealing ablation over the same operators
+  kWindow, ///< windowed (1+λ) sweep for large netlists
 };
 
-/// Stable lowercase name ("evolve", "multistart", "anneal", "window").
+/// Stable lowercase name ("evolve", "anneal", "window").
 std::string_view to_string(Algorithm algorithm);
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 Algorithm parse_algorithm(std::string_view name);
@@ -49,83 +45,69 @@ std::string_view to_string(Topology topology);
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 Topology parse_topology(std::string_view name);
 
-/// Island-model settings (docs/ISLANDS.md). With `islands` == 1 the
-/// Optimizer behaves exactly as before; with more, kEvolve runs an island
+} // namespace rcgp::core
+
+namespace rcgp::island {
+
+class SliceExecutor;
+
+/// Island-model settings (docs/ISLANDS.md), consumed by island::run_fleet
+/// and carried as OptimizerOptions::island. With `islands` == 1 an
+/// Optimizer runs plain single-lineage evolve; with more, kEvolve runs a
 /// fleet: N decorrelated (1+λ) lineages (seed, seed+1, ...) exchanging
 /// elites every `migration_interval` generations. Results are
 /// bit-identical for any worker placement — in-process threads or remote
 /// `rcgp serve` daemons — given (seed, topology, migration_interval).
-struct IslandSettings {
-  /// Number of islands (1 = plain single-lineage evolve).
+struct FleetOptions {
   unsigned islands = 1;
-  Topology topology = Topology::kRing;
-  /// Exchange elites every this many generations (0 = never migrate; the
-  /// islands then run as fully independent lineages).
+  core::Topology topology = core::Topology::kRing;
+  /// Epoch length in generations (0 = no migration: one epoch per island).
   std::uint64_t migration_interval = 0;
-  /// How many donor elites each island considers per exchange (the best
-  /// strictly-better one is adopted).
+  /// Donor-channel capacity: each island pulls from the first
+  /// `migration_size` donors of its topology donor order.
   unsigned migration_size = 1;
-  /// Directory for per-island robust checkpoints + the fleet manifest.
-  /// Empty = in-memory only (no crash safety, no remote workers).
+  /// Directory for island-<i>.ckpt files + fleet.json (empty = in-memory
+  /// only; required for resume and for RemoteSliceExecutor).
   std::string state_dir;
-  /// Continue a fleet previously interrupted in `state_dir`.
+  /// Continue an interrupted fleet from state_dir: islands restart from
+  /// their last checkpoints (mid-slice ones included) and the run finishes
+  /// bit-identical to one that was never killed.
   bool resume = false;
   /// Where slices run (not owned; nullptr = in-process threads). Point it
   /// at an island::RemoteSliceExecutor to farm slices out to `rcgp serve`
   /// daemons.
-  island::SliceExecutor* executor = nullptr;
+  SliceExecutor* executor = nullptr;
   /// Concurrent slices per epoch (0 = one thread per island). Purely a
-  /// throughput knob: results are bit-identical for any value.
+  /// throughput knob: results are bit-identical for any value. Ignored for
+  /// Topology::kNone, which runs islands sequentially to reproduce the
+  /// historical multistart semantics exactly.
   unsigned parallelism = 0;
+  /// Run at most this many epochs in this call (0 = until done). An early
+  /// exit reports StopReason::kGenerationBudget and leaves the fleet
+  /// resumable — the epoch-stepping hook used by tests and schedulers.
+  std::uint64_t max_epochs = 0;
 };
 
-/// Cross-algorithm run limits, applied on top of the per-algorithm
-/// parameter structs. A default-constructed field (zero / empty / null)
-/// leaves the corresponding per-algorithm setting untouched, so RunLimits
-/// only ever tightens or adds — callers can configure an algorithm fully
-/// through its params and use RunLimits purely for scheduling concerns
-/// (deadlines, stop tokens, checkpointing).
-struct RunLimits {
-  /// Wall-clock ceiling in seconds (0 = keep per-algorithm setting).
-  double deadline_seconds = 0.0;
-  /// Generation / step ceiling (0 = keep per-algorithm setting).
-  std::uint64_t max_generations = 0;
-  /// Fitness-evaluation ceiling (0 = keep per-algorithm setting).
-  std::uint64_t max_evaluations = 0;
-  /// Cooperative stop flag (not owned; nullptr = keep per-algorithm one).
-  robust::StopToken* stop = nullptr;
-  /// Crash-safe checkpointing (kEvolve only; empty = keep per-algorithm
-  /// path). Checkpoints are thread-count independent.
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_interval = 0; // 0 = keep per-algorithm interval
+} // namespace rcgp::island
 
-  /// The limits expressed as the budget struct the loops consume.
-  robust::RunBudget budget() const {
-    robust::RunBudget b;
-    b.deadline_seconds = deadline_seconds;
-    b.max_generations = max_generations;
-    b.max_evaluations = max_evaluations;
-    b.stop = stop;
-    return b;
-  }
-};
+namespace rcgp::core {
 
 struct OptimizerOptions {
   Algorithm algorithm = Algorithm::kEvolve;
-  /// (1+λ) parameters — used by kEvolve, kMultistart, and (per window)
-  /// kWindow. Includes `threads` for λ-parallel offspring evaluation.
+  /// (1+λ) parameters — used by kEvolve and (per window) kWindow. Includes
+  /// `threads` for λ-parallel offspring evaluation and the checkpoint
+  /// path/interval (kEvolve only).
   EvolveParams evolve;
   AnnealParams anneal;
   /// Window geometry for kWindow; its `evolve` member is replaced by the
   /// `evolve` field above so every algorithm is configured in one place.
   WindowParams window;
-  /// Independent restarts for kMultistart (must be >= 1). kMultistart is
-  /// a thin alias for an island fleet with `restarts` islands and
-  /// Topology::kNone (docs/ISLANDS.md).
-  unsigned restarts = 4;
   /// Island-model scale-out for kEvolve (ignored by kAnneal / kWindow).
-  IslandSettings island;
-  RunLimits limits;
+  island::FleetOptions island;
+  /// Cross-algorithm run limits (deadline, generation / evaluation
+  /// ceilings, stop token), laid over the running loop's own budget with
+  /// robust::overlay: a field set here replaces the algorithm's value.
+  robust::RunBudget limits;
 };
 
 /// Uniform result across algorithms. `best`, `best_fitness`, `seconds`,
@@ -138,16 +120,17 @@ struct OptimizeResult {
   double seconds = 0.0;
   robust::StopReason stop_reason = robust::StopReason::kCompleted;
 
-  EvolveResult evolve; ///< kEvolve / kMultistart
+  EvolveResult evolve; ///< kEvolve
   AnnealResult anneal; ///< kAnneal
   WindowStats window;  ///< kWindow
 };
 
-/// Unified entry point over the four optimizer loops (evolve, multistart,
-/// anneal, window). Construct once with options, then run() against any
-/// number of (netlist, spec) pairs; resume() continues a checkpointed
-/// kEvolve run. This facade is the only public way to launch a search —
-/// the historical free functions (evolve(), anneal(), ...) are gone.
+/// Unified entry point over the optimizer loops (evolve and its island
+/// fleets, anneal, window). Construct once with options, then run()
+/// against any number of (netlist, spec) pairs; resume() continues a
+/// checkpointed kEvolve run. This facade is the only public way to launch
+/// a search — the historical free functions (evolve(), anneal(), ...) are
+/// gone.
 class Optimizer {
 public:
   explicit Optimizer(OptimizerOptions options);
@@ -158,17 +141,16 @@ public:
   OptimizeResult run(const rqfp::Netlist& initial,
                      std::span<const tt::TruthTable> spec) const;
 
-  /// Continues a checkpointed run from limits.checkpoint_path (or, if that
-  /// is empty, evolve.checkpoint_path). Only Algorithm::kEvolve supports
-  /// checkpointing; any other algorithm throws std::invalid_argument, as
-  /// does an empty checkpoint path. Island fleets (islands > 1) resume
-  /// through run() with IslandSettings::resume set instead — they restore
-  /// from state_dir, not from a single checkpoint file.
+  /// Continues a checkpointed run from evolve.checkpoint_path. Only
+  /// Algorithm::kEvolve supports checkpointing; any other algorithm throws
+  /// std::invalid_argument, as does an empty checkpoint path. Island
+  /// fleets (islands > 1) resume through run() with FleetOptions::resume
+  /// set instead — they restore from state_dir, not from a single
+  /// checkpoint file.
   OptimizeResult resume(std::span<const tt::TruthTable> spec) const;
 
 private:
   EvolveParams evolve_params() const;
-  AnnealParams anneal_params() const;
 
   OptimizerOptions options_;
 };

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "io/parse_error.hpp"
 #include "obs/json.hpp"
@@ -16,51 +18,34 @@ namespace {
   io::fail_parse(format, source, line, message);
 }
 
-// ---- enum name tables shared by the options round-trip ----
-
-std::string_view schedule_name(rqfp::BufferSchedule s) {
-  switch (s) {
-    case rqfp::BufferSchedule::kAsap: return "asap";
-    case rqfp::BufferSchedule::kAlap: return "alap";
-    case rqfp::BufferSchedule::kBest: return "best";
-    case rqfp::BufferSchedule::kOptimized: return "optimized";
-  }
-  return "asap";
-}
-
-rqfp::BufferSchedule schedule_from_name(std::string_view name) {
-  if (name == "asap") return rqfp::BufferSchedule::kAsap;
-  if (name == "alap") return rqfp::BufferSchedule::kAlap;
-  if (name == "best") return rqfp::BufferSchedule::kBest;
-  if (name == "optimized") return rqfp::BufferSchedule::kOptimized;
-  throw std::invalid_argument("unknown buffer schedule: \"" +
-                              std::string(name) + "\"");
-}
-
-std::string_view objective_name(Objective o) {
-  return o == Objective::kJjCount ? "jj-count" : "paper-lexicographic";
-}
-
-Objective objective_from_name(std::string_view name) {
-  if (name == "paper-lexicographic") return Objective::kPaperLexicographic;
-  if (name == "jj-count") return Objective::kJjCount;
-  throw std::invalid_argument("unknown objective: \"" + std::string(name) +
-                              "\"");
-}
-
 // ---- typed member extraction over obs::json::Value ----
 
-std::uint64_t uint_member(const obs::json::Value& v, std::string_view key) {
+/// A non-negative integer no larger than `max`, or std::invalid_argument
+/// naming the key. The range is checked on the double: converting one at
+/// or above 2^64 to an integer is undefined.
+std::uint64_t uint_member(const obs::json::Value& v, std::string_view key,
+                          std::uint64_t max = kMaxRequestInteger) {
   if (!v.is_number()) {
     throw std::invalid_argument("key \"" + std::string(key) +
                                 "\" must be a number");
   }
   const double d = v.as_number();
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
+  if (!(d >= 0) || d != std::floor(d)) {
     throw std::invalid_argument("key \"" + std::string(key) +
                                 "\" must be a non-negative integer");
   }
+  if (d > static_cast<double>(max)) {
+    throw std::invalid_argument("key \"" + std::string(key) +
+                                "\" must be at most " + std::to_string(max));
+  }
   return static_cast<std::uint64_t>(d);
+}
+
+/// uint_member for a field narrower than 64 bits.
+template <typename T>
+T narrow_member(const obs::json::Value& v, std::string_view key) {
+  return static_cast<T>(uint_member(
+      v, key, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
 }
 
 double number_member(const obs::json::Value& v, std::string_view key) {
@@ -148,8 +133,7 @@ bool SynthesisRequest::operator==(const SynthesisRequest& o) const {
   return id == o.id && circuit == o.circuit && spec == o.spec &&
          algorithm == o.algorithm && generations == o.generations &&
          seed == o.seed && lambda == o.lambda && threads == o.threads &&
-         restarts == o.restarts && islands == o.islands &&
-         topology == o.topology &&
+         islands == o.islands && topology == o.topology &&
          migration_interval == o.migration_interval &&
          migration_size == o.migration_size &&
          deadline_seconds == o.deadline_seconds &&
@@ -188,7 +172,6 @@ std::string to_json(const SynthesisRequest& r) {
   if (r.seed != 0) w.field("seed", r.seed);
   if (r.lambda != 0) w.field("lambda", r.lambda);
   if (r.threads != 0) w.field("threads", r.threads);
-  if (r.restarts != 0) w.field("restarts", r.restarts);
   if (r.islands != 0) w.field("islands", r.islands);
   if (r.topology != Topology::kRing) {
     w.field("topology", to_string(r.topology));
@@ -221,6 +204,9 @@ SynthesisRequest parse_request(const std::string& text,
   std::vector<std::string> spec_hex;
   std::uint64_t spec_vars = 0;
   bool have_spec_vars = false;
+  bool multistart = false;
+  bool island_keys = false;
+  unsigned restarts = 0;
   scan_object(text, format, source, lineno,
               [&](const std::string& key, const obs::json::Value& v) {
     if (key == "schema") {
@@ -244,25 +230,31 @@ SynthesisRequest parse_request(const std::string& text,
       spec_vars = uint_member(v, key);
       have_spec_vars = true;
     } else if (key == "algorithm") {
-      r.algorithm = parse_algorithm(string_member(v, key));
+      const std::string name = string_member(v, key);
+      multistart = name == "multistart";
+      r.algorithm = multistart ? Algorithm::kEvolve : parse_algorithm(name);
     } else if (key == "generations") {
       r.generations = uint_member(v, key);
     } else if (key == "seed") {
       r.seed = uint_member(v, key);
     } else if (key == "lambda") {
-      r.lambda = static_cast<unsigned>(uint_member(v, key));
+      r.lambda = narrow_member<unsigned>(v, key);
     } else if (key == "threads") {
-      r.threads = static_cast<unsigned>(uint_member(v, key));
+      r.threads = narrow_member<unsigned>(v, key);
     } else if (key == "restarts") {
-      r.restarts = static_cast<unsigned>(uint_member(v, key));
+      restarts = narrow_member<unsigned>(v, key); // multistart only
     } else if (key == "islands") {
-      r.islands = static_cast<unsigned>(uint_member(v, key));
+      r.islands = narrow_member<unsigned>(v, key);
+      island_keys = true;
     } else if (key == "topology") {
       r.topology = parse_topology(string_member(v, key));
+      island_keys = true;
     } else if (key == "migration_interval") {
       r.migration_interval = uint_member(v, key);
+      island_keys = true;
     } else if (key == "migration_size") {
-      r.migration_size = static_cast<unsigned>(uint_member(v, key));
+      r.migration_size = narrow_member<unsigned>(v, key);
+      island_keys = true;
     } else if (key == "deadline_seconds") {
       r.deadline_seconds = number_member(v, key);
       if (r.deadline_seconds < 0 || !std::isfinite(r.deadline_seconds)) {
@@ -276,7 +268,7 @@ SynthesisRequest parse_request(const std::string& text,
     } else if (key == "stagnation_limit") {
       r.stagnation_limit = uint_member(v, key);
     } else if (key == "retries") {
-      r.retries = static_cast<int>(uint_member(v, key));
+      r.retries = narrow_member<int>(v, key);
     } else if (key == "cache") {
       r.cache = parse_cache_policy(string_member(v, key));
     } else {
@@ -304,6 +296,17 @@ SynthesisRequest parse_request(const std::string& text,
   } else if (have_spec_vars) {
     fail(format, source, lineno, "key \"spec_vars\" requires \"spec\"");
   }
+  if (multistart) {
+    // Schema 1 spelled N independent lineages this way; they are an
+    // island fleet without migration.
+    if (island_keys) {
+      fail(format, source, lineno,
+           "\"algorithm\": \"multistart\" already sets \"islands\" and "
+           "\"topology\" — use either spelling, not both");
+    }
+    r.islands = restarts != 0 ? restarts : 4;
+    r.topology = Topology::kNone;
+  }
   validate_request(r, source, lineno, format);
   return r;
 }
@@ -324,6 +327,20 @@ void validate_request(const SynthesisRequest& r, const std::string& source,
   if (r.circuit.empty() && r.spec.empty()) {
     fail(format, source, lineno,
          "missing required key \"circuit\" (or an inline \"spec\")");
+  }
+  const std::pair<const char*, std::uint64_t> wide[] = {
+      {"generations", r.generations},
+      {"seed", r.seed},
+      {"migration_interval", r.migration_interval},
+      {"max_generations", r.max_generations},
+      {"max_evaluations", r.max_evaluations},
+      {"stagnation_limit", r.stagnation_limit}};
+  for (const auto& [key, value] : wide) {
+    if (value > kMaxRequestInteger) {
+      fail(format, source, lineno,
+           "key \"" + std::string(key) + "\" must be at most " +
+               std::to_string(kMaxRequestInteger));
+    }
   }
   if (!r.circuit.empty() && !r.spec.empty()) {
     fail(format, source, lineno,
@@ -376,9 +393,6 @@ OptimizerOptions optimizer_options_for(const SynthesisRequest& r,
   o.anneal.seed = o.evolve.seed;
   if (r.generations != 0) {
     o.anneal.steps = r.generations; // kAnneal counts steps
-  }
-  if (r.restarts != 0) {
-    o.restarts = r.restarts;
   }
   if (r.islands != 0) {
     o.island.islands = r.islands;
@@ -458,15 +472,15 @@ SynthesisResponse parse_response(const std::string& text,
       } else if (key == "verified") {
         r.verified = bool_member(v, key);
       } else if (key == "n_r") {
-        r.cost.n_r = static_cast<std::uint32_t>(uint_member(v, key));
+        r.cost.n_r = narrow_member<std::uint32_t>(v, key);
       } else if (key == "n_b") {
-        r.cost.n_b = static_cast<std::uint32_t>(uint_member(v, key));
+        r.cost.n_b = narrow_member<std::uint32_t>(v, key);
       } else if (key == "jjs") {
-        r.cost.jjs = static_cast<std::uint32_t>(uint_member(v, key));
+        r.cost.jjs = narrow_member<std::uint32_t>(v, key);
       } else if (key == "n_d") {
-        r.cost.n_d = static_cast<std::uint32_t>(uint_member(v, key));
+        r.cost.n_d = narrow_member<std::uint32_t>(v, key);
       } else if (key == "n_g") {
-        r.cost.n_g = static_cast<std::uint32_t>(uint_member(v, key));
+        r.cost.n_g = narrow_member<std::uint32_t>(v, key);
       } else if (key == "seconds") {
         r.seconds = number_member(v, key);
       } else if (key == "netlist") {
@@ -482,266 +496,6 @@ SynthesisResponse parse_response(const std::string& text,
     io::fail_parse("response", source, lineno, "missing required key \"id\"");
   }
   return r;
-}
-
-// ---- OptimizerOptions / RunLimits round-trip ----
-
-void write_json(obs::json::Writer& w, const RunLimits& limits) {
-  w.begin_object();
-  w.field("deadline_seconds", limits.deadline_seconds);
-  w.field("max_generations", limits.max_generations);
-  w.field("max_evaluations", limits.max_evaluations);
-  w.field("checkpoint_path", limits.checkpoint_path);
-  w.field("checkpoint_interval", limits.checkpoint_interval);
-  w.end_object();
-}
-
-void write_json(obs::json::Writer& w, const OptimizerOptions& o) {
-  w.begin_object();
-  w.field("algorithm", to_string(o.algorithm));
-  w.field("restarts", o.restarts);
-  w.key("evolve").begin_object();
-  w.field("generations", o.evolve.generations);
-  w.field("lambda", o.evolve.lambda);
-  w.field("mu", o.evolve.mutation.mu);
-  w.field("strict_po_swap", o.evolve.mutation.strict_po_swap);
-  w.field("seed", o.evolve.seed);
-  w.field("threads", o.evolve.threads);
-  w.field("sat_verify_improvements", o.evolve.sat_verify_improvements);
-  w.field("sat_conflict_budget", o.evolve.sat_conflict_budget);
-  w.field("disable_shrink", o.evolve.disable_shrink);
-  w.field("time_limit_seconds", o.evolve.time_limit_seconds);
-  w.field("stagnation_limit", o.evolve.stagnation_limit);
-  w.field("checkpoint_path", o.evolve.checkpoint_path);
-  w.field("checkpoint_interval", o.evolve.checkpoint_interval);
-  w.field("paranoia", robust::to_string(o.evolve.paranoia));
-  w.field("schedule", schedule_name(o.evolve.fitness.schedule));
-  w.field("objective", objective_name(o.evolve.fitness.objective));
-  w.field("trace_heartbeat", o.evolve.trace_heartbeat);
-  w.end_object();
-  w.key("anneal").begin_object();
-  w.field("steps", o.anneal.steps);
-  w.field("initial_temperature", o.anneal.initial_temperature);
-  w.field("final_temperature", o.anneal.final_temperature);
-  w.field("mu", o.anneal.mutation.mu);
-  w.field("strict_po_swap", o.anneal.mutation.strict_po_swap);
-  w.field("seed", o.anneal.seed);
-  w.field("schedule", schedule_name(o.anneal.fitness.schedule));
-  w.field("objective", objective_name(o.anneal.fitness.objective));
-  w.field("trace_heartbeat", o.anneal.trace_heartbeat);
-  w.end_object();
-  w.key("window").begin_object();
-  w.field("window_gates", o.window.window_gates);
-  w.field("max_window_inputs", o.window.max_window_inputs);
-  w.field("stride", o.window.stride);
-  w.field("passes", o.window.passes);
-  w.end_object();
-  w.key("island").begin_object();
-  w.field("islands", o.island.islands);
-  w.field("topology", to_string(o.island.topology));
-  w.field("migration_interval", o.island.migration_interval);
-  w.field("migration_size", o.island.migration_size);
-  w.field("state_dir", o.island.state_dir);
-  w.field("parallelism", o.island.parallelism);
-  w.end_object();
-  w.key("limits");
-  write_json(w, o.limits);
-  w.end_object();
-}
-
-std::string to_json(const RunLimits& limits) {
-  obs::json::Writer w;
-  write_json(w, limits);
-  return w.str();
-}
-
-std::string to_json(const OptimizerOptions& options) {
-  obs::json::Writer w;
-  write_json(w, options);
-  return w.str();
-}
-
-namespace {
-
-void require_object(const obs::json::Value& v, std::string_view what) {
-  if (!v.is_object()) {
-    throw std::invalid_argument("key \"" + std::string(what) +
-                                "\" must be an object");
-  }
-}
-
-template <typename F>
-void each_member(const obs::json::Value& v, F&& f) {
-  std::set<std::string> seen;
-  for (const auto& [key, value] : v.members()) {
-    if (!seen.insert(key).second) {
-      throw std::invalid_argument("duplicate key \"" + key + "\"");
-    }
-    f(key, value);
-  }
-}
-
-} // namespace
-
-RunLimits run_limits_from_json(const obs::json::Value& v) {
-  require_object(v, "limits");
-  RunLimits limits;
-  each_member(v, [&](const std::string& key, const obs::json::Value& m) {
-    if (key == "deadline_seconds") {
-      limits.deadline_seconds = number_member(m, key);
-    } else if (key == "max_generations") {
-      limits.max_generations = uint_member(m, key);
-    } else if (key == "max_evaluations") {
-      limits.max_evaluations = uint_member(m, key);
-    } else if (key == "checkpoint_path") {
-      limits.checkpoint_path = string_member(m, key);
-    } else if (key == "checkpoint_interval") {
-      limits.checkpoint_interval = uint_member(m, key);
-    } else {
-      throw std::invalid_argument("unknown limits key \"" + key + "\"");
-    }
-  });
-  return limits;
-}
-
-OptimizerOptions optimizer_options_from_json(const obs::json::Value& v) {
-  require_object(v, "options");
-  OptimizerOptions o;
-  each_member(v, [&](const std::string& key, const obs::json::Value& m) {
-    if (key == "algorithm") {
-      o.algorithm = parse_algorithm(string_member(m, key));
-    } else if (key == "restarts") {
-      o.restarts = static_cast<unsigned>(uint_member(m, key));
-    } else if (key == "evolve") {
-      require_object(m, key);
-      each_member(m, [&](const std::string& k, const obs::json::Value& e) {
-        if (k == "generations") {
-          o.evolve.generations = uint_member(e, k);
-        } else if (k == "lambda") {
-          o.evolve.lambda = static_cast<unsigned>(uint_member(e, k));
-        } else if (k == "mu") {
-          o.evolve.mutation.mu = number_member(e, k);
-        } else if (k == "strict_po_swap") {
-          o.evolve.mutation.strict_po_swap = bool_member(e, k);
-        } else if (k == "seed") {
-          o.evolve.seed = uint_member(e, k);
-        } else if (k == "threads") {
-          o.evolve.threads = static_cast<unsigned>(uint_member(e, k));
-        } else if (k == "sat_verify_improvements") {
-          o.evolve.sat_verify_improvements = bool_member(e, k);
-        } else if (k == "sat_conflict_budget") {
-          o.evolve.sat_conflict_budget = uint_member(e, k);
-        } else if (k == "disable_shrink") {
-          o.evolve.disable_shrink = bool_member(e, k);
-        } else if (k == "time_limit_seconds") {
-          o.evolve.time_limit_seconds = number_member(e, k);
-        } else if (k == "stagnation_limit") {
-          o.evolve.stagnation_limit = uint_member(e, k);
-        } else if (k == "checkpoint_path") {
-          o.evolve.checkpoint_path = string_member(e, k);
-        } else if (k == "checkpoint_interval") {
-          o.evolve.checkpoint_interval = uint_member(e, k);
-        } else if (k == "paranoia") {
-          o.evolve.paranoia = robust::parse_paranoia(string_member(e, k));
-        } else if (k == "schedule") {
-          o.evolve.fitness.schedule =
-              schedule_from_name(string_member(e, k));
-        } else if (k == "objective") {
-          o.evolve.fitness.objective =
-              objective_from_name(string_member(e, k));
-        } else if (k == "trace_heartbeat") {
-          o.evolve.trace_heartbeat = uint_member(e, k);
-        } else {
-          throw std::invalid_argument("unknown evolve key \"" + k + "\"");
-        }
-      });
-    } else if (key == "anneal") {
-      require_object(m, key);
-      each_member(m, [&](const std::string& k, const obs::json::Value& a) {
-        if (k == "steps") {
-          o.anneal.steps = uint_member(a, k);
-        } else if (k == "initial_temperature") {
-          o.anneal.initial_temperature = number_member(a, k);
-        } else if (k == "final_temperature") {
-          o.anneal.final_temperature = number_member(a, k);
-        } else if (k == "mu") {
-          o.anneal.mutation.mu = number_member(a, k);
-        } else if (k == "strict_po_swap") {
-          o.anneal.mutation.strict_po_swap = bool_member(a, k);
-        } else if (k == "seed") {
-          o.anneal.seed = uint_member(a, k);
-        } else if (k == "schedule") {
-          o.anneal.fitness.schedule =
-              schedule_from_name(string_member(a, k));
-        } else if (k == "objective") {
-          o.anneal.fitness.objective =
-              objective_from_name(string_member(a, k));
-        } else if (k == "trace_heartbeat") {
-          o.anneal.trace_heartbeat = uint_member(a, k);
-        } else {
-          throw std::invalid_argument("unknown anneal key \"" + k + "\"");
-        }
-      });
-    } else if (key == "window") {
-      require_object(m, key);
-      each_member(m, [&](const std::string& k, const obs::json::Value& win) {
-        if (k == "window_gates") {
-          o.window.window_gates =
-              static_cast<std::uint32_t>(uint_member(win, k));
-        } else if (k == "max_window_inputs") {
-          o.window.max_window_inputs =
-              static_cast<unsigned>(uint_member(win, k));
-        } else if (k == "stride") {
-          o.window.stride = static_cast<std::uint32_t>(uint_member(win, k));
-        } else if (k == "passes") {
-          o.window.passes = static_cast<unsigned>(uint_member(win, k));
-        } else {
-          throw std::invalid_argument("unknown window key \"" + k + "\"");
-        }
-      });
-    } else if (key == "island") {
-      require_object(m, key);
-      each_member(m, [&](const std::string& k, const obs::json::Value& is) {
-        if (k == "islands") {
-          o.island.islands = static_cast<unsigned>(uint_member(is, k));
-        } else if (k == "topology") {
-          o.island.topology = parse_topology(string_member(is, k));
-        } else if (k == "migration_interval") {
-          o.island.migration_interval = uint_member(is, k);
-        } else if (k == "migration_size") {
-          o.island.migration_size =
-              static_cast<unsigned>(uint_member(is, k));
-        } else if (k == "state_dir") {
-          o.island.state_dir = string_member(is, k);
-        } else if (k == "parallelism") {
-          o.island.parallelism = static_cast<unsigned>(uint_member(is, k));
-        } else {
-          throw std::invalid_argument("unknown island key \"" + k + "\"");
-        }
-      });
-    } else if (key == "limits") {
-      o.limits = run_limits_from_json(m);
-    } else {
-      throw std::invalid_argument("unknown options key \"" + key + "\"");
-    }
-  });
-  return o;
-}
-
-RunLimits parse_run_limits(const std::string& text) {
-  const auto doc = obs::json::parse(text);
-  if (!doc) {
-    throw std::invalid_argument("run limits: malformed JSON");
-  }
-  return run_limits_from_json(*doc);
-}
-
-OptimizerOptions parse_optimizer_options(const std::string& text) {
-  const auto doc = obs::json::parse(text);
-  if (!doc) {
-    throw std::invalid_argument("optimizer options: malformed JSON");
-  }
-  return optimizer_options_from_json(*doc);
 }
 
 } // namespace rcgp::core

@@ -9,11 +9,6 @@
 #include "rqfp/cost.hpp"
 #include "tt/truth_table.hpp"
 
-namespace rcgp::obs::json {
-class Value;
-class Writer;
-} // namespace rcgp::obs::json
-
 namespace rcgp::core {
 
 /// Schema version stamped into every serialized request/response. Bump it
@@ -25,8 +20,17 @@ namespace rcgp::core {
 /// backward-compatible: a request that leaves every island field at its
 /// default is stamped schema 1, so island-free jobs keep round-tripping
 /// through schema-1 binaries; schema-1 documents parse unchanged (they
-/// simply have no island fields, meaning one island).
+/// simply have no island fields, meaning one island). The schema-1
+/// spelling `"algorithm": "multistart"` with `"restarts": N` (default 4)
+/// parses as its schema-2 meaning: N islands with topology "none".
 inline constexpr std::uint64_t kRequestSchemaVersion = 2;
+
+/// Largest integer a request or response field carries. JSON numbers are
+/// doubles, and from 2^53 on neighbouring integers round to one double, so
+/// a larger value could not be read back exactly; parsers reject it, as
+/// they reject values that do not fit the field they fill.
+inline constexpr std::uint64_t kMaxRequestInteger =
+    (std::uint64_t{1} << 53) - 1;
 
 /// How a request interacts with the synthesis result cache (src/cache).
 enum class CachePolicy : std::uint8_t {
@@ -63,7 +67,6 @@ struct SynthesisRequest {
   std::uint64_t seed = 0;        ///< RNG seed (0 = default seed 1)
   unsigned lambda = 0;           ///< (1+λ) offspring count (0 = default)
   unsigned threads = 0;          ///< λ-parallel eval threads (0 = default)
-  unsigned restarts = 0;         ///< kMultistart restarts (0 = default)
   /// Island-model scale-out (schema 2, docs/ISLANDS.md): decorrelated
   /// (1+λ) lineages exchanging elites every `migration_interval`
   /// generations. 0 islands = not set (one island, plain evolve); more
@@ -75,8 +78,8 @@ struct SynthesisRequest {
   /// Per-job wall-clock ceiling in seconds (0 = none). The one knob that
   /// is not deterministic across machines — see docs/BATCH.md.
   double deadline_seconds = 0.0;
-  std::uint64_t max_generations = 0;  ///< RunLimits ceiling (0 = none)
-  std::uint64_t max_evaluations = 0;  ///< RunLimits ceiling (0 = none)
+  std::uint64_t max_generations = 0;  ///< run-limit ceiling (0 = none)
+  std::uint64_t max_evaluations = 0;  ///< run-limit ceiling (0 = none)
   std::uint64_t stagnation_limit = 0; ///< early-stop plateau (0 = off)
   /// Retry budget on integrity violations; negative = executor default.
   int retries = -1;
@@ -116,7 +119,9 @@ SynthesisRequest parse_request(const std::string& text,
                                const char* format = "request");
 
 /// Validation used by parse_request, exposed for requests built in code
-/// (CLI flag assembly). Throws io::ParseError with the same context shape.
+/// (CLI flag assembly). Throws io::ParseError with the same context shape,
+/// also for 64-bit fields above kMaxRequestInteger, so
+/// `parse_request(to_json(r)) == r` holds for every request it accepts.
 void validate_request(const SynthesisRequest& request,
                       const std::string& source = "<request>",
                       std::size_t lineno = 0,
@@ -160,21 +165,5 @@ std::string to_json(const SynthesisResponse& response);
 SynthesisResponse parse_response(const std::string& text,
                                  const std::string& source = "<string>",
                                  std::size_t lineno = 0);
-
-/// JSON round-trip for the optimizer configuration itself, so a request
-/// plus these documents fully captures a run. Runtime wiring (stop
-/// tokens, trace sinks, callbacks) is intentionally not serialized — the
-/// parsed struct leaves those at their defaults.
-void write_json(obs::json::Writer& w, const RunLimits& limits);
-void write_json(obs::json::Writer& w, const OptimizerOptions& options);
-std::string to_json(const RunLimits& limits);
-std::string to_json(const OptimizerOptions& options);
-
-/// Parse back what write_json emitted. Throws std::invalid_argument with
-/// the offending key on unknown members or wrong types.
-RunLimits run_limits_from_json(const obs::json::Value& v);
-OptimizerOptions optimizer_options_from_json(const obs::json::Value& v);
-RunLimits parse_run_limits(const std::string& text);
-OptimizerOptions parse_optimizer_options(const std::string& text);
 
 } // namespace rcgp::core

@@ -496,6 +496,7 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
   rqfp::build_sim_cache(base, sim);
   rqfp::build_cost_cache(base, fopt.schedule, cost);
   core::Fitness base_fit = core::evaluate(base, spec, fopt);
+  rqfp::DeltaBatch batch;
 
   const auto pair_finding = [&](const std::string& kind,
                                 const std::string& detail,
@@ -517,11 +518,12 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     core::mutate(child, rng);
 
     const core::Fitness full = core::evaluate(child, spec, fopt);
-    const core::Fitness delta =
-        core::evaluate_delta(base, sim, cost, child, spec, fopt);
+    core::Fitness delta;
+    core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fopt, batch,
+                               {&delta, 1});
     if (!fitness_equal(full, delta)) {
       pair_finding("delta-vs-full",
-                   "evaluate_delta != evaluate: full=" +
+                   "evaluate_delta_batch != evaluate: full=" +
                        describe_fitness(full) +
                        " delta=" + describe_fitness(delta),
                    base, child);
@@ -615,10 +617,14 @@ void check_paranoid_search(CaseContext& ctx, std::vector<Finding>& out) {
   const std::vector<tt::TruthTable> spec = rqfp::simulate(start);
 
   core::OptimizerOptions oopt;
-  const core::Algorithm algorithms[] = {core::Algorithm::kEvolve,
-                                        core::Algorithm::kMultistart,
-                                        core::Algorithm::kAnneal};
-  oopt.algorithm = algorithms[rng.below(3)];
+  // evolve, two independent lineages (a fleet without migration), anneal.
+  const unsigned pick = static_cast<unsigned>(rng.below(3));
+  oopt.algorithm =
+      pick == 2 ? core::Algorithm::kAnneal : core::Algorithm::kEvolve;
+  if (pick == 1) {
+    oopt.island.islands = 2;
+    oopt.island.topology = core::Topology::kNone;
+  }
   oopt.evolve.generations = 60;
   oopt.evolve.lambda = 2;
   oopt.evolve.threads = 1;
@@ -626,7 +632,6 @@ void check_paranoid_search(CaseContext& ctx, std::vector<Finding>& out) {
   oopt.evolve.paranoia = robust::ParanoiaLevel::kEveryAcceptance;
   oopt.anneal.steps = 200;
   oopt.anneal.seed = rng.next();
-  oopt.restarts = 2;
   oopt.limits.deadline_seconds = 2.0;
 
   const auto start_finding = [&](const std::string& kind,
@@ -878,7 +883,7 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
 
   // 2. End to end: the full simulation stack under every tier must
   // reproduce the scalar tier bit-for-bit — exhaustive tables, the
-  // λ-batched delta path against the sequential one, and pattern sweeps.
+  // λ-batched delta path against scalar simulate, and pattern sweeps.
   util::Rng net_rng = case_rng(ctx, Target::kSimdDifferential, 1);
   NetlistShape shape;
   shape.max_pis = 5;
@@ -929,21 +934,15 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
     for (const auto& ch : children) {
       ptrs.push_back(&ch);
     }
-    rqfp::simulate_delta_batch(base, ptrs, cache, batch);
-    std::vector<tt::TruthTable> po_seq;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      rqfp::simulate_delta(base, children[i], cache, po_seq);
-      if (po_seq != batch.children[i].po) {
-        report("simulate_delta_batch vs simulate_delta");
-        return;
-      }
-      std::vector<tt::TruthTable> full;
-      for (std::uint32_t p = 0; p < children[i].num_pos(); ++p) {
-        full.push_back(child_spec[i][p]);
-      }
-      if (po_seq != full) {
-        report("simulate_delta vs scalar simulate");
-        return;
+    // The whole block, then a one-child block reusing the wider scratch.
+    for (const std::size_t n : {ptrs.size(), std::size_t{1}}) {
+      ptrs.resize(n);
+      rqfp::simulate_delta_batch(base, ptrs, cache, batch);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (batch.children[i].po != child_spec[i]) {
+          report("simulate_delta_batch vs scalar simulate");
+          return;
+        }
       }
     }
     rqfp::SimBatch po;

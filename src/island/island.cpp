@@ -43,8 +43,7 @@ struct IslandPlan {
 /// execute one extra generation, the only non-idempotent exit.
 std::optional<StopReason> settled_reason(const robust::EvolveCheckpoint& st,
                                          const IslandPlan& plan,
-                                         const core::EvolveParams& params,
-                                         double time_limit) {
+                                         const core::EvolveParams& params) {
   if (params.stagnation_limit != 0 &&
       st.since_improvement >= params.stagnation_limit) {
     return StopReason::kStagnation;
@@ -56,9 +55,6 @@ std::optional<StopReason> settled_reason(const robust::EvolveCheckpoint& st,
   if (params.budget.max_evaluations != 0 &&
       st.evaluations + params.lambda > params.budget.max_evaluations) {
     return StopReason::kEvaluationBudget;
-  }
-  if (time_limit > 0.0 && st.elapsed_seconds > time_limit) {
-    return StopReason::kTimeLimit;
   }
   return std::nullopt;
 }
@@ -251,9 +247,7 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
   r.max_generations = params.budget.max_generations;
   r.max_evaluations = params.budget.max_evaluations;
   r.stagnation_limit = params.stagnation_limit;
-  r.deadline_seconds = params.time_limit_seconds > 0.0
-                           ? params.time_limit_seconds
-                           : params.budget.deadline_seconds;
+  r.deadline_seconds = params.budget.deadline_seconds;
   // A cache hit would skip the evolution slice entirely — forbid it.
   r.cache = core::CachePolicy::kOff;
 
@@ -292,9 +286,7 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
       (params.stagnation_limit != 0 &&
        st.since_improvement >= params.stagnation_limit) ||
       (params.budget.max_evaluations != 0 &&
-       st.evaluations + params.lambda > params.budget.max_evaluations) ||
-      (params.time_limit_seconds > 0.0 &&
-       st.elapsed_seconds > params.time_limit_seconds);
+       st.evaluations + params.lambda > params.budget.max_evaluations);
   if (!interrupted && !at_boundary && !terminal) {
     throw std::runtime_error(
         "island: daemon at " + address + " did not advance " + r.id +
@@ -354,11 +346,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     plan[i].cap = user_max != 0 ? std::min(user_max, plan[i].total)
                                 : plan[i].total;
   }
-  // Multistart historically split the wall-clock limit across restarts.
-  const double time_limit = (multistart && params.time_limit_seconds > 0.0)
-                                ? params.time_limit_seconds / N
-                                : params.time_limit_seconds;
-
   // Slice parameter template. Traces and improvement callbacks stay with
   // the coordinator: per-island improvement streams interleave
   // non-monotonically fleet-wide, so slices run silent and the coordinator
@@ -367,7 +354,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   sp.trace = nullptr;
   sp.on_improvement = nullptr;
   sp.checkpoint_path.clear();
-  sp.time_limit_seconds = time_limit;
 
   std::vector<std::optional<robust::EvolveCheckpoint>> state(N);
   std::vector<std::uint8_t> done(N, 0);
@@ -491,7 +477,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   // Classify islands whose restored state is already terminal.
   for (unsigned i = 0; i < N; ++i) {
     if (!state[i]) continue;
-    if (const auto r = settled_reason(*state[i], plan[i], params, time_limit)) {
+    if (const auto r = settled_reason(*state[i], plan[i], params)) {
       done[i] = 1;
       reason[i] = *r;
     }
@@ -551,8 +537,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       state[i] = make_initial_state(i);
       if (files) robust::save_checkpoint(*state[i], state_path(i));
     }
-    if (const auto r =
-            settled_reason(*state[i], plan[i], params, time_limit)) {
+    if (const auto r = settled_reason(*state[i], plan[i], params)) {
       done[i] = 1;
       reason[i] = *r;
       return SliceState::kDone;
@@ -577,16 +562,13 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     state[i] = std::move(r.state);
     log.to = state[i]->generation;
     log.reason = r.stop_reason;
-    if (r.stop_reason == StopReason::kStopRequested) {
+    if (r.stop_reason == StopReason::kStopRequested ||
+        r.stop_reason == StopReason::kTimeLimit) {
+      // A stop or the fleet deadline: a resumable interruption, not a
+      // terminal island state.
       return SliceState::kInterrupted;
     }
-    if (r.stop_reason == StopReason::kTimeLimit &&
-        !(time_limit > 0.0 && state[i]->elapsed_seconds > time_limit)) {
-      // The fleet deadline tripped, not the island's own time limit:
-      // resumable interruption, not a terminal island state.
-      return SliceState::kInterrupted;
-    }
-    const auto s2 = settled_reason(*state[i], plan[i], params, time_limit);
+    const auto s2 = settled_reason(*state[i], plan[i], params);
     if (r.stop_reason == StopReason::kGenerationBudget &&
         state[i]->generation >= b && b < plan[i].cap && !s2) {
       return SliceState::kActive; // parked at the migration boundary
@@ -613,8 +595,8 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   bool finished_all = false;
 
   if (multistart) {
-    // Sequential, with the retired evolve_multistart's exact scheduling
-    // semantics: stop check, then remaining-deadline check, then the run.
+    // Sequential multistart scheduling: stop check, then remaining-deadline
+    // check, then the run.
     for (unsigned i = 0; i < N; ++i) {
       if (done[i]) continue;
       if (params.budget.stop_requested()) {
@@ -631,8 +613,8 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         sp.budget.deadline_seconds = remaining;
       }
       if (params.trace != nullptr) {
-        // Legacy multistart observability contract: one `restart` event per
-        // run, kept so traces of `algorithm=multistart` read as before.
+        // One `restart` event per run, so the trace of a no-migration
+        // fleet splits into its independent runs.
         params.trace->event("restart")
             .field("index", static_cast<std::uint64_t>(i))
             .field("of", static_cast<std::uint64_t>(N))

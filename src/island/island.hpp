@@ -83,33 +83,6 @@ private:
   std::vector<std::string> endpoints_;
 };
 
-struct FleetOptions {
-  unsigned islands = 1;
-  core::Topology topology = core::Topology::kRing;
-  /// Epoch length in generations (0 = no migration: one epoch per island).
-  std::uint64_t migration_interval = 0;
-  /// Donor-channel capacity: each island pulls from the first
-  /// `migration_size` donors of its topology donor order.
-  unsigned migration_size = 1;
-  /// Directory for island-<i>.ckpt files + fleet.json (empty = in-memory
-  /// only; required for resume and for RemoteSliceExecutor).
-  std::string state_dir;
-  /// Continue an interrupted fleet from state_dir: islands restart from
-  /// their last checkpoints (mid-slice ones included) and the run finishes
-  /// bit-identical to one that was never killed.
-  bool resume = false;
-  /// Not owned; nullptr = LocalSliceExecutor.
-  SliceExecutor* executor = nullptr;
-  /// Concurrent slices per epoch (0 = one thread per island). Ignored for
-  /// Topology::kNone, which runs islands sequentially to reproduce the
-  /// historical multistart semantics exactly.
-  unsigned parallelism = 0;
-  /// Run at most this many epochs in this call (0 = until done). An early
-  /// exit reports StopReason::kGenerationBudget and leaves the fleet
-  /// resumable — the epoch-stepping hook used by tests and schedulers.
-  std::uint64_t max_epochs = 0;
-};
-
 /// Donor islands of `island` under `topology` (deterministic, in fixed
 /// donor order): ring = the left neighbor, star = every leaf for the hub
 /// (island 0) and the hub for every leaf, full = everyone else ascending,
@@ -121,13 +94,13 @@ std::vector<unsigned> donors_for(core::Topology topology, unsigned island,
 std::string island_state_path(const std::string& state_dir, unsigned island);
 std::string fleet_manifest_path(const std::string& state_dir);
 
-/// Runs an island fleet to completion (or interruption) and aggregates the
-/// islands into one EvolveResult: best netlist by index-order
-/// strictly-better scan, counters summed across islands. With
-/// Topology::kNone the generation budget is split across islands
-/// (base + remainder) and the run reproduces the retired
-/// evolve_multistart bit-identically; with any other topology every
-/// island runs the full `params.generations` budget.
+/// Runs an island fleet (FleetOptions, declared in core/optimizer.hpp) to
+/// completion (or interruption) and aggregates the islands into one
+/// EvolveResult: best netlist by index-order strictly-better scan,
+/// counters summed across islands. With Topology::kNone the fleet is a
+/// multistart: the generation budget is split across islands (base +
+/// remainder) and they run one after another; with any other topology
+/// every island runs the full `params.generations` budget.
 core::EvolveResult run_fleet(const rqfp::Netlist& initial,
                              std::span<const tt::TruthTable> spec,
                              const core::EvolveParams& params,

@@ -29,6 +29,22 @@ StopReason parse_stop_reason(const std::string& name) {
   throw std::invalid_argument("unknown stop reason '" + name + "'");
 }
 
+RunBudget overlay(RunBudget own, const RunBudget& limits) {
+  if (limits.deadline_seconds > 0.0) {
+    own.deadline_seconds = limits.deadline_seconds;
+  }
+  if (limits.max_generations != 0) {
+    own.max_generations = limits.max_generations;
+  }
+  if (limits.max_evaluations != 0) {
+    own.max_evaluations = limits.max_evaluations;
+  }
+  if (limits.stop != nullptr) {
+    own.stop = limits.stop;
+  }
+  return own;
+}
+
 namespace {
 
 // Signal handlers can only touch lock-free atomics; the token itself is

@@ -7,12 +7,12 @@
 namespace rcgp::robust {
 
 /// Why an optimizer loop handed control back. Every loop in the framework
-/// (evolve, anneal, multistart, exact polish) exits through one of these
+/// (evolve, island fleet, anneal, exact polish) exits through one of these
 /// and reports it in its result and in the trace `run_end{reason}` event.
 enum class StopReason : std::uint8_t {
   kCompleted,        // full configured budget consumed
   kStagnation,       // stagnation_limit generations without improvement
-  kTimeLimit,        // params.time_limit_seconds / deadline_seconds hit
+  kTimeLimit,        // RunBudget::deadline_seconds hit
   kGenerationBudget, // RunBudget::max_generations hit
   kEvaluationBudget, // RunBudget::max_evaluations hit
   kStopRequested,    // cooperative StopToken tripped (SIGINT/SIGTERM, API)
@@ -68,6 +68,12 @@ struct RunBudget {
     return stop != nullptr && stop->stop_requested();
   }
 };
+
+/// `limits` laid over `own`: every field `limits` sets (a positive
+/// deadline, a non-zero ceiling, a stop token) replaces `own`'s value, the
+/// others keep it. How one set of run limits reaches the budget of every
+/// loop an optimizer or flow runs.
+RunBudget overlay(RunBudget own, const RunBudget& limits);
 
 /// Installs SIGINT/SIGTERM handlers that trip `token` (first signal) and
 /// restore default disposition (second signal force-kills). Returns the

@@ -89,7 +89,7 @@ Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
 ///
 /// Throws std::invalid_argument when the cache is not built or the
 /// shapes (PI/gate/PO counts) disagree — the same contract as
-/// rqfp::simulate_delta.
+/// rqfp::simulate_delta_batch.
 Cost cost_of_delta(const Netlist& base, const Netlist& child,
                    CostCache& cache);
 

@@ -27,7 +27,9 @@ ReversibilityReport analyze_reversibility(const Netlist& input) {
   }
   report.boundary_outputs = static_cast<std::uint32_t>(boundary.size());
 
-  const auto ports = simulate_ports(net);
+  SimCache cache;
+  build_sim_cache(net, cache);
+  const std::vector<tt::TruthTable>& ports = cache.ports;
   const std::uint64_t n = std::uint64_t{1} << net.num_pis();
   std::unordered_map<std::uint64_t, std::uint64_t> image; // key -> first x
   report.information_preserving = true;

@@ -43,41 +43,18 @@ void count_sim_words(std::uint64_t gates_evaluated, std::size_t words) {
 
 } // namespace
 
-std::vector<tt::TruthTable> simulate_ports(const Netlist& net) {
-  std::vector<tt::TruthTable> port;
-  init_port_tables(net, port, "rqfp::simulate");
-  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
-    const auto& gate = net.gate(g);
-    // Gate outputs are always-fresh ports, so writing them in place never
-    // aliases the (earlier) input ports.
-    eval_gate_tables_into(gate.config, port[gate.in[0]], port[gate.in[1]],
-                          port[gate.in[2]], port[net.port_of(g, 0)],
-                          port[net.port_of(g, 1)], port[net.port_of(g, 2)]);
-  }
-  count_sim_words(net.num_gates(), table_words(net.num_pis()));
-  return port;
-}
-
 std::vector<tt::TruthTable> simulate(const Netlist& net) {
-  const auto port = simulate_ports(net);
-  std::vector<tt::TruthTable> out;
-  out.reserve(net.num_pos());
-  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
-    out.push_back(port[net.po_at(i)]);
-  }
-  return out;
-}
-
-std::vector<tt::TruthTable> simulate_live(const Netlist& net) {
   const auto live = net.live_gates();
   std::vector<tt::TruthTable> port;
-  init_port_tables(net, port, "rqfp::simulate_live");
+  init_port_tables(net, port, "rqfp::simulate");
   std::uint64_t evaluated = 0;
   for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
     if (!live[g]) {
       continue;
     }
     const auto& gate = net.gate(g);
+    // Gate outputs are always-fresh ports, so writing them in place never
+    // aliases the (earlier) input ports.
     eval_gate_tables_into(gate.config, port[gate.in[0]], port[gate.in[1]],
                           port[gate.in[2]], port[net.port_of(g, 0)],
                           port[net.port_of(g, 1)], port[net.port_of(g, 2)]);
@@ -185,23 +162,6 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
   cache.undo_size = 0;
 }
 
-void simulate_delta(const Netlist& base, const Netlist& child,
-                    SimCache& cache, std::vector<tt::TruthTable>& po_out) {
-  check_delta_shape(base, child, cache, "rqfp::simulate_delta");
-  propagate_dirty(base, child, cache);
-  po_out.resize(child.num_pos());
-  for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
-    po_out[i] = cache.ports[child.po_at(i)];
-  }
-  // Restore the cache to `base`'s values so it can serve the next sibling.
-  for (std::size_t i = 0; i < cache.undo_size; ++i) {
-    auto& u = cache.undo[i];
-    std::swap(cache.ports[u.port], u.value);
-    cache.dirty[u.port] = 0;
-  }
-  cache.undo_size = 0;
-}
-
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch) {
@@ -222,8 +182,8 @@ void simulate_delta_batch(const Netlist& base,
   std::uint64_t evaluated = 0;
   // Gate-major: each gate's base-port rows are touched once for the whole
   // λ-block. Per child, a port reads its private overlay when dirty and
-  // the shared (read-only) base cache otherwise — exactly the values the
-  // sequential simulate_delta would see, in the same topological order.
+  // the shared (read-only) base cache otherwise — exactly the child's own
+  // port values, in topological order.
   for (std::uint32_t g = 0; g < base.num_gates(); ++g) {
     const auto& bg = base.gate(g);
     for (std::size_t c = 0; c < children.size(); ++c) {
@@ -245,8 +205,8 @@ void simulate_delta_batch(const Netlist& base,
       ++evaluated;
       for (unsigned k = 0; k < 3; ++k) {
         const Port p = base.port_of(g, k);
-        // Same cone cut-off as the sequential path: a recomputed value
-        // equal to the base one is not a change.
+        // Cone cut-off: a recomputed value equal to the base one is not a
+        // change.
         if (scratch[k] == cache.ports[p]) {
           continue;
         }

@@ -10,24 +10,19 @@
 
 namespace rcgp::rqfp {
 
-/// Exhaustive simulation: truth table of every port over the PIs.
-/// Index = port number. Requires num_pis() <= TruthTable::kMaxVars.
-std::vector<tt::TruthTable> simulate_ports(const Netlist& net);
-
-/// Exhaustive simulation of the primary outputs only.
+/// Exhaustive simulation of the primary outputs: one truth table per PO
+/// over the PIs. Only the live cone feeding the POs is evaluated (dead
+/// gates cannot affect them). Requires num_pis() <= TruthTable::kMaxVars;
+/// build_sim_cache gives the table of every port instead.
 std::vector<tt::TruthTable> simulate(const Netlist& net);
-
-/// Simulation restricted to the live cone feeding the POs — the fast path
-/// used inside the CGP fitness loop (dead gates do not affect POs).
-std::vector<tt::TruthTable> simulate_live(const Netlist& net);
 
 /// Reusable exhaustive-simulation state for the dirty-cone incremental
 /// fast path. `ports` holds the truth table of every port of a base
-/// netlist (full simulate_ports semantics — dead gates included, so PO
-/// moves onto currently-dead cones still read correct values); the other
-/// members are scratch reused across simulate_delta calls. One SimCache
-/// per worker thread gives allocation-free offspring evaluation: only the
-/// cone downstream of changed genes is ever re-simulated.
+/// netlist, indexed by port number — dead gates included, so PO moves onto
+/// currently-dead cones still read correct values; the other members are
+/// scratch reused across update_sim_cache calls. simulate_delta_batch only
+/// reads the cache, so one cache serves every offspring of a generation
+/// and only the cone downstream of changed genes is ever re-simulated.
 struct SimCache {
   std::vector<tt::TruthTable> ports;
   unsigned num_pis = 0;
@@ -41,13 +36,12 @@ struct SimCache {
   std::vector<std::uint8_t> dirty;
   std::vector<UndoEntry> undo;
   std::size_t undo_size = 0;
-  std::vector<tt::TruthTable> po_scratch;
   std::array<tt::TruthTable, 3> gate_scratch;
 };
 
 /// Fully simulates `net` into `cache` (capacity-reusing). Afterwards
 /// cache.ports[p] is the table of port p and the cache can serve
-/// update_sim_cache / simulate_delta calls for same-shaped netlists.
+/// update_sim_cache / simulate_delta_batch calls for same-shaped netlists.
 void build_sim_cache(const Netlist& net, SimCache& cache);
 
 /// Re-simulates the dirty cone of `to` relative to `from` — whose port
@@ -56,16 +50,6 @@ void build_sim_cache(const Netlist& net, SimCache& cache);
 /// (CGP mutation preserves both); throws std::invalid_argument otherwise.
 void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache);
-
-/// Dirty-cone incremental simulation: PO tables of `child` given a cache
-/// holding `base`'s port values. Only gates whose genes changed, or whose
-/// cone inputs did, are re-evaluated; a recomputed value equal to the
-/// cached one stops the cone early. The cache is restored to `base`'s
-/// values before returning, so one cache serves all λ siblings of a
-/// generation. Same shape requirements as update_sim_cache.
-/// Bit-identical to simulate(child) / simulate_live(child) PO tables.
-void simulate_delta(const Netlist& base, const Netlist& child,
-                    SimCache& cache, std::vector<tt::TruthTable>& po_out);
 
 /// Reusable scratch for simulate_delta_batch: one overlay per offspring of
 /// a λ-block. All members are managed by simulate_delta_batch and carry
@@ -91,12 +75,12 @@ struct DeltaBatch {
 /// already dirty — re-evaluates it into a private sparse overlay; all
 /// other reads hit the shared base port tables, which are never written,
 /// so there is no per-sibling undo/restore churn and each gate's base rows
-/// stay cache-hot across the whole block. Per child this visits the same
-/// gates in the same order with the same operand values as
-/// simulate_delta(base, child, ...), so the PO tables (batch.children[c].po)
-/// are bit-identical to the sequential path. The cache must currently hold
-/// `base`'s values (i.e. not be mid-delta); shape requirements are as in
-/// update_sim_cache, checked per child.
+/// stay cache-hot across the whole block. Only gates whose genes changed,
+/// or whose cone inputs did, are re-evaluated; a recomputed value equal to
+/// the base one stops the cone early. The PO tables (batch.children[c].po)
+/// are bit-identical to simulate(*children[c]). The cache must currently
+/// hold `base`'s values; shape requirements are as in update_sim_cache,
+/// checked per child.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch);

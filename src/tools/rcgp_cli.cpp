@@ -40,13 +40,13 @@
 //                                hardware threads, the default), capped at
 //                                ⌈λ/4⌉ threads. Results are bit-identical
 //                                for every thread count.
-//   synth --optimizer=NAME       evolve | multistart | anneal | window
-//   synth --restarts=N           independent restarts for --optimizer=multistart
+//   synth --optimizer=NAME       evolve | anneal | window
 //
 // Island model (see docs/ISLANDS.md):
 //   synth --islands=N            N decorrelated (1+λ) lineages exchanging
 //                                elites; bit-identical for any placement
-//   synth --topology=NAME        none | ring | star | full
+//   synth --topology=NAME        none | ring | star | full (none = N
+//                                independent runs splitting the budget)
 //   synth --migration-interval=E elite exchange every E generations
 //   synth --migration-size=K     donors considered per exchange
 //   synth --island-state=DIR     per-island checkpoints + fleet manifest
@@ -244,12 +244,13 @@ bool write_synth_metrics(const std::string& path,
     }
   }
   w.end_object();
+  const core::EvolveResult& evolution = result.optimization.evolve;
   w.key("evolution").begin_object();
-  w.field("generations_run", result.evolution.generations_run);
-  w.field("evaluations", result.evolution.evaluations);
-  w.field("improvements", result.evolution.improvements);
-  w.field("sat_confirmations", result.evolution.sat_confirmations);
-  w.field("sat_cec_conflicts", result.evolution.sat_cec_conflicts);
+  w.field("generations_run", evolution.generations_run);
+  w.field("evaluations", evolution.evaluations);
+  w.field("improvements", evolution.improvements);
+  w.field("sat_confirmations", evolution.sat_confirmations);
+  w.field("sat_cec_conflicts", evolution.sat_cec_conflicts);
   w.end_object();
   w.end_object();
   w.key("metrics");
@@ -295,8 +296,7 @@ int cmd_synth(const std::vector<std::string>& args) {
                  "usage: rcgp synth <input> [-g N] [-s seed] [-o out.rqfp] "
                  "[--dot out.dot] [--no-cgp] [--polish] [--pack]\n"
                  "                 [--threads=N] "
-                 "[--optimizer=evolve|multistart|anneal|window] "
-                 "[--restarts=N]\n"
+                 "[--optimizer=evolve|anneal|window]\n"
                  "                 [--islands=N] "
                  "[--topology=none|ring|star|full] [--migration-interval=E] "
                  "[--migration-size=K]\n"
@@ -356,9 +356,7 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else if (opt_value(args[i], "--threads", v)) {
       opt.evolve.threads = static_cast<unsigned>(std::stoul(v));
     } else if (opt_value(args[i], "--optimizer", v)) {
-      opt.optimizer = core::parse_algorithm(v);
-    } else if (opt_value(args[i], "--restarts", v)) {
-      opt.restarts = static_cast<unsigned>(std::stoul(v));
+      opt.algorithm = core::parse_algorithm(v);
     } else if (opt_value(args[i], "--islands", v)) {
       opt.island.islands = static_cast<unsigned>(std::stoul(v));
     } else if (opt_value(args[i], "--topology", v)) {
@@ -372,9 +370,9 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else if (opt_value(args[i], "--island-endpoints", v)) {
       island_endpoints = split_csv(v);
     } else if (opt_value(args[i], "--checkpoint", v)) {
-      opt.limits.checkpoint_path = v;
+      opt.evolve.checkpoint_path = v;
     } else if (opt_value(args[i], "--checkpoint-interval", v)) {
-      opt.limits.checkpoint_interval = std::stoull(v);
+      opt.evolve.checkpoint_interval = std::stoull(v);
     } else if (args[i] == "--resume") {
       opt.resume = true;
     } else if (opt_value(args[i], "--deadline", v)) {
@@ -390,7 +388,7 @@ int cmd_synth(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  if (opt.resume && opt.limits.checkpoint_path.empty() &&
+  if (opt.resume && opt.evolve.checkpoint_path.empty() &&
       opt.island.state_dir.empty()) {
     std::fprintf(stderr, "synth: --resume requires --checkpoint=PATH "
                          "(or --island-state=DIR for island fleets)\n");
@@ -475,7 +473,7 @@ int cmd_synth(const std::vector<std::string>& args) {
   const bool interrupted = signal_token.stop_requested();
   if (interrupted) {
     std::fprintf(stderr, "synth: interrupted by signal — best-so-far kept%s\n",
-                 opt.limits.checkpoint_path.empty()
+                 opt.evolve.checkpoint_path.empty()
                      ? ""
                      : ", checkpoint flushed");
   }

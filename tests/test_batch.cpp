@@ -73,7 +73,8 @@ TEST(Manifest, ParsesJobsWithOverrides) {
   EXPECT_EQ(m.jobs[1].algorithm, core::Algorithm::kAnneal);
   EXPECT_EQ(m.jobs[1].generations, 500u);
   EXPECT_EQ(m.jobs[1].seed, 9u);
-  EXPECT_EQ(m.jobs[1].restarts, 3u);
+  // "restarts" only means something next to "algorithm": "multistart".
+  EXPECT_EQ(m.jobs[1].islands, 0u);
   EXPECT_DOUBLE_EQ(m.jobs[1].deadline_seconds, 1.5);
   EXPECT_EQ(m.jobs[1].max_evaluations, 1000u);
   EXPECT_EQ(m.jobs[1].retries, 0);

@@ -56,13 +56,14 @@ EvolveResult run_evolve(const rqfp::Netlist& init,
   return Optimizer(oo).run(init, spec).evolve;
 }
 
+/// `islands` independent lineages: a fleet without migration.
 EvolveResult run_multistart(const rqfp::Netlist& init,
                             std::span<const tt::TruthTable> spec,
-                            const EvolveParams& params, unsigned restarts) {
+                            const EvolveParams& params, unsigned islands) {
   OptimizerOptions oo;
-  oo.algorithm = Algorithm::kMultistart;
   oo.evolve = params;
-  oo.restarts = restarts;
+  oo.island.islands = islands;
+  oo.island.topology = Topology::kNone;
   return Optimizer(oo).run(init, spec).evolve;
 }
 
@@ -451,7 +452,7 @@ TEST(Evolve, TimeLimitStops) {
   const auto init = init_netlist("graycode4");
   EvolveParams params;
   params.generations = 1000000000;
-  params.time_limit_seconds = 0.2;
+  params.budget.deadline_seconds = 0.2;
   const auto result = run_evolve(init, b.spec, params);
   EXPECT_LT(result.seconds, 5.0);
   EXPECT_LT(result.generations_run, params.generations);
@@ -622,13 +623,12 @@ TEST(EvolveMultistart, ReturnsValidBestOfRuns) {
   EXPECT_TRUE(multi.best_fitness.functionally_correct());
 }
 
-TEST(EvolveMultistart, ZeroRestartsIsRejected) {
+TEST(EvolveMultistart, ZeroIslandsIsRejected) {
   const auto b = benchmarks::get("4gt10");
   const auto init = init_netlist("4gt10");
   EvolveParams params;
   params.generations = 500;
-  // restarts == 0 used to be silently clamped to 1, hiding a caller bug;
-  // it is now a hard usage error.
+  // A zero lineage count is a caller bug, not a request for one lineage.
   EXPECT_THROW(run_multistart(init, b.spec, params, 0),
                std::invalid_argument);
 }
@@ -740,6 +740,39 @@ TEST(Flow, CgpPhaseImprovesOrMatchesInit) {
   const auto r = synthesize(b.spec, opt);
   EXPECT_LE(r.optimized_cost.n_r, r.initial_cost.n_r);
   EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match);
+}
+
+// The flow prices its costs with the schedule the CGP loop scores with; a
+// schedule set on the loop's fitness options must not fall back to ASAP.
+void expect_costs_priced_with_optimized_schedule(const FlowOptions& opt,
+                                                 const std::string& name) {
+  const auto b = benchmarks::get(name);
+  const auto r = synthesize(b.spec, opt);
+  const auto sched = rqfp::BufferSchedule::kOptimized;
+  // The row must tell the schedules apart for the check to mean anything.
+  ASSERT_NE(rqfp::cost_of(r.initial, rqfp::BufferSchedule::kAsap).n_b,
+            rqfp::cost_of(r.initial, sched).n_b)
+      << name;
+  EXPECT_EQ(r.initial_cost, rqfp::cost_of(r.initial, sched))
+      << name << ": " << r.initial_cost.to_string();
+  EXPECT_EQ(r.optimized_cost, rqfp::cost_of(r.optimized, sched))
+      << name << ": " << r.optimized_cost.to_string();
+  EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match) << name;
+}
+
+TEST(Flow, CostsUseTheEvolveFitnessSchedule) {
+  FlowOptions opt;
+  opt.evolve.generations = 500;
+  opt.evolve.fitness.schedule = rqfp::BufferSchedule::kOptimized;
+  expect_costs_priced_with_optimized_schedule(opt, "decoder_3_8");
+}
+
+TEST(Flow, CostsUseTheAnnealFitnessSchedule) {
+  FlowOptions opt;
+  opt.algorithm = Algorithm::kAnneal;
+  opt.anneal.steps = 500;
+  opt.anneal.fitness.schedule = rqfp::BufferSchedule::kOptimized;
+  expect_costs_priced_with_optimized_schedule(opt, "decoder_3_8");
 }
 
 TEST(Flow, FraigPhasePreservesCorrectness) {
@@ -898,52 +931,63 @@ TEST(SimBatch, EqualityComparesLogicalContentOnly) {
   EXPECT_FALSE(a == narrower);
 }
 
-// λ-batched incremental evaluation: one gate-major pass over a block of
-// offspring must reproduce the sequential evaluate_delta fitness — and the
-// batched PO tables must equal a from-scratch simulation of each child.
+// λ-batched incremental evaluation, the one offspring-evaluation path:
+// every child of a block must score exactly as a from-scratch evaluate(),
+// and the batched PO tables must equal a from-scratch simulate(), for the
+// whole λ in one block, one child per block (λ = 1), and ragged blocks.
 
-TEST(Fitness, EvaluateDeltaBatchMatchesSequentialDelta) {
+TEST(Fitness, EvaluateDeltaBatchMatchesFromScratchEvaluate) {
   const auto b = benchmarks::get("full_adder");
   const auto base = init_netlist("full_adder");
   rqfp::SimCache cache;
   rqfp::build_sim_cache(base, cache);
-  rqfp::CostCache cost_batch;
-  rqfp::CostCache cost_seq;
   const FitnessOptions fo;
 
   constexpr unsigned kLambda = 6;
   std::vector<rqfp::Netlist> children(kLambda, base);
-  std::vector<const rqfp::Netlist*> ptrs;
   for (unsigned k = 0; k < kLambda; ++k) {
     auto rng = util::Rng::stream(99, 1, k);
     mutate(children[k], rng);
-    ptrs.push_back(&children[k]);
   }
 
-  rqfp::DeltaBatch batch;
-  std::vector<Fitness> got(kLambda);
-  evaluate_delta_batch(base, cache, cost_batch, ptrs, b.spec, fo, batch,
-                       got);
-
-  for (unsigned k = 0; k < kLambda; ++k) {
-    const Fitness want =
-        evaluate_delta(base, cache, cost_seq, children[k], b.spec, fo);
-    const std::string what = "child " + std::to_string(k);
-    EXPECT_EQ(got[k].success_rate, want.success_rate) << what;
-    EXPECT_EQ(got[k].n_r, want.n_r) << what;
-    EXPECT_EQ(got[k].n_g, want.n_g) << what;
-    EXPECT_EQ(got[k].n_b, want.n_b) << what;
-    const auto po = rqfp::simulate(children[k]);
-    ASSERT_EQ(batch.children[k].po.size(), po.size()) << what;
-    for (std::size_t i = 0; i < po.size(); ++i) {
-      EXPECT_EQ(batch.children[k].po[i], po[i]) << what << " PO " << i;
+  for (const std::vector<unsigned>& blocks :
+       {std::vector<unsigned>{6}, std::vector<unsigned>(6, 1),
+        std::vector<unsigned>{4, 2}, std::vector<unsigned>{5, 1}}) {
+    rqfp::CostCache cost;
+    rqfp::DeltaBatch batch;
+    unsigned first = 0;
+    for (const unsigned n : blocks) {
+      std::vector<const rqfp::Netlist*> ptrs;
+      for (unsigned k = first; k < first + n; ++k) {
+        ptrs.push_back(&children[k]);
+      }
+      std::vector<Fitness> got(n);
+      evaluate_delta_batch(base, cache, cost, ptrs, b.spec, fo, batch, got);
+      for (unsigned j = 0; j < n; ++j) {
+        const rqfp::Netlist& child = children[first + j];
+        const Fitness want = evaluate(child, b.spec, fo);
+        const std::string what = "block of " + std::to_string(n) +
+                                 ", child " + std::to_string(first + j);
+        EXPECT_EQ(got[j].success_rate, want.success_rate) << what;
+        EXPECT_EQ(got[j].n_r, want.n_r) << what;
+        EXPECT_EQ(got[j].n_g, want.n_g) << what;
+        EXPECT_EQ(got[j].n_b, want.n_b) << what;
+        EXPECT_EQ(batch.children[j].po, rqfp::simulate(child)) << what;
+      }
+      first += n;
     }
   }
 
   // An undersized fitness span is rejected up front.
+  std::vector<const rqfp::Netlist*> ptrs;
+  for (const auto& child : children) {
+    ptrs.push_back(&child);
+  }
+  rqfp::CostCache cost;
+  rqfp::DeltaBatch batch;
   std::vector<Fitness> short_span(kLambda - 1);
-  EXPECT_THROW(evaluate_delta_batch(base, cache, cost_batch, ptrs, b.spec,
-                                    fo, batch, short_span),
+  EXPECT_THROW(evaluate_delta_batch(base, cache, cost, ptrs, b.spec, fo,
+                                    batch, short_span),
                std::invalid_argument);
 }
 

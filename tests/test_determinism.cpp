@@ -49,7 +49,7 @@ EvolveParams small_params(std::uint64_t seed, unsigned threads,
 OptimizeResult run_evolve(const rqfp::Netlist& initial,
                           std::span<const tt::TruthTable> spec,
                           const EvolveParams& p,
-                          const RunLimits& limits = {}) {
+                          const robust::RunBudget& limits = {}) {
   OptimizerOptions oo;
   oo.algorithm = Algorithm::kEvolve;
   oo.evolve = p;
@@ -154,8 +154,8 @@ TEST(Determinism, MultistartIsThreadCountInvariant) {
   const auto initial = init_netlist("full_adder");
   const auto b = benchmarks::get("full_adder");
   OptimizerOptions oo;
-  oo.algorithm = Algorithm::kMultistart;
-  oo.restarts = 3;
+  oo.island.islands = 3;
+  oo.island.topology = Topology::kNone;
   oo.evolve = small_params(9, 1);
   oo.evolve.generations = 300;
   const auto r1 = Optimizer(oo).run(initial, b.spec);
@@ -190,7 +190,7 @@ TEST(Determinism, ResumeAtDifferentThreadCountMatchesUninterrupted) {
     chunk.threads = 2;
     chunk.checkpoint_path = path;
     chunk.checkpoint_interval = 100;
-    RunLimits first_leg;
+    robust::RunBudget first_leg;
     first_leg.max_generations = 250;
     const auto partial = run_evolve(initial, b.spec, chunk, first_leg);
     ASSERT_EQ(partial.stop_reason, robust::StopReason::kGenerationBudget)
@@ -252,7 +252,7 @@ TEST(Determinism, EvaluationBudgetIsThreadCountInvariant) {
     p.generations = 100000;
     // 400 whole generations after the initial evaluation fit; the 401st
     // would overshoot the 3 spare evaluations.
-    RunLimits limits;
+    robust::RunBudget limits;
     limits.max_evaluations = 1 + 400 * lambda + 3;
     const auto r1 = run_evolve(initial, b.spec, p, limits);
     p.threads = 8;

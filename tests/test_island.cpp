@@ -1,6 +1,7 @@
 // Tests for the island-model evolution layer (docs/ISLANDS.md): topology
-// donor schedules, placement/parallelism bit-identity, the multistart
-// alias, and crash-safe epoch-wise resume of a file-backed fleet.
+// donor schedules, placement/parallelism bit-identity, the schema-1
+// multistart request spelling, and crash-safe epoch-wise resume of a
+// file-backed fleet.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/eval_pool.hpp"
 #include "core/flow.hpp"
 #include "core/optimizer.hpp"
+#include "core/request.hpp"
 #include "io/rqfp_writer.hpp"
 #include "island/island.hpp"
 #include "robust/stop.hpp"
@@ -110,22 +112,31 @@ TEST(IslandFleet, OneIslandMatchesPlainEvolve) {
   expect_same_result(plain, one);
 }
 
-TEST(IslandFleet, TopologyNoneMatchesMultistartAlias) {
-  const auto b = benchmarks::get("full_adder");
-  const auto init = init_netlist("full_adder");
-  const EvolveParams p = small_params(403); // 403 = 3*134 + 1: remainder split
+TEST(IslandFleet, SchemaOneMultistartRequestRunsANoneTopologyFleet) {
+  // 2000 = 3*666 + 2: the remainder split is exercised too.
+  const core::SynthesisRequest r = core::parse_request(
+      "{\"schema\":1,\"id\":\"ms\",\"circuit\":\"decoder_2_4\","
+      "\"algorithm\":\"multistart\",\"restarts\":3,"
+      "\"generations\":2000,\"seed\":5}");
+  EXPECT_EQ(r.algorithm, core::Algorithm::kEvolve);
+  EXPECT_EQ(r.islands, 3u);
+  EXPECT_EQ(r.topology, Topology::kNone);
 
-  core::OptimizerOptions oo;
-  oo.algorithm = core::Algorithm::kMultistart;
-  oo.evolve = p;
-  oo.restarts = 3;
-  const EvolveResult alias = core::Optimizer(oo).run(init, b.spec).evolve;
-
-  FleetOptions fleet;
-  fleet.islands = 3;
-  fleet.topology = Topology::kNone;
-  const EvolveResult direct = island::run_fleet(init, b.spec, p, fleet);
-  expect_same_result(alias, direct);
+  const auto b = benchmarks::get("decoder_2_4");
+  const auto init = init_netlist("decoder_2_4");
+  const core::OptimizerOptions oo = core::optimizer_options_for(r);
+  const EvolveResult via_request =
+      core::Optimizer(oo).run(init, b.spec).evolve;
+  const EvolveResult direct =
+      island::run_fleet(init, b.spec, oo.evolve, oo.island);
+  expect_same_result(via_request, direct);
+  // What the retired multistart algorithm (restarts = 3) produced for
+  // this request.
+  EXPECT_EQ(via_request.best_fitness.n_r, 6u);
+  EXPECT_EQ(via_request.best_fitness.n_g, 5u);
+  EXPECT_EQ(via_request.best_fitness.n_b, 5u);
+  EXPECT_EQ(via_request.generations_run, 2000u);
+  EXPECT_EQ(via_request.evaluations, 8003u);
 }
 
 // ---------- Placement / parallelism bit-identity ----------

@@ -238,12 +238,14 @@ TEST_P(FuzzProperties, DeltaEvaluationMatchesFullRecomputation) {
   rqfp::build_sim_cache(base, sim);
   rqfp::CostCache cost;
   rqfp::build_cost_cache(base, fopt.schedule, cost);
+  rqfp::DeltaBatch batch;
   for (int step = 0; step < 12; ++step) {
     auto child = base;
     core::mutate(child, rng, {});
     const auto full = core::evaluate(child, spec, fopt);
-    const auto delta = core::evaluate_delta(base, sim, cost, child, spec,
-                                            fopt);
+    core::Fitness delta;
+    core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fopt, batch,
+                               {&delta, 1});
     ASSERT_TRUE(full.success_rate == delta.success_rate &&
                 full.n_r == delta.n_r && full.n_g == delta.n_g &&
                 full.n_b == delta.n_b)

@@ -39,7 +39,6 @@ TEST(Request, AllOverridesRoundTrip) {
   r.seed = 42;
   r.lambda = 7;
   r.threads = 3;
-  r.restarts = 5;
   r.deadline_seconds = 12.5;
   r.max_generations = 200000;
   r.max_evaluations = 1000000;
@@ -147,7 +146,41 @@ TEST(RequestSchema, IslandValidationErrors) {
                        "topology");
 }
 
-TEST(RequestSchema, OptimizerOptionsCarryIslandSettings) {
+// Schema 1 had no island fields; N independent lineages were spelled
+// "algorithm": "multistart" with "restarts": N.
+
+TEST(RequestSchema, SchemaOneMultistartParsesAsANoneTopologyFleet) {
+  const SynthesisRequest r = parse_request(
+      "{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+      "\"restarts\":3,\"algorithm\":\"multistart\"}");
+  EXPECT_EQ(r.algorithm, Algorithm::kEvolve);
+  EXPECT_EQ(r.islands, 3u);
+  EXPECT_EQ(r.topology, Topology::kNone);
+  // Serialized back in today's spelling, it means the same job.
+  EXPECT_EQ(parse_request(to_json(r)), r);
+  EXPECT_EQ(parse_request("{\"schema\":1,\"id\":\"j\","
+                          "\"circuit\":\"c17\","
+                          "\"algorithm\":\"multistart\"}")
+                .islands,
+            4u);
+}
+
+TEST(RequestSchema, RestartsOutsideAMultistartAreIgnored) {
+  const SynthesisRequest r = parse_request(
+      "{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+      "\"algorithm\":\"anneal\",\"restarts\":3}");
+  EXPECT_EQ(r.algorithm, Algorithm::kAnneal);
+  EXPECT_EQ(r.islands, 0u);
+  EXPECT_EQ(r.topology, Topology::kRing);
+}
+
+TEST(RequestSchema, MultistartDoesNotMixWithIslandKeys) {
+  expect_request_error("{\"schema\":2,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"algorithm\":\"multistart\",\"islands\":2}",
+                       "multistart");
+}
+
+TEST(RequestSchema, OptimizerOptionsCarryFleetOptions) {
   SynthesisRequest r;
   r.id = "j";
   r.circuit = "c17";
@@ -183,22 +216,23 @@ TEST(Request, OptimizerOptionsRequestOverridesWin) {
   SynthesisRequest r;
   r.id = "j";
   r.circuit = "c17";
-  r.algorithm = Algorithm::kMultistart;
   r.generations = 100;
   r.seed = 5;
   r.lambda = 8;
   r.threads = 4;
-  r.restarts = 6;
+  r.islands = 6;
+  r.topology = Topology::kNone;
   r.deadline_seconds = 1.5;
   r.max_generations = 90;
   r.max_evaluations = 400;
   const OptimizerOptions o = optimizer_options_for(r);
-  EXPECT_EQ(o.algorithm, Algorithm::kMultistart);
+  EXPECT_EQ(o.algorithm, Algorithm::kEvolve);
   EXPECT_EQ(o.evolve.generations, 100u);
   EXPECT_EQ(o.evolve.seed, 5u);
   EXPECT_EQ(o.evolve.lambda, 8u);
   EXPECT_EQ(o.evolve.threads, 4u);
-  EXPECT_EQ(o.restarts, 6u);
+  EXPECT_EQ(o.island.islands, 6u);
+  EXPECT_EQ(o.island.topology, Topology::kNone);
   EXPECT_DOUBLE_EQ(o.limits.deadline_seconds, 1.5);
   EXPECT_EQ(o.limits.max_generations, 90u);
   EXPECT_EQ(o.limits.max_evaluations, 400u);
@@ -240,39 +274,77 @@ TEST(Response, ParseRejectsGarbageWithContext) {
   }
 }
 
-// ---------- optimizer configuration round trip ----------
+// ---------- integers are exact or rejected ----------
+//
+// JSON numbers are doubles. A value that cannot be read back exactly, or
+// that does not fit the field it fills, is a ParseError naming the key —
+// never a silently different job.
 
-TEST(OptionsJson, RunLimitsRoundTrip) {
-  RunLimits l;
-  l.deadline_seconds = 3.5;
-  l.max_generations = 1000;
-  l.max_evaluations = 5000;
-  l.checkpoint_path = "run.ckpt";
-  l.checkpoint_interval = 250;
-  const RunLimits back = parse_run_limits(to_json(l));
-  EXPECT_DOUBLE_EQ(back.deadline_seconds, l.deadline_seconds);
-  EXPECT_EQ(back.max_generations, l.max_generations);
-  EXPECT_EQ(back.max_evaluations, l.max_evaluations);
-  EXPECT_EQ(back.checkpoint_path, l.checkpoint_path);
-  EXPECT_EQ(back.checkpoint_interval, l.checkpoint_interval);
-  EXPECT_EQ(back.stop, nullptr); // runtime wiring is not serialized
+TEST(RequestIntegers, ValuesFromTwoToThe53AreRejected) {
+  // 2^53 + 1 reads as the double 2^53: the seed would silently change.
+  expect_request_error("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"seed\":9007199254740993}",
+                       "\"seed\"");
+  expect_request_error("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"generations\":9007199254740992}",
+                       "\"generations\"");
+  EXPECT_EQ(parse_request("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                          "\"seed\":9007199254740991}")
+                .seed,
+            kMaxRequestInteger);
 }
 
-TEST(OptionsJson, OptimizerOptionsRoundTrip) {
-  OptimizerOptions o;
-  o.algorithm = Algorithm::kAnneal;
-  o.evolve.generations = 4321;
-  o.evolve.lambda = 6;
-  o.evolve.seed = 17;
-  o.restarts = 9;
-  o.limits.deadline_seconds = 2.0;
-  const OptimizerOptions back = parse_optimizer_options(to_json(o));
-  EXPECT_EQ(back.algorithm, o.algorithm);
-  EXPECT_EQ(back.evolve.generations, o.evolve.generations);
-  EXPECT_EQ(back.evolve.lambda, o.evolve.lambda);
-  EXPECT_EQ(back.evolve.seed, o.evolve.seed);
-  EXPECT_EQ(back.restarts, o.restarts);
-  EXPECT_DOUBLE_EQ(back.limits.deadline_seconds, o.limits.deadline_seconds);
+TEST(RequestIntegers, ValuesFromTwoToThe64AreRejected) {
+  expect_request_error("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"max_evaluations\":18446744073709551616}",
+                       "\"max_evaluations\"");
+  expect_request_error("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"stagnation_limit\":1e300}",
+                       "\"stagnation_limit\"");
+}
+
+TEST(RequestIntegers, NarrowFieldsRejectValuesThatDoNotFit) {
+  // Each used to wrap: 2^32 + 2 islands ran 2, 2^31 retries became -2^31
+  // ("executor default").
+  for (const std::string field :
+       {"\"islands\":4294967298", "\"lambda\":4294967296",
+        "\"threads\":4294967296", "\"migration_size\":4294967296",
+        "\"retries\":2147483648"}) {
+    expect_request_error(
+        "{\"schema\":2,\"id\":\"j\",\"circuit\":\"c17\"," + field + "}",
+        field.substr(0, field.find(':')));
+  }
+  EXPECT_EQ(parse_request("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                          "\"retries\":2147483647}")
+                .retries,
+            2147483647);
+}
+
+TEST(RequestIntegers, ResponseCostFieldsRejectValuesThatDoNotFit) {
+  try {
+    parse_response("{\"schema\":1,\"id\":\"j\",\"n_r\":4294967296}");
+    FAIL() << "expected io::ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"n_r\""), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RequestIntegers, ValidationRejectsInCodeValuesThatCannotRoundTrip) {
+  SynthesisRequest r;
+  r.id = "j";
+  r.circuit = "c17";
+  r.seed = kMaxRequestInteger;
+  validate_request(r);
+  EXPECT_EQ(parse_request(to_json(r)), r);
+  r.seed = kMaxRequestInteger + 1;
+  try {
+    validate_request(r);
+    FAIL() << "expected io::ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"seed\""), std::string::npos)
+        << e.what();
+  }
 }
 
 } // namespace

@@ -620,7 +620,7 @@ TEST(Flow, StopTokenSkipsOptionalPhases) {
   opt.evolve.budget.stop = &token;
   const auto r = core::synthesize(b.spec, opt);
   // CGP was skipped but the mapping still produced a valid netlist.
-  EXPECT_EQ(r.evolution.generations_run, 0u);
+  EXPECT_EQ(r.optimization.evolve.generations_run, 0u);
   EXPECT_EQ(r.optimized.validate(), "");
   EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match);
 }
