@@ -1,5 +1,6 @@
 #include "batch/execute.hpp"
 
+#include <filesystem>
 #include <optional>
 
 #include "benchmarks/benchmarks.hpp"
@@ -19,6 +20,22 @@ bool cacheable(const std::vector<tt::TruthTable>& spec) {
 }
 
 } // namespace
+
+std::string fleet_state_dir(const std::string& checkpoint_path) {
+  return checkpoint_path + ".islands";
+}
+
+bool saved_state_exists(const std::string& checkpoint_path) {
+  return std::filesystem::exists(checkpoint_path) ||
+         std::filesystem::exists(
+             island::fleet_manifest_path(fleet_state_dir(checkpoint_path)));
+}
+
+void remove_saved_state(const std::string& checkpoint_path) {
+  std::error_code ec;
+  std::filesystem::remove(checkpoint_path, ec);
+  std::filesystem::remove_all(fleet_state_dir(checkpoint_path), ec);
+}
 
 std::vector<tt::TruthTable> resolve_spec(const core::SynthesisRequest& job) {
   if (job.has_inline_spec()) {
@@ -45,10 +62,7 @@ JobExecution execute_request(const core::SynthesisRequest& job,
     fo.evolve.checkpoint_interval = options.checkpoint_interval;
     fo.resume = ctx.resume_from_checkpoint;
     if (fo.island.islands > 1) {
-      // Island fleets keep per-island checkpoints plus a manifest in a
-      // sibling directory of the job's checkpoint path; the flow's
-      // fleet-resume path restores from it.
-      fo.island.state_dir = ctx.checkpoint_path + ".islands";
+      fo.island.state_dir = fleet_state_dir(ctx.checkpoint_path);
     }
   }
   std::optional<island::RemoteSliceExecutor> remote;

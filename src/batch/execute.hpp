@@ -39,6 +39,14 @@ struct ExecuteOptions {
   std::vector<std::string> island_endpoints;
 };
 
+/// Where an island-fleet job with this evolve checkpoint path keeps its
+/// state: the sibling directory `<checkpoint_path>.islands`.
+std::string fleet_state_dir(const std::string& checkpoint_path);
+/// True when the job left its checkpoint or its fleet manifest behind.
+bool saved_state_exists(const std::string& checkpoint_path);
+/// Deletes the job's checkpoint and fleet directory.
+void remove_saved_state(const std::string& checkpoint_path);
+
 /// Resolves the function a request describes: the inline spec when
 /// present, otherwise the circuit file (io facade) or built-in benchmark.
 /// Throws what the io/benchmark layers throw on unknown circuits.

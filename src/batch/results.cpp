@@ -89,6 +89,12 @@ ResultsStore::ResultsStore(const std::string& path)
   if (!out_) {
     throw std::runtime_error("batch: cannot open results store " + path);
   }
+  // A kill mid-append leaves an unterminated fragment. End its line so the
+  // next record starts a line of its own (load() skips the fragment).
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (in.tellg() > 0 && in.seekg(-1, std::ios::end) && in.get() != '\n') {
+    out_ << '\n' << std::flush;
+  }
 }
 
 std::vector<JobRecord> ResultsStore::load(const std::string& path) {

@@ -48,11 +48,13 @@ std::optional<JobRecord> parse_record(const std::string& line);
 /// Crash-safe append-only JSONL results store. Every append writes one
 /// complete line and flushes before returning, so after a crash the store
 /// holds every finished job plus at most one torn tail line, which load()
-/// skips. Appends are serialized internally — workers share one store.
+/// skips and reopening terminates. Appends are serialized internally —
+/// workers share one store.
 class ResultsStore {
 public:
   /// Opens `path` for appending (created if missing; existing records are
-  /// preserved). Throws std::runtime_error when the file cannot be opened.
+  /// preserved, an unterminated torn tail gets its newline). Throws
+  /// std::runtime_error when the file cannot be opened.
   explicit ResultsStore(const std::string& path);
 
   /// Reads every well-formed record in file order. Missing file = empty.

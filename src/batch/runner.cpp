@@ -10,11 +10,12 @@
 
 #include "batch/execute.hpp"
 #include "cache/store.hpp"
-#include "io/io.hpp"
+#include "io/rqfp_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "robust/integrity.hpp"
+#include "util/durable.hpp"
 
 namespace rcgp::batch {
 namespace {
@@ -174,12 +175,8 @@ BatchSummary run_batch(const Manifest& manifest,
         ctx.attempt = attempt;
         ctx.stop = &internal_stop;
         ctx.checkpoint_path = ckpt;
-        // Island fleets persist a manifest under <ckpt>.islands instead of
-        // the single checkpoint file — either artifact means "continue".
-        ctx.resume_from_checkpoint =
-            options.resume && attempt == 1 && !ckpt.empty() &&
-            (std::filesystem::exists(ckpt) ||
-             std::filesystem::exists(ckpt + ".islands/fleet.json"));
+        ctx.resume_from_checkpoint = options.resume && attempt == 1 &&
+                                     !ckpt.empty() && saved_state_exists(ckpt);
         try {
           const JobExecution exec = executor(job, ctx);
           rec.attempts = attempt;
@@ -199,16 +196,15 @@ BatchSummary run_batch(const Manifest& manifest,
             rec.error = "result failed verification";
           }
           if (rec.ok) {
+            // Durable before the record that names it is appended.
             rec.netlist_path = options.out_dir + "/" + job.id + ".rqfp";
-            io::write_network(exec.netlist, rec.netlist_path,
-                              io::Format::kRqfp);
+            util::write_file_durable(rec.netlist_path,
+                                     io::write_rqfp_string(exec.netlist));
           }
         } catch (const robust::IntegrityError& e) {
           metrics.retried.inc();
           if (!ckpt.empty()) {
-            std::remove(ckpt.c_str()); // never resume from suspect state
-            std::error_code ec;
-            std::filesystem::remove_all(ckpt + ".islands", ec);
+            remove_saved_state(ckpt); // never resume from suspect state
           }
           if (attempt <= retries) {
             continue;
@@ -231,9 +227,7 @@ BatchSummary run_batch(const Manifest& manifest,
       // A finished job no longer needs its crash-safety checkpoint; an
       // interrupted one keeps it so resume continues bit-identically.
       if (rec.final_record && !ckpt.empty()) {
-        std::remove(ckpt.c_str());
-        std::error_code ec;
-        std::filesystem::remove_all(ckpt + ".islands", ec);
+        remove_saved_state(ckpt);
       }
       store.append(rec);
       if (!rec.final_record) {

@@ -1,10 +1,7 @@
 #include "cache/store.hpp"
 
 #include <cctype>
-#include <cstdio>
-#include <fcntl.h>
 #include <fstream>
-#include <unistd.h>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -15,6 +12,7 @@
 #include "robust/integrity.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/crc32.hpp"
+#include "util/durable.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rcgp::cache {
@@ -51,20 +49,6 @@ obs::Histogram& hit_histogram() {
   static constexpr double kBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
                                        1e-2, 1e-1, 1.0};
   return obs::registry().histogram("cache.hit.seconds", kBounds);
-}
-
-/// Best-effort fsync of `path`'s directory so the rename that published a
-/// fresh store survives a power loss, not just a SIGKILL.
-void sync_parent_directory(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 bool implements(const rqfp::Netlist& net,
@@ -375,29 +359,11 @@ void Store::save() const {
   if (path_.empty()) {
     return;
   }
-  // Serialize whole saves: every serve worker calls save() after an insert,
-  // and concurrent callers share the fixed temp path — interleaved writes
-  // would rename a corrupted file into place.
+  // Snapshot and publish under one lock: every serve worker calls save()
+  // after an insert, and without ordering an older snapshot could be
+  // renamed over a newer one, dropping an insert from the file.
   const std::lock_guard<std::mutex> save_lock(save_mu_);
-  const std::string data = serialize();
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cache: cannot write " + tmp);
-  }
-  const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (written != data.size() || !synced) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cache: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cache: cannot rename " + tmp + " to " + path_);
-  }
-  sync_parent_directory(path_);
+  util::write_file_durable(path_, serialize());
   obs::registry().counter("cache.saves").inc();
 }
 

@@ -36,8 +36,8 @@ struct Hit {
 ///
 /// In memory it is a key → Entry map guarded by one mutex (the serve
 /// worker pool shares a single store). On disk it is a CRC-guarded text
-/// file, written atomically (temp + rename) like evolve checkpoints, so a
-/// crash or SIGKILL mid-save leaves the previous file intact:
+/// file, written through util::write_file_durable like evolve checkpoints,
+/// so a kill or power loss mid-save leaves the previous file intact:
 ///
 ///   rcgp-cache 1 <crc32-hex>
 ///   entries <count>
@@ -100,9 +100,10 @@ public:
   /// Snapshot of the entries (for stats / inspection).
   std::vector<std::pair<std::string, Entry>> entries() const;
 
-  /// Atomic save to the bound path (no-op when unbound): temp file +
-  /// fsync + rename + directory fsync, with concurrent callers serialized
-  /// on an internal save mutex. Throws std::runtime_error on I/O failure.
+  /// Durable save to the bound path (no-op when unbound) through
+  /// util::write_file_durable. Concurrent callers are ordered on an
+  /// internal save mutex, so the file always ends at the newest snapshot.
+  /// Throws std::runtime_error on I/O failure.
   void save() const;
 
   /// Serialization used by save()/Store(path) — exposed for tests and
@@ -115,7 +116,7 @@ private:
 
   std::string path_;
   mutable std::mutex mu_;
-  mutable std::mutex save_mu_; // one save (temp write + rename) at a time
+  mutable std::mutex save_mu_; // orders saves: newest snapshot lands last
   std::map<std::string, Entry> entries_;
 };
 

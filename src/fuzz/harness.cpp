@@ -2,25 +2,15 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/durable.hpp"
 
 namespace rcgp::fuzz {
 
 namespace {
-
-void write_reproducer(const std::string& dir, const std::string& name,
-                      const std::string& bytes) {
-  const std::string path = dir + "/" + name;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("fuzz: cannot write reproducer: " + path);
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 std::string case_stem(const Finding& f) {
   return f.target + "-s" + std::to_string(f.seed) + "-c" +
@@ -106,12 +96,13 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
         const std::string stem = case_stem(f);
         if (!f.reproducer.empty()) {
           f.reproducer_path = stem + f.reproducer_ext;
-          write_reproducer(options.out_dir, f.reproducer_path, f.reproducer);
+          util::write_file_durable(options.out_dir + "/" + f.reproducer_path,
+                                   f.reproducer);
         }
         if (!f.reproducer2.empty()) {
           f.reproducer2_path = stem + "-b" + f.reproducer2_ext;
-          write_reproducer(options.out_dir, f.reproducer2_path,
-                           f.reproducer2);
+          util::write_file_durable(options.out_dir + "/" + f.reproducer2_path,
+                                   f.reproducer2);
         }
         f.repro_command = "rcgp fuzz --targets=" + f.target +
                           " --seed=" + std::to_string(f.seed) +

@@ -16,6 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
+#include "util/durable.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rcgp::island {
@@ -59,6 +60,12 @@ std::optional<StopReason> settled_reason(const robust::EvolveCheckpoint& st,
   return std::nullopt;
 }
 
+/// fleet.json format version; resume refuses any other.
+constexpr std::uint64_t kManifestSchema = 2;
+
+/// (island, post-migration checkpoint text) of an epoch's adoptions.
+using Adopted = std::vector<std::pair<unsigned, std::string>>;
+
 /// Fleet manifest (fleet.json) contents we read back on resume.
 struct ManifestData {
   std::uint64_t seed = 0;
@@ -73,8 +80,8 @@ struct ManifestData {
   std::uint64_t offered = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  std::vector<unsigned> pending;
   std::vector<std::uint64_t> immigrants;
+  Adopted adopted;
 };
 
 ManifestData load_manifest(const std::string& path) {
@@ -87,6 +94,12 @@ ManifestData load_manifest(const std::string& path) {
   const std::optional<obs::json::Value> v = obs::json::parse(ss.str());
   if (!v || !v->is_object()) {
     throw std::runtime_error("island: malformed fleet manifest " + path);
+  }
+  if (v->number_or("schema", 0) != kManifestSchema) {
+    throw std::runtime_error("island: fleet manifest " + path +
+                             " is not schema " +
+                             std::to_string(kManifestSchema) +
+                             " and cannot be resumed; rerun the fleet");
   }
   ManifestData m;
   m.seed = static_cast<std::uint64_t>(v->number_or("seed", 0));
@@ -104,11 +117,6 @@ ManifestData load_manifest(const std::string& path) {
       static_cast<std::uint64_t>(v->number_or("migrations_accepted", 0));
   m.rejected =
       static_cast<std::uint64_t>(v->number_or("migrations_rejected", 0));
-  if (const obs::json::Value* p = v->find("pending"); p && p->is_array()) {
-    for (const obs::json::Value& it : p->items()) {
-      m.pending.push_back(static_cast<unsigned>(it.as_number()));
-    }
-  }
   if (const obs::json::Value* arr = v->find("islands_state");
       arr && arr->is_array()) {
     for (const obs::json::Value& it : arr->items()) {
@@ -116,20 +124,13 @@ ManifestData load_manifest(const std::string& path) {
           static_cast<std::uint64_t>(it.number_or("immigrants", 0)));
     }
   }
-  return m;
-}
-
-void write_text_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << text << '\n';
-    out.flush();
-    if (!out.good()) {
-      throw std::runtime_error("island: cannot write " + tmp);
+  if (const obs::json::Value* arr = v->find("adopted"); arr && arr->is_array()) {
+    for (const obs::json::Value& it : arr->items()) {
+      m.adopted.emplace_back(static_cast<unsigned>(it.number_or("island", 0)),
+                             it.string_or("checkpoint", ""));
     }
   }
-  std::filesystem::rename(tmp, path);
+  return m;
 }
 
 obs::Counter& island_immigrant_counter(unsigned island) {
@@ -234,7 +235,8 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
     throw std::invalid_argument(
         "island: spec too wide for an inline serve request");
   }
-  (void)state; // the coordinator saved it at slice.checkpoint_path already
+  // The daemon resumes the island from this file.
+  robust::save_checkpoint(state, slice.checkpoint_path);
 
   core::SynthesisRequest r;
   r.id = "island-" + std::to_string(slice.island);
@@ -270,7 +272,7 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
                              " after the slice at " + address);
   }
   out.stop_reason = robust::parse_stop_reason(resp.stop_reason);
-  // Progress guard. Identity proves nothing — the coordinator wrote this
+  // Progress guard. Identity proves nothing — this executor wrote the
   // checkpoint itself, so a daemon that never opened it (started without
   // --checkpoint-dir, or pointing at the wrong directory) still reloads
   // bit-identical. A slice only launches on an unsettled state below its
@@ -368,11 +370,15 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     return files ? island_state_path(options.state_dir, i) : std::string();
   };
 
-  const auto save_manifest = [&](const std::vector<unsigned>& pending) {
+  // Post-migration states of the last committed epoch's adopters. Every
+  // manifest write carries them until the next commit replaces them.
+  Adopted adopted;
+
+  const auto save_manifest = [&] {
     if (!files) return;
     obs::json::Writer w;
     w.begin_object();
-    w.field("schema", std::uint64_t{1});
+    w.field("schema", kManifestSchema);
     w.field("seed", params.seed);
     w.field("lambda", params.lambda);
     w.field("mu", params.mutation.mu);
@@ -385,9 +391,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     w.field("migrations_offered", offered);
     w.field("migrations_accepted", accepted);
     w.field("migrations_rejected", rejected);
-    w.key("pending").begin_array();
-    for (unsigned i : pending) w.value(i);
-    w.end_array();
     w.key("islands_state").begin_array();
     for (unsigned i = 0; i < N; ++i) {
       w.begin_object();
@@ -401,8 +404,17 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       w.end_object();
     }
     w.end_array();
+    w.key("adopted").begin_array();
+    for (const auto& [island, checkpoint] : adopted) {
+      w.begin_object();
+      w.field("island", island);
+      w.field("checkpoint", checkpoint);
+      w.end_object();
+    }
+    w.end_array();
     w.end_object();
-    write_text_atomic(fleet_manifest_path(options.state_dir), w.str());
+    util::write_file_durable(fleet_manifest_path(options.state_dir),
+                             w.str() + "\n");
   };
 
   // --- On-disk state: resume continues a fleet, fresh wipes leftovers. ---
@@ -430,27 +442,24 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         for (unsigned i = 0; i < N && i < m.immigrants.size(); ++i) {
           immigrants[i] = m.immigrants[i];
         }
-        // Finish the committed migration: `pending` renames are re-applied;
-        // every other leftover .next is an uncommitted pre-computation from
-        // a crash before the commit point — discard it so the exchange is
-        // recomputed from the intact pre-migration states.
-        for (unsigned i : m.pending) {
-          const std::string next = state_path(i) + ".next";
-          if (i < N && std::filesystem::exists(next)) {
-            std::filesystem::rename(next, state_path(i));
-          }
+        adopted = m.adopted;
+      }
+      for (unsigned i = 0; i < N; ++i) {
+        std::optional<robust::EvolveCheckpoint> ck;
+        if (std::filesystem::exists(state_path(i))) {
+          ck = robust::load_checkpoint(state_path(i));
         }
-      }
-      std::error_code ec;
-      for (unsigned i = 0; i < N; ++i) {
-        std::filesystem::remove(state_path(i) + ".next", ec);
-      }
-      for (unsigned i = 0; i < N; ++i) {
-        if (!std::filesystem::exists(state_path(i))) continue;
-        robust::EvolveCheckpoint ck = robust::load_checkpoint(state_path(i));
-        if (ck.seed != plan[i].seed || ck.lambda != params.lambda ||
-            ck.mu != params.mutation.mu ||
-            ck.generations_total != plan[i].total) {
+        // A committed adoption wins over an island file that the next
+        // slice has not yet advanced past the migration boundary.
+        for (const auto& [island, checkpoint] : adopted) {
+          if (island != i) continue;
+          robust::EvolveCheckpoint post = robust::parse_checkpoint(checkpoint);
+          if (!ck || ck->generation <= post.generation) ck = std::move(post);
+        }
+        if (!ck) continue;
+        if (ck->seed != plan[i].seed || ck->lambda != params.lambda ||
+            ck->mu != params.mutation.mu ||
+            ck->generations_total != plan[i].total) {
           throw std::invalid_argument(
               "island: checkpoint " + state_path(i) +
               " was taken under a different fleet configuration");
@@ -465,7 +474,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       for (const auto& entry :
            std::filesystem::directory_iterator(options.state_dir, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name == "fleet.json" || name == "fleet.json.tmp" ||
+        if (name.rfind("fleet.json", 0) == 0 ||
             name.rfind("island-", 0) == 0) {
           stale.push_back(entry.path());
         }
@@ -483,7 +492,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     }
   }
 
-  save_manifest({});
+  save_manifest();
 
   if (params.trace != nullptr) {
     params.trace->event("island_fleet_start")
@@ -533,10 +542,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   };
 
   const auto run_slice = [&](unsigned i, SliceLog& log) -> SliceState {
-    if (!state[i]) {
-      state[i] = make_initial_state(i);
-      if (files) robust::save_checkpoint(*state[i], state_path(i));
-    }
+    if (!state[i]) state[i] = make_initial_state(i);
     if (const auto r = settled_reason(*state[i], plan[i], params)) {
       done[i] = 1;
       reason[i] = *r;
@@ -544,7 +550,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     }
     const std::uint64_t b = boundary_for(i);
     if (state[i]->generation >= b) {
-      // Mid-commit resume replay: the slice already reached this boundary.
+      // Resumed after this slice landed but before its epoch committed.
       return SliceState::kActive;
     }
     core::EvolveParams p = sp;
@@ -631,7 +637,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         break;
       }
     }
-    save_manifest({});
   } else {
     std::uint64_t epochs_this_call = 0;
     while (true) {
@@ -719,7 +724,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       if (interrupted) {
         fleet_reason = stop_requested ? StopReason::kStopRequested
                                       : StopReason::kTimeLimit;
-        save_manifest({});
         break;
       }
 
@@ -765,14 +769,13 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       }
 
       // Apply adoptions: the immigrant elite replaces the parent and the
-      // stagnation clock restarts. Two-phase commit for file-backed
-      // fleets: .next states first, the manifest epoch bump is the commit
-      // point, then the renames — a kill anywhere leaves a resumable,
-      // bit-identical fleet.
+      // stagnation clock restarts. Every next state comes from the
+      // pre-migration snapshot before any is applied. For file-backed
+      // fleets the manifest write is the commit point: it carries the
+      // adopters' post-migration states, which resume prefers over island
+      // files still at or below the boundary (docs/ISLANDS.md).
       std::vector<robust::EvolveCheckpoint> next_states;
       next_states.reserve(adoptions.size());
-      std::vector<unsigned> pending;
-      pending.reserve(adoptions.size());
       for (const Adoption& a : adoptions) {
         robust::EvolveCheckpoint ns = *state[a.to];
         ns.parent = state[a.from]->parent;
@@ -780,25 +783,18 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         ns.since_improvement = 0;
         ns.last_improvement_gen = ns.generation;
         next_states.push_back(std::move(ns));
-        pending.push_back(a.to);
-      }
-      if (files) {
-        for (std::size_t k = 0; k < adoptions.size(); ++k) {
-          robust::save_checkpoint(next_states[k],
-                                  state_path(adoptions[k].to) + ".next");
-        }
       }
       ++epoch;
       ++epochs_this_call;
       c_epochs.inc();
-      save_manifest(pending); // commit point
+      adopted.clear();
       for (std::size_t k = 0; k < adoptions.size(); ++k) {
         const unsigned to = adoptions[k].to;
         state[to] = std::move(next_states[k]);
         ++immigrants[to];
         island_immigrant_counter(to).inc();
         if (files) {
-          std::filesystem::rename(state_path(to) + ".next", state_path(to));
+          adopted.emplace_back(to, robust::serialize_checkpoint(*state[to]));
         }
         if (params.trace != nullptr) {
           params.trace->event("island_migration")
@@ -808,14 +804,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
               .field("n_r", state[to]->fitness.n_r);
         }
       }
-      if (files && !pending.empty()) {
-        // Retire the committed pending list now that every rename landed.
-        // Left in place it would sit in fleet.json through all of the next
-        // epoch, and a kill after that epoch writes its .next files (but
-        // before its commit) would make resume rename those *uncommitted*
-        // states over any island both epochs adopted into.
-        save_manifest({});
-      }
+      save_manifest(); // commit point
       if (params.trace != nullptr) {
         params.trace->event("island_epoch")
             .field("epoch", epoch)
@@ -835,9 +824,9 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
           break;
         }
       }
-      save_manifest({});
     }
   }
+  save_manifest();
 
   // --- Aggregate the islands into one EvolveResult. ---
   core::EvolveResult out;

@@ -30,8 +30,9 @@ struct Slice {
   std::uint64_t epoch = 0;
   /// Island state file ("" = in-memory fleet). When set, the executor must
   /// leave the post-slice state saved there (the local executor lets the
-  /// evolve loop checkpoint into it; the remote executor shares it with
-  /// the daemon through the daemon's --checkpoint-dir).
+  /// evolve loop checkpoint into it; the remote executor writes the given
+  /// state there and shares it with the daemon through the daemon's
+  /// --checkpoint-dir). The fleet loop itself writes no island files.
   std::string checkpoint_path;
 };
 
@@ -65,10 +66,11 @@ public:
 /// Farms slices out to `rcgp serve` daemons: island i talks to
 /// `endpoints[i % endpoints.size()]` (a Unix socket path or a TCP
 /// host:port — serve::Transport::for_address decides). Each slice becomes
-/// one schema-2 SynthesisRequest with id "island-<i>" and cache=off; the
-/// daemon resumes the island from its shared checkpoint file, so the
-/// daemons must run with --checkpoint-dir pointing at the fleet's
-/// state_dir (same filesystem as the coordinator). Requires the fleet to
+/// one schema-2 SynthesisRequest with id "island-<i>" and cache=off. The
+/// executor writes the state it is given to the island's checkpoint file
+/// and the daemon resumes the island from it, so the daemons must run
+/// with --checkpoint-dir pointing at the fleet's state_dir (same
+/// filesystem as the coordinator). Requires the fleet to
 /// be file-backed and the evolve params to stay at daemon defaults for
 /// everything a request cannot carry (mutation rates, SAT confirmation,
 /// fitness schedule) — violations throw std::invalid_argument.

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/json.hpp"
+#include "util/durable.hpp"
 
 namespace rcgp::obs {
 
@@ -145,16 +146,22 @@ std::string Registry::to_json() const {
   return w.str();
 }
 
-bool Registry::write_json(const std::string& path) const {
-  const std::string doc = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
+namespace {
+
+/// Durable write reporting failure as false, the Registry writers' contract.
+bool write_document(const std::string& path, const std::string& doc) {
+  try {
+    util::write_file_durable(path, doc);
+    return true;
+  } catch (const std::runtime_error&) {
     return false;
   }
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
-                  std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  return ok;
+}
+
+} // namespace
+
+bool Registry::write_json(const std::string& path) const {
+  return write_document(path, to_json() + "\n");
 }
 
 namespace {
@@ -262,14 +269,7 @@ std::string Registry::to_prometheus() const {
 }
 
 bool Registry::write_prometheus(const std::string& path) const {
-  const std::string doc = to_prometheus();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    return false;
-  }
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return write_document(path, to_prometheus());
 }
 
 void Registry::reset_values() {

@@ -99,8 +99,8 @@ public:
   /// Snapshot of every metric as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string to_json() const;
-  /// Writes to_json() (plus a trailing newline) to `path`; false on I/O
-  /// failure.
+  /// Writes to_json() (plus a trailing newline) to `path` through
+  /// util::write_file_durable; false on I/O failure.
   bool write_json(const std::string& path) const;
 
   /// Snapshot of every metric in the Prometheus text exposition format
@@ -110,7 +110,8 @@ public:
   /// histogram buckets are emitted cumulatively with the standard
   /// `_bucket{le=...}` / `_sum` / `_count` series.
   std::string to_prometheus() const;
-  /// Writes to_prometheus() to `path`; false on I/O failure.
+  /// Writes to_prometheus() to `path` through util::write_file_durable;
+  /// false on I/O failure.
   bool write_prometheus(const std::string& path) const;
 
   /// Zeroes every metric value. Addresses stay valid (tests and benches

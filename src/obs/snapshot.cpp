@@ -1,30 +1,10 @@
 #include "obs/snapshot.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 
 namespace rcgp::obs {
-
-namespace {
-
-bool write_atomically(const std::string& path, const std::string& doc) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) {
-    return false;
-  }
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-} // namespace
 
 MetricsSnapshotter::MetricsSnapshotter(Options options)
     : options_(std::move(options)) {
@@ -62,10 +42,10 @@ MetricsSnapshotter::~MetricsSnapshotter() {
 
 void MetricsSnapshotter::write_snapshot() {
   if (!options_.json_path.empty()) {
-    write_atomically(options_.json_path, registry().to_json() + "\n");
+    registry().write_json(options_.json_path);
   }
   if (!options_.prom_path.empty()) {
-    write_atomically(options_.prom_path, registry().to_prometheus());
+    registry().write_prometheus(options_.prom_path);
   }
 }
 

@@ -11,8 +11,9 @@ namespace rcgp::obs {
 /// Periodic metrics-snapshot writer for long runs: a background thread
 /// that re-exports the registry every `interval_seconds` so an external
 /// watcher (or a Prometheus file-based scrape) sees live values instead of
-/// having to wait for the run to finish. Snapshots are written atomically
-/// (temp file + rename), so a reader never observes a torn document.
+/// having to wait for the run to finish. Snapshots go through
+/// Registry::write_json / write_prometheus (util::write_file_durable), so
+/// a reader never observes a torn document.
 ///
 /// Construction starts the thread when the interval is positive and at
 /// least one path is set; destruction stops it and writes one final

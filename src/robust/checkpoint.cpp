@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "robust/integrity.hpp"
 #include "util/crc32.hpp"
+#include "util/durable.hpp"
 
 namespace rcgp::robust {
 
@@ -190,24 +191,7 @@ EvolveCheckpoint parse_checkpoint(const std::string& text) {
 void save_checkpoint(const EvolveCheckpoint& ck, const std::string& path) {
   static obs::Counter& c_saves =
       obs::registry().counter("robust.checkpoint_saves");
-  const std::string text = serialize_checkpoint(ck);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    throw std::runtime_error("checkpoint: cannot write " + tmp);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != text.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: cannot rename " + tmp + " to " +
-                             path);
-  }
+  util::write_file_durable(path, serialize_checkpoint(ck));
   c_saves.inc();
 }
 

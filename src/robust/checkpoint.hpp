@@ -21,9 +21,9 @@ namespace rcgp::robust {
 /// On-disk format (docs/ROBUSTNESS.md): a one-line header
 /// `rcgp-evolve-checkpoint <version> <crc32-hex>` followed by the payload;
 /// the CRC covers every byte after the header line, so torn writes and
-/// bit rot are detected at load. Files are written atomically
-/// (write-temp-then-rename), so a crash mid-save leaves the previous
-/// checkpoint intact.
+/// bit rot are detected at load. Files are written through
+/// util::write_file_durable, so a kill or power loss mid-save leaves the
+/// previous checkpoint intact.
 struct EvolveCheckpoint {
   static constexpr std::uint32_t kVersion = 2;
 
@@ -59,8 +59,8 @@ struct EvolveCheckpoint {
 std::string serialize_checkpoint(const EvolveCheckpoint& ck);
 EvolveCheckpoint parse_checkpoint(const std::string& text);
 
-/// Atomic save: writes `path + ".tmp"`, flushes, then renames over `path`.
-/// Throws std::runtime_error on I/O failure.
+/// Durable save through util::write_file_durable; counts
+/// `robust.checkpoint_saves`. Throws std::runtime_error on I/O failure.
 void save_checkpoint(const EvolveCheckpoint& ck, const std::string& path);
 /// Loads and CRC-verifies a checkpoint file. Throws IntegrityError on
 /// corruption and std::runtime_error when the file cannot be read.

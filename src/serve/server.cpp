@@ -3,7 +3,6 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
 #include <thread>
 
 #include <sys/socket.h>
@@ -238,13 +237,8 @@ void Server::connection(int raw_fd, std::uint64_t id) {
           // every daemon slice a bit-identical resume.
           ctx.checkpoint_path =
               options_.checkpoint_dir + "/" + job.id + ".ckpt";
-          // Multi-island jobs persist a fleet manifest under
-          // <ckpt>.islands instead of the single checkpoint file — either
-          // artifact means "continue" (mirrors batch::run_batch).
           ctx.resume_from_checkpoint =
-              std::filesystem::exists(ctx.checkpoint_path) ||
-              std::filesystem::exists(ctx.checkpoint_path +
-                                      ".islands/fleet.json");
+              batch::saved_state_exists(ctx.checkpoint_path);
         }
         const batch::JobExecution exec = options_.executor(job, ctx);
         resp = batch::response_for(job.id, exec, watch.seconds());

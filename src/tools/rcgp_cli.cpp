@@ -117,6 +117,7 @@
 #include "rqfp/reversibility.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "util/durable.hpp"
 #include "version.hpp"
 
 namespace {
@@ -222,10 +223,9 @@ private:
   std::unique_ptr<obs::MetricsSnapshotter> snapshotter_;
 };
 
-/// Writes the synth metrics document: flow timing breakdown + the full
-/// metrics registry snapshot.
-bool write_synth_metrics(const std::string& path,
-                         const core::FlowResult& result) {
+/// The synth metrics document: flow timing breakdown + the full metrics
+/// registry snapshot.
+std::string synth_metrics_json(const core::FlowResult& result) {
   obs::json::Writer w;
   w.begin_object();
   w.key("flow").begin_object();
@@ -255,17 +255,7 @@ bool write_synth_metrics(const std::string& path,
   w.end_object();
   w.key("metrics");
   // The registry snapshot is itself a complete JSON object; splice it in.
-  const std::string registry_json = obs::registry().to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    return false;
-  }
-  const std::string head = w.str();
-  std::fwrite(head.data(), 1, head.size(), f);
-  std::fwrite(registry_json.data(), 1, registry_json.size(), f);
-  std::fputs("}\n", f);
-  std::fclose(f);
-  return true;
+  return w.str() + obs::registry().to_json() + "}\n";
 }
 
 /// Loads an input as truth tables: a recognized circuit-file extension
@@ -484,10 +474,7 @@ int cmd_synth(const std::vector<std::string>& args) {
     }
   }
   if (!metrics_path.empty()) {
-    if (!write_synth_metrics(metrics_path, r)) {
-      std::fprintf(stderr, "synth: cannot write %s\n", metrics_path.c_str());
-      return 1;
-    }
+    util::write_file_durable(metrics_path, synth_metrics_json(r));
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   if (trace) {

@@ -209,6 +209,20 @@ TEST(Results, LoadSkipsTornTail) {
   EXPECT_TRUE(records[0].ok);
   EXPECT_EQ(records[1].id, "b");
   EXPECT_FALSE(records[1].ok);
+
+  // The resumed batch reopens the store: its first record must land on a
+  // line of its own, not glued onto the torn fragment.
+  {
+    ResultsStore store(path);
+    JobRecord d;
+    d.id = "d";
+    d.ok = true;
+    store.append(d);
+  }
+  const auto resumed = ResultsStore::load(path);
+  ASSERT_EQ(resumed.size(), 3u);
+  EXPECT_EQ(resumed[2].id, "d");
+  EXPECT_TRUE(resumed[2].ok);
 }
 
 // ---------- runner (injected executors) ----------

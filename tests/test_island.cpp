@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -268,7 +270,21 @@ TEST(IslandFleet, EpochSteppingResumeIsBitIdentical) {
   std::filesystem::remove_all(fleet.state_dir);
 }
 
-TEST(IslandFleet, StaleNextFilesFromAnUncommittedEpochAreDiscarded) {
+/// Replaces directory `to` with a copy of directory `from`.
+void copy_dir(const std::string& from, const std::string& to) {
+  std::filesystem::remove_all(to);
+  std::filesystem::create_directories(to);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+}
+
+/// Writes the first half of `from` to `to`: an unfinished durable write.
+void plant_torn_copy(const std::string& from, const std::string& to) {
+  std::ifstream in(from, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  std::ofstream(to, std::ios::binary) << bytes.substr(0, bytes.size() / 2);
+}
+
+TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
   const auto b = benchmarks::get("full_adder");
   const auto init = init_netlist("full_adder");
   const EvolveParams p = small_params(600, 13);
@@ -279,40 +295,109 @@ TEST(IslandFleet, StaleNextFilesFromAnUncommittedEpochAreDiscarded) {
   fleet.migration_interval = 100;
   const EvolveResult whole = island::run_fleet(init, b.spec, p, fleet);
 
-  // Step the fleet epoch by epoch; before every resume, plant a bogus
-  // island-i.ckpt.next for each island — the disk state a SIGKILL leaves
-  // when it lands after an epoch precomputed its migrations but before
-  // the manifest committed them. Resume must discard all of them: the
-  // committed manifest's pending list was retired right after the
-  // previous epoch's renames, so these are uncommitted precomputations.
-  // (A stale pending list would rename one over a real checkpoint and
-  // either diverge or trip the configuration check.)
-  fleet.state_dir = temp_dir("stale_next");
+  // committed[k] is the state_dir after epoch k committed; committed[0]
+  // holds only the manifest a fresh fleet writes before its first slice.
+  const std::string root = temp_dir("crash_points");
+  fleet.state_dir = root + "/live";
+  {
+    robust::StopToken stop;
+    stop.request_stop();
+    EvolveParams stopped = p;
+    stopped.budget.stop = &stop;
+    (void)island::run_fleet(init, b.spec, stopped, fleet);
+  }
+  std::vector<std::string> committed{root + "/epoch0"};
+  copy_dir(fleet.state_dir, committed.back());
+  fleet.resume = true;
   fleet.max_epochs = 1;
-  EvolveResult stepped;
-  for (int step = 0; step < 64; ++step) {
-    stepped = island::run_fleet(init, b.spec, p, fleet);
-    if (stepped.stop_reason == robust::StopReason::kCompleted) {
-      break;
-    }
-    fleet.resume = true;
-    for (unsigned i = 0; i < fleet.islands; ++i) {
-      const std::string own = island::island_state_path(fleet.state_dir, i);
-      const std::string donor = island::island_state_path(
-          fleet.state_dir, (i + 1) % fleet.islands);
-      if (std::filesystem::exists(donor)) {
-        std::filesystem::copy_file(
-            donor, own + ".next",
-            std::filesystem::copy_options::overwrite_existing);
+  for (int step = 1; step < 64; ++step) {
+    const EvolveResult r = island::run_fleet(init, b.spec, p, fleet);
+    committed.push_back(root + "/epoch" + std::to_string(step));
+    copy_dir(fleet.state_dir, committed.back());
+    if (r.stop_reason == robust::StopReason::kCompleted) break;
+  }
+  ASSERT_EQ(committed.size(), 7u); // 600 generations / interval 100 + 1
+
+  // A kill during epoch k+1 leaves the epoch-k manifest with any subset of
+  // the islands' slice checkpoints landed, or the epoch-(k+1) manifest
+  // once the commit went through; either may carry the temp file of a
+  // write that never finished.
+  fleet.max_epochs = 0;
+  const std::string crashed = root + "/crashed";
+  const std::string manifest = island::fleet_manifest_path(crashed);
+  const unsigned subsets = 1u << fleet.islands;
+  for (std::size_t k = 0; k + 1 < committed.size(); ++k) {
+    const std::string& before = committed[k];
+    const std::string& after = committed[k + 1];
+    for (unsigned point = 0; point <= subsets; ++point) {
+      for (const bool torn : {false, true}) {
+        SCOPED_TRACE("epoch " + std::to_string(k + 1) + ", crash point " +
+                     std::to_string(point) + (torn ? ", torn write" : ""));
+        if (point == subsets) {
+          copy_dir(after, crashed);
+        } else {
+          copy_dir(before, crashed);
+          for (unsigned i = 0; i < fleet.islands; ++i) {
+            if ((point >> i) & 1u) {
+              std::filesystem::copy_file(
+                  island::island_state_path(after, i),
+                  island::island_state_path(crashed, i),
+                  std::filesystem::copy_options::overwrite_existing);
+            }
+          }
+        }
+        if (torn) {
+          plant_torn_copy(island::fleet_manifest_path(after),
+                          manifest + ".tmp.1.0");
+          plant_torn_copy(island::island_state_path(after, 0),
+                          island::island_state_path(crashed, 0) + ".tmp.1.1");
+        }
+        fleet.state_dir = crashed;
+        const EvolveResult resumed = island::run_fleet(init, b.spec, p, fleet);
+        EXPECT_EQ(resumed.stop_reason, robust::StopReason::kCompleted);
+        expect_same_result(whole, resumed);
+        EXPECT_EQ(resumed.mutations_attempted.mutations,
+                  whole.mutations_attempted.mutations);
+        EXPECT_EQ(resumed.mutations_accepted.mutations,
+                  whole.mutations_accepted.mutations);
       }
     }
   }
-  EXPECT_EQ(stepped.stop_reason, robust::StopReason::kCompleted);
-  EXPECT_EQ(io::write_rqfp_string(whole.best),
-            io::write_rqfp_string(stepped.best));
-  EXPECT_EQ(whole.generations_run, stepped.generations_run);
-  EXPECT_EQ(whole.evaluations, stepped.evaluations);
-  EXPECT_EQ(whole.improvements, stepped.improvements);
+  std::filesystem::remove_all(root);
+}
+
+TEST(IslandFleet, ResumeRefusesASchemaOneManifest) {
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  const EvolveParams p = small_params(200, 3);
+
+  FleetOptions fleet;
+  fleet.islands = 2;
+  fleet.migration_interval = 50;
+  fleet.state_dir = temp_dir("schema1");
+  fleet.max_epochs = 1;
+  (void)island::run_fleet(init, b.spec, p, fleet);
+
+  // Rewrite the manifest as a schema-1 fleet would have left it.
+  const std::string manifest = island::fleet_manifest_path(fleet.state_dir);
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string schema2 = "\"schema\":2";
+  ASSERT_NE(text.find(schema2), std::string::npos);
+  text.replace(text.find(schema2), schema2.size(), "\"schema\":1");
+  std::ofstream(manifest, std::ios::trunc) << text;
+
+  fleet.resume = true;
+  try {
+    (void)island::run_fleet(init, b.spec, p, fleet);
+    ADD_FAILURE() << "a schema-1 manifest was resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(fleet.state_dir);
 }
 

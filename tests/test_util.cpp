@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <csignal>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "util/durable.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -134,6 +145,114 @@ TEST(Log, LevelRoundTrip) {
   set_log_level(LogLevel::kOff);
   log_error("suppressed entirely");
   set_log_level(saved);
+}
+
+// ---------- write_file_durable ----------
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "rcgp_durable_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::ptrdiff_t files_in(const std::string& dir) {
+  return std::distance(std::filesystem::directory_iterator(dir),
+                       std::filesystem::directory_iterator());
+}
+
+void expect_failure_naming(const std::string& path, std::string_view bytes) {
+  try {
+    write_file_durable(path, bytes);
+    ADD_FAILURE() << "write to " << path << " succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DurableWrite, ReplacesTheContentAndLeavesNoTempFile) {
+  const std::string dir = fresh_dir("replace");
+  const std::string path = dir + "/state.txt";
+  write_file_durable(path, "first version\n");
+  EXPECT_EQ(read_file(path), "first version\n");
+  write_file_durable(path, "second");
+  EXPECT_EQ(read_file(path), "second");
+  write_file_durable(path, "");
+  EXPECT_EQ(read_file(path), "");
+  EXPECT_EQ(files_in(dir), 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableWrite, FailedWriteThrowsNamingThePathAndKeepsTheOldFile) {
+  const std::string dir = fresh_dir("fail");
+  // Missing directory: not even the temp file can be created.
+  expect_failure_naming(dir + "/missing/state.txt", "lost");
+  EXPECT_EQ(files_in(dir), 0);
+
+  // A write cut short after the old file exists (the file-size limit
+  // stands in for a full disk): the old bytes survive, the temp is gone.
+  const std::string path = dir + "/state.txt";
+  write_file_durable(path, "old");
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = 16;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+  expect_failure_naming(path, std::string(4096, 'n'));
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_EQ(read_file(path), "old");
+  EXPECT_EQ(files_in(dir), 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableWrite, ConcurrentRewritesNeverExposeATornDocument) {
+  const std::string dir = fresh_dir("concurrent");
+  const std::string path = dir + "/doc.txt";
+  // Every document is "begin <writer> <round>", padding, "end": a reader
+  // that sees a mix or a truncation finds a wrong length or no "end".
+  const auto document = [](unsigned writer, unsigned round) {
+    const std::string head =
+        "begin " + std::to_string(writer) + " " + std::to_string(round) + "\n";
+    return head + std::string(8192 - head.size() - 4, 'x') + "end\n";
+  };
+  write_file_durable(path, document(0, 0));
+
+  constexpr unsigned kWriters = 8;
+  constexpr unsigned kRounds = 20;
+  std::atomic<unsigned> running{kWriters};
+  std::vector<std::thread> writers;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (unsigned r = 1; r <= kRounds; ++r) {
+        write_file_durable(path, document(w, r));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::size_t reads = 0;
+  std::size_t torn = 0;
+  while (running.load() != 0) {
+    const std::string seen = read_file(path);
+    ++reads;
+    if (seen.size() != 8192 || seen.rfind("begin ", 0) != 0 ||
+        seen.compare(seen.size() - 4, 4, "end\n") != 0) {
+      ++torn;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(read_file(path).size(), 8192u);
+  EXPECT_EQ(files_in(dir), 1);
+  std::filesystem::remove_all(dir);
 }
 
 } // namespace
