@@ -11,6 +11,7 @@
 #include <string>
 
 #include "aig/aig_simulate.hpp"
+#include "batch/execute.hpp"
 #include "cec/sim_cec.hpp"
 #include "core/flow.hpp"
 #include "io/blif.hpp"
@@ -37,17 +38,6 @@ const char* kDemoBlif = R"(
 .end
 )";
 
-rcgp::aig::Aig load(const std::string& path) {
-  using namespace rcgp;
-  // The io facade detects the format from the extension (or the file's
-  // leading bytes for unknown extensions) and parses accordingly.
-  const io::Network net = io::read_network(path);
-  if (net.aig) {
-    return *net.aig;
-  }
-  return core::aig_from_tables(net.to_tables(), net.po_names);
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -56,7 +46,10 @@ int main(int argc, char** argv) {
     aig::Aig net;
     std::string stem = "voter5_demo";
     if (argc > 1) {
-      net = load(argv[1]);
+      // The resolver every front end shares: AIG formats keep their
+      // structure, table formats are ISOP-factored, and a name without a
+      // circuit-file extension is a built-in benchmark.
+      net = batch::resolve_circuit(argv[1]).flow_input();
       stem = argv[1];
       const auto dot = stem.rfind('.');
       if (dot != std::string::npos) {

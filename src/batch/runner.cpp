@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "batch/execute.hpp"
 #include "cache/store.hpp"
 #include "io/rqfp_writer.hpp"
 #include "obs/metrics.hpp"
@@ -24,19 +23,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// The shared executor configuration the runner's defaults denote.
-ExecuteOptions execute_options_for(const BatchOptions& options) {
-  ExecuteOptions eo;
-  eo.default_generations = options.default_generations;
-  eo.threads_per_job = options.threads_per_job;
-  eo.checkpoint_interval = options.checkpoint_interval;
-  eo.cache = options.cache;
-  // The runner saves the cache once after the batch, not per insert.
-  eo.save_cache_on_insert = false;
-  eo.island_endpoints = options.island_endpoints;
-  return eo;
 }
 
 // Per-job wall seconds: sub-second smoke jobs through hour-scale runs.
@@ -127,12 +113,11 @@ BatchSummary run_batch(const Manifest& manifest,
     });
   }
 
-  const ExecuteOptions exec_options = execute_options_for(options);
   const JobExecutor executor =
       options.executor
           ? options.executor
-          : [&exec_options](const Job& job, const JobContext& ctx) {
-              return execute_request(job, ctx, exec_options);
+          : [&options](const Job& job, const JobContext& ctx) {
+              return execute_request(job, ctx, options.execute);
             };
 
   std::vector<JobRecord> produced(queue.size());
@@ -156,7 +141,7 @@ BatchSummary run_batch(const Manifest& manifest,
       const Job& job = *queue[idx];
       obs::Span job_span("batch.job");
       job_span.arg("id", job.id).arg("worker", w).arg("circuit", job.circuit);
-      const std::string ckpt = options.checkpoint_interval != 0 &&
+      const std::string ckpt = options.execute.checkpoint_interval != 0 &&
                                        job.algorithm ==
                                            core::Algorithm::kEvolve
                                    ? options.out_dir + "/" + job.id + ".ckpt"
@@ -175,6 +160,7 @@ BatchSummary run_batch(const Manifest& manifest,
         ctx.attempt = attempt;
         ctx.stop = &internal_stop;
         ctx.checkpoint_path = ckpt;
+        ctx.fleet_dir = ckpt.empty() ? std::string() : fleet_state_dir(ckpt);
         ctx.resume_from_checkpoint = options.resume && attempt == 1 &&
                                      !ckpt.empty() && saved_state_exists(ckpt);
         try {
@@ -187,19 +173,20 @@ BatchSummary run_batch(const Manifest& manifest,
           rec.cached = exec.cached;
           rec.seeded = exec.seeded;
           rec.ok = rec.final_record && exec.verified;
-          rec.n_r = exec.cost.n_r;
-          rec.n_b = exec.cost.n_b;
-          rec.jjs = exec.cost.jjs;
-          rec.n_d = exec.cost.n_d;
-          rec.n_g = exec.cost.n_g;
+          const rqfp::Cost& cost = exec.flow.optimized_cost;
+          rec.n_r = cost.n_r;
+          rec.n_b = cost.n_b;
+          rec.jjs = cost.jjs;
+          rec.n_d = cost.n_d;
+          rec.n_g = cost.n_g;
           if (rec.final_record && !rec.ok) {
             rec.error = "result failed verification";
           }
           if (rec.ok) {
             // Durable before the record that names it is appended.
             rec.netlist_path = options.out_dir + "/" + job.id + ".rqfp";
-            util::write_file_durable(rec.netlist_path,
-                                     io::write_rqfp_string(exec.netlist));
+            util::write_file_durable(
+                rec.netlist_path, io::write_rqfp_string(exec.flow.optimized));
           }
         } catch (const robust::IntegrityError& e) {
           metrics.retried.inc();
@@ -274,8 +261,8 @@ BatchSummary run_batch(const Manifest& manifest,
   if (watchdog.joinable()) {
     watchdog.join();
   }
-  if (options.cache != nullptr) {
-    options.cache->save(); // one atomic write-back for the whole batch
+  if (options.execute.cache != nullptr) {
+    options.execute.cache->save(); // one write-back for the whole batch
   }
 
   BatchSummary summary;

@@ -1,59 +1,19 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "batch/execute.hpp"
 #include "batch/manifest.hpp"
 #include "batch/results.hpp"
 #include "robust/stop.hpp"
-#include "rqfp/cost.hpp"
-#include "rqfp/netlist.hpp"
 
 namespace rcgp::obs {
 class TraceSink;
 }
 
-namespace rcgp::cache {
-class Store;
-}
-
 namespace rcgp::batch {
-
-/// Scheduling facts handed to the job executor alongside the job itself.
-struct JobContext {
-  unsigned worker = 0;  ///< worker index running this attempt
-  unsigned attempt = 1; ///< 1-based (2+ = integrity retry)
-  /// Per-job crash-safe checkpoint (`<out-dir>/<id>.ckpt`); empty when
-  /// checkpointing is disabled or the algorithm does not support it.
-  std::string checkpoint_path;
-  /// True when the checkpoint exists and the batch runs in resume mode:
-  /// the job continues bit-identically instead of starting over.
-  bool resume_from_checkpoint = false;
-  /// Batch-level cooperative stop (tripped by the batch deadline or an
-  /// external stop token). A job interrupted by it is recorded as
-  /// non-final and re-run by a later `--resume`.
-  robust::StopToken* stop = nullptr;
-};
-
-/// What a job execution produced. The runner turns this into a JobRecord,
-/// writes the netlist, and updates the metrics.
-struct JobExecution {
-  rqfp::Netlist netlist;
-  rqfp::Cost cost;
-  robust::StopReason stop_reason = robust::StopReason::kCompleted;
-  bool verified = false; ///< exhaustive simulation check passed
-  bool cached = false;   ///< served straight from the result cache
-  bool seeded = false;   ///< evolution was seeded from a cache hit
-};
-
-/// Replaceable job body: the default runs the full synthesis flow
-/// (core::synthesize / synthesize_file); tests substitute deterministic or
-/// fault-injecting executors. Throwing robust::IntegrityError triggers a
-/// retry (fresh attempt, checkpoint discarded); any other exception fails
-/// the job permanently.
-using JobExecutor = std::function<JobExecution(const Job&, const JobContext&)>;
 
 struct BatchOptions {
   /// Worker threads sharding the job list (0 = hardware concurrency,
@@ -75,25 +35,16 @@ struct BatchOptions {
   /// the generation/evaluation ceilings are per-job concerns and ignored
   /// here.
   robust::RunBudget budget;
-  /// Per-job evolve checkpoint interval in generations (0 disables
-  /// checkpointing; only Algorithm::kEvolve jobs checkpoint).
-  std::uint64_t checkpoint_interval = 1000;
-  /// CGP generation budget for jobs without a manifest override.
-  std::uint64_t default_generations = 50000;
-  /// λ-parallel evaluation threads inside each job. Kept at 1 by default:
-  /// batch parallelism comes from sharding jobs, not from splitting one.
-  unsigned threads_per_job = 1;
+  /// How each job runs (batch/execute.hpp). Its checkpoint_interval also
+  /// switches per-job checkpoints (`<out-dir>/<id>.ckpt`, kEvolve jobs
+  /// only) off at 0; threads_per_job stays 1 by default, because batch
+  /// parallelism comes from sharding jobs, not from splitting one. A
+  /// shared result cache is saved once after the batch.
+  ExecuteOptions execute;
   /// Optional structured trace: one `batch_job` event per settled job
   /// (worker/attempt/cost attribution) and a final `batch_end` summary.
   /// The sink must outlive run_batch. Not owned.
   obs::TraceSink* trace = nullptr;
-  /// Optional shared NPN-canonical result cache (batch/execute.hpp): jobs
-  /// consult it per their CachePolicy and verified results are written
-  /// back; the runner saves it once after the batch. Not owned.
-  cache::Store* cache = nullptr;
-  /// `rcgp serve` endpoints that multi-island evolve jobs farm their
-  /// slices out to (docs/ISLANDS.md); empty = islands run in-process.
-  std::vector<std::string> island_endpoints;
   JobExecutor executor;                         ///< test hook
   std::function<void(const JobRecord&)> on_record; ///< after each append
 };

@@ -9,6 +9,7 @@
 
 #include "io/rqfp_writer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "robust/integrity.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/crc32.hpp"
@@ -106,6 +107,7 @@ bool Store::contains(const std::string& key) const {
 }
 
 std::optional<Hit> Store::lookup(std::span<const tt::TruthTable> spec) {
+  obs::Span span("cache.lookup");
   util::Stopwatch watch;
   auto& reg = obs::registry();
   reg.counter("cache.lookups").inc();

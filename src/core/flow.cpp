@@ -8,7 +8,6 @@
 #include "aig/aig_simulate.hpp"
 #include "aig/fraig.hpp"
 #include "cec/sim_cec.hpp"
-#include "io/io.hpp"
 #include "obs/metrics.hpp"
 #include "aig/resyn.hpp"
 #include "aig/rewrite.hpp"
@@ -199,19 +198,6 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
 FlowResult synthesize(std::span<const tt::TruthTable> spec,
                       const FlowOptions& options) {
   return synthesize(aig_from_tables(spec), options);
-}
-
-FlowResult synthesize_file(const std::string& path,
-                           const FlowOptions& options) {
-  const io::Network input = io::read_network(path);
-  if (input.aig) {
-    return synthesize(*input.aig, options);
-  }
-  if (input.rqfp) {
-    const auto spec = input.to_tables();
-    return synthesize(aig_from_tables(spec), options);
-  }
-  return synthesize(aig_from_tables(input.tables, input.po_names), options);
 }
 
 } // namespace rcgp::core

@@ -89,12 +89,4 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options = {});
 FlowResult synthesize(std::span<const tt::TruthTable> spec,
                       const FlowOptions& options = {});
 
-/// Full flow from a circuit file in any format the io facade reads
-/// (io::read_network with Format::kAuto detection): AIG sources enter the
-/// complete Fig. 2 flow directly, table formats (.pla/.real) and .rqfp
-/// netlists enter through their exhaustive truth tables. Throws
-/// io::ParseError on unreadable or malformed input.
-FlowResult synthesize_file(const std::string& path,
-                           const FlowOptions& options = {});
-
 } // namespace rcgp::core

@@ -379,8 +379,8 @@ void validate_request(const SynthesisRequest& r, const std::string& source,
 }
 
 OptimizerOptions optimizer_options_for(const SynthesisRequest& r,
-                                       const RequestDefaults& defaults) {
-  OptimizerOptions o;
+                                       const RequestDefaults& defaults,
+                                       OptimizerOptions o) {
   o.algorithm = r.algorithm;
   o.evolve.generations =
       r.generations != 0 ? r.generations : defaults.generations;

@@ -136,11 +136,20 @@ struct RequestDefaults {
 
 /// Expands a request into the full optimizer configuration it denotes:
 /// request overrides applied on top of `defaults`, mirrored into the
-/// anneal parameters for kAnneal jobs. Scheduling wiring (stop token,
-/// checkpoint path) stays with the caller — it is not part of the job
-/// description.
+/// anneal parameters for kAnneal jobs, and laid over `base`. Scheduling
+/// wiring (stop token, checkpoint path) stays with the caller — it is not
+/// part of the job description.
+///
+/// `base` carries what a request deliberately does not: the run
+/// observers (trace sinks, heartbeat, improvement callback) and the
+/// paranoia level, which only `rcgp synth` sets. The same holds for the
+/// flow switches of core::FlowOptions (`--no-cgp`, `--polish`, `--pack`).
+/// No manifest or daemon caller sets any of them, so request keys for
+/// them would each have a single user; they stay off the schema and reach
+/// the executor as the caller's base options instead.
 OptimizerOptions optimizer_options_for(const SynthesisRequest& request,
-                                       const RequestDefaults& defaults = {});
+                                       const RequestDefaults& defaults = {},
+                                       OptimizerOptions base = {});
 
 /// What one synthesis produced, in the same versioned JSON envelope the
 /// request came in. `netlist` carries the result as `.rqfp` text so the

@@ -225,6 +225,11 @@ Network read_network(const std::string& path, Format format) {
       net.po_names.push_back(net.aig->po_name(o));
     }
   }
+  if (net.rqfp) {
+    for (unsigned o = 0; o < net.rqfp->num_pos(); ++o) {
+      net.po_names.push_back(net.rqfp->po_name(o));
+    }
+  }
   return net;
 }
 

@@ -237,6 +237,7 @@ void Server::connection(int raw_fd, std::uint64_t id) {
           // every daemon slice a bit-identical resume.
           ctx.checkpoint_path =
               options_.checkpoint_dir + "/" + job.id + ".ckpt";
+          ctx.fleet_dir = batch::fleet_state_dir(ctx.checkpoint_path);
           ctx.resume_from_checkpoint =
               batch::saved_state_exists(ctx.checkpoint_path);
         }

@@ -76,6 +76,8 @@
 //   serve --socket= --cache=     daemon; every verified result persists
 //   cache warm --store=FILE      exact-synthesize all <=4-input NPN classes
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -83,8 +85,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aqfp/aqfp.hpp"
@@ -96,14 +100,13 @@
 #include "cache/warm.hpp"
 #include "cec/bdd_cec.hpp"
 #include "cec/sat_cec.hpp"
-#include "cec/sim_cec.hpp"
 #include "core/flow.hpp"
 #include "core/request.hpp"
 #include "exact/exact_rqfp.hpp"
 #include "fuzz/harness.hpp"
 #include "io/io.hpp"
+#include "io/parse_error.hpp"
 #include "io/rqfp_writer.hpp"
-#include "island/island.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -124,6 +127,26 @@ namespace {
 
 using namespace rcgp;
 
+/// A malformed command line; main() prints `<cmd>: <message>` and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The one conversion of numeric flag values: a whole decimal that fits
+/// T and is at least `min`, or for a seconds value (T = double) a finite
+/// number >= 0. Anything else throws UsageError naming the flag.
+template <typename T>
+T flag_number(std::string_view flag, const std::string& value, T min = 0) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end || !(out >= min) ||
+      !std::isfinite(static_cast<double>(out))) {
+    throw UsageError("bad value for " + std::string(flag) + ": " + value);
+  }
+  return out;
+}
+
 /// Matches `--name=value` (returns true, sets `value`) for option parsing.
 bool opt_value(const std::string& arg, const char* name, std::string& value) {
   const std::string prefix = std::string(name) + "=";
@@ -137,21 +160,27 @@ bool opt_value(const std::string& arg, const char* name, std::string& value) {
 /// "a,b,c" → {"a", "b", "c"} (empty pieces dropped).
 std::vector<std::string> split_csv(const std::string& value) {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string piece =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
+  std::istringstream in(value);
+  for (std::string piece; std::getline(in, piece, ',');) {
     if (!piece.empty()) {
       out.push_back(piece);
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   return out;
+}
+
+/// Opens --trace-out with log lines routed into it; nullptr when `path` is
+/// empty. Throws when the file cannot be written.
+std::unique_ptr<obs::TraceSink> open_trace(const std::string& path) {
+  if (path.empty()) {
+    return nullptr;
+  }
+  auto trace = obs::TraceSink::open(path);
+  if (!trace) {
+    throw std::runtime_error("cannot write " + path);
+  }
+  trace->attach_to_log();
+  return trace;
 }
 
 /// Shared --profile-out / --prom-out / --metrics-snapshot-every surface of
@@ -170,7 +199,7 @@ struct ProfileFlags {
       return true;
     }
     if (opt_value(arg, "--metrics-snapshot-every", v)) {
-      snapshot_every = std::stod(v);
+      snapshot_every = flag_number<double>("--metrics-snapshot-every", v);
       return true;
     }
     return false;
@@ -224,8 +253,13 @@ private:
 };
 
 /// The synth metrics document: flow timing breakdown + the full metrics
-/// registry snapshot.
-std::string synth_metrics_json(const core::FlowResult& result) {
+/// registry snapshot. A cache hit runs no flow, so it writes the bare
+/// registry document.
+std::string synth_metrics_json(const batch::JobExecution& exec) {
+  if (exec.cached) {
+    return obs::registry().to_json() + "\n";
+  }
+  const core::FlowResult& result = exec.flow;
   obs::json::Writer w;
   w.begin_object();
   w.key("flow").begin_object();
@@ -256,15 +290,6 @@ std::string synth_metrics_json(const core::FlowResult& result) {
   w.key("metrics");
   // The registry snapshot is itself a complete JSON object; splice it in.
   return w.str() + obs::registry().to_json() + "}\n";
-}
-
-/// Loads an input as truth tables: a recognized circuit-file extension
-/// goes through the io facade, anything else is a built-in benchmark name.
-std::vector<tt::TruthTable> load_spec(const std::string& input) {
-  if (io::format_from_extension(input) != io::Format::kAuto) {
-    return io::read_network(input).to_tables();
-  }
-  return benchmarks::get(input).spec; // throws with a clear message
 }
 
 int cmd_list() {
@@ -302,16 +327,23 @@ int cmd_synth(const std::vector<std::string>& args) {
                  "[--cache=store.rcc] [--cache-policy=use|seed|off]\n");
     return 2;
   }
-  const std::string input = args[0];
-  core::FlowOptions opt;
-  opt.evolve.generations = 50000;
+  // The job itself is a request, exactly as a manifest line or a socket
+  // line would spell it; scheduling goes into the context, executor
+  // settings into ExecuteOptions, and what a request does not carry
+  // (flow switches, paranoia, observers) into the base flow options.
+  core::SynthesisRequest job;
+  job.id = "synth";
+  job.circuit = args[0];
+  batch::JobContext ctx;
+  batch::ExecuteOptions exec_options;
+  exec_options.threads_per_job = 0; // all hardware threads
+  exec_options.save_cache_on_insert = true;
+  core::FlowOptions base;
   std::string out_path;
   std::string dot_path;
   std::string trace_path;
   std::string metrics_path;
   std::string cache_path;
-  core::CachePolicy cache_policy = core::CachePolicy::kUse;
-  std::vector<std::string> island_endpoints;
   ProfileFlags prof;
   bool progress = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -319,19 +351,19 @@ int cmd_synth(const std::vector<std::string>& args) {
     if (prof.parse(args[i])) {
       // value captured
     } else if (args[i] == "-g" && i + 1 < args.size()) {
-      opt.evolve.generations = std::stoull(args[++i]);
+      job.generations = flag_number<std::uint64_t>("-g", args[++i], 1);
     } else if (args[i] == "-s" && i + 1 < args.size()) {
-      opt.evolve.seed = std::stoull(args[++i]);
+      job.seed = flag_number<std::uint64_t>("-s", args[++i], 1);
     } else if (args[i] == "-o" && i + 1 < args.size()) {
       out_path = args[++i];
     } else if (args[i] == "--dot" && i + 1 < args.size()) {
       dot_path = args[++i];
     } else if (args[i] == "--no-cgp") {
-      opt.run_cgp = false;
+      base.run_cgp = false;
     } else if (args[i] == "--polish") {
-      opt.run_exact_polish = true;
+      base.run_exact_polish = true;
     } else if (args[i] == "--pack") {
-      opt.pack_shared_fanins = true;
+      base.pack_shared_fanins = true;
     } else if (opt_value(args[i], "--trace-out", trace_path) ||
                opt_value(args[i], "--metrics-out", metrics_path)) {
       // value captured
@@ -340,141 +372,112 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else if (args[i] == "--metrics-out" && i + 1 < args.size()) {
       metrics_path = args[++i];
     } else if (opt_value(args[i], "--heartbeat", v)) {
-      opt.evolve.trace_heartbeat = std::stoull(v);
+      base.evolve.trace_heartbeat = base.anneal.trace_heartbeat =
+          flag_number<std::uint64_t>("--heartbeat", v);
     } else if (args[i] == "--progress") {
       progress = true;
     } else if (opt_value(args[i], "--threads", v)) {
-      opt.evolve.threads = static_cast<unsigned>(std::stoul(v));
+      job.threads = flag_number<unsigned>("--threads", v);
     } else if (opt_value(args[i], "--optimizer", v)) {
-      opt.algorithm = core::parse_algorithm(v);
+      job.algorithm = core::parse_algorithm(v);
     } else if (opt_value(args[i], "--islands", v)) {
-      opt.island.islands = static_cast<unsigned>(std::stoul(v));
+      job.islands = flag_number<unsigned>("--islands", v);
     } else if (opt_value(args[i], "--topology", v)) {
-      opt.island.topology = core::parse_topology(v);
+      job.topology = core::parse_topology(v);
     } else if (opt_value(args[i], "--migration-interval", v)) {
-      opt.island.migration_interval = std::stoull(v);
+      job.migration_interval =
+          flag_number<std::uint64_t>("--migration-interval", v);
     } else if (opt_value(args[i], "--migration-size", v)) {
-      opt.island.migration_size = static_cast<unsigned>(std::stoul(v));
+      job.migration_size = flag_number<unsigned>("--migration-size", v);
     } else if (opt_value(args[i], "--island-state", v)) {
-      opt.island.state_dir = v;
+      ctx.fleet_dir = v;
     } else if (opt_value(args[i], "--island-endpoints", v)) {
-      island_endpoints = split_csv(v);
+      exec_options.island_endpoints = split_csv(v);
     } else if (opt_value(args[i], "--checkpoint", v)) {
-      opt.evolve.checkpoint_path = v;
+      ctx.checkpoint_path = v;
     } else if (opt_value(args[i], "--checkpoint-interval", v)) {
-      opt.evolve.checkpoint_interval = std::stoull(v);
+      exec_options.checkpoint_interval =
+          flag_number<std::uint64_t>("--checkpoint-interval", v);
     } else if (args[i] == "--resume") {
-      opt.resume = true;
+      ctx.resume_from_checkpoint = true;
     } else if (opt_value(args[i], "--deadline", v)) {
-      opt.limits.deadline_seconds = std::stod(v);
+      job.deadline_seconds = flag_number<double>("--deadline", v);
     } else if (opt_value(args[i], "--paranoia", v)) {
-      opt.evolve.paranoia = robust::parse_paranoia(v);
+      base.evolve.paranoia = robust::parse_paranoia(v);
     } else if (opt_value(args[i], "--cache", cache_path)) {
       // value captured
     } else if (opt_value(args[i], "--cache-policy", v)) {
-      cache_policy = core::parse_cache_policy(v);
+      job.cache = core::parse_cache_policy(v);
     } else {
-      std::fprintf(stderr, "synth: unknown option %s\n", args[i].c_str());
-      return 2;
+      throw UsageError("unknown option " + args[i]);
     }
   }
-  if (opt.resume && opt.evolve.checkpoint_path.empty() &&
-      opt.island.state_dir.empty()) {
-    std::fprintf(stderr, "synth: --resume requires --checkpoint=PATH "
-                         "(or --island-state=DIR for island fleets)\n");
-    return 2;
+  if (ctx.resume_from_checkpoint && ctx.checkpoint_path.empty() &&
+      ctx.fleet_dir.empty()) {
+    throw UsageError("--resume requires --checkpoint=PATH "
+                     "(or --island-state=DIR for island fleets)");
   }
-  if (!island_endpoints.empty() && opt.island.state_dir.empty()) {
-    std::fprintf(stderr, "synth: --island-endpoints requires "
-                         "--island-state=DIR on a filesystem the daemons "
-                         "share (their --checkpoint-dir)\n");
-    return 2;
+  if (!exec_options.island_endpoints.empty() && ctx.fleet_dir.empty()) {
+    throw UsageError("--island-endpoints requires --island-state=DIR on a "
+                     "filesystem the daemons share (their --checkpoint-dir)");
   }
-  std::optional<island::RemoteSliceExecutor> remote;
-  if (!island_endpoints.empty()) {
-    remote.emplace(island_endpoints);
-    opt.island.executor = &*remote;
+  try {
+    core::validate_request(job, "flags", 0, "synth");
+  } catch (const io::ParseError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   // First SIGINT/SIGTERM requests a cooperative stop (best-so-far is
   // written and the checkpoint flushed); a second one force-kills.
   static robust::StopToken signal_token;
-  opt.limits.stop = &robust::install_signal_stop(signal_token);
+  ctx.stop = &robust::install_signal_stop(signal_token);
 
-  std::unique_ptr<obs::TraceSink> trace;
-  if (!trace_path.empty()) {
-    trace = obs::TraceSink::open(trace_path);
-    if (!trace) {
-      std::fprintf(stderr, "synth: cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    trace->attach_to_log();
-    opt.evolve.trace = trace.get();
-  }
+  const auto trace = open_trace(trace_path);
+  base.evolve.trace = base.anneal.trace = trace.get();
   if (progress) {
-    opt.evolve.on_improvement = [](std::uint64_t gen,
-                                   const core::Fitness& fit) {
+    base.evolve.on_improvement = [](std::uint64_t gen,
+                                    const core::Fitness& fit) {
       std::fprintf(stderr, "  gen %llu: %s\n",
                    static_cast<unsigned long long>(gen),
                    fit.to_string().c_str());
     };
   }
-
-  const auto spec = load_spec(input);
-
-  // Result cache: a `use` hit skips synthesis entirely (the netlist was
-  // re-verified by simulation inside lookup); a `seed` hit starts the CGP
-  // phase from the de-canonicalized stored netlist instead.
+  // Result cache: a `use` hit skips synthesis entirely; a `seed` hit
+  // starts the CGP phase from the stored netlist instead. Verified
+  // results are written back and saved at once.
   std::optional<cache::Store> store;
-  std::optional<cache::Hit> hit;
-  if (!cache_path.empty() && cache_policy != core::CachePolicy::kOff) {
+  if (!cache_path.empty() && job.cache != core::CachePolicy::kOff) {
     store.emplace(cache_path);
-    hit = store->lookup(spec);
-  }
-  if (hit && cache_policy == core::CachePolicy::kUse) {
-    std::printf("cache: hit %s (origin %s)\n", hit->key.c_str(),
-                hit->origin.c_str());
-    std::printf("rcgp: %s (cached)\n", hit->cost.to_string().c_str());
-    if (!out_path.empty()) {
-      const io::Format f = io::format_from_extension(out_path);
-      io::write_network(hit->netlist, out_path,
-                        f == io::Format::kAuto ? io::Format::kRqfp : f);
-      std::printf("wrote %s\n", out_path.c_str());
-    }
-    if (!dot_path.empty()) {
-      io::write_network(hit->netlist, dot_path, io::Format::kDot);
-      std::printf("wrote %s\n", dot_path.c_str());
-    }
-    return 0;
-  }
-  if (hit) {
-    opt.cgp_seed = &hit->netlist; // --cache-policy=seed
-  } else if (store) {
-    std::printf("cache: miss\n");
+    exec_options.cache = &*store;
   }
 
   prof.begin(metrics_path);
-  const auto r = core::synthesize(spec, opt);
+  const batch::JobExecution exec =
+      batch::execute_request(job, ctx, exec_options, base);
   const bool prof_ok = prof.finish("synth");
-  std::printf("init: %s\n", r.initial_cost.to_string().c_str());
-  std::printf("rcgp: %s (%.2fs)\n", r.optimized_cost.to_string().c_str(),
-              r.seconds_total);
-  const auto check = cec::sim_check(r.optimized, spec);
-  std::printf("equivalent: %s\n", check.all_match ? "yes" : "NO");
+  const core::FlowResult& r = exec.flow;
+  if (store) {
+    std::printf("cache: %s — %zu entries in %s\n",
+                exec.cached   ? "hit"
+                : exec.seeded ? "seeded"
+                              : "miss",
+                store->size(), store->path().c_str());
+  }
+  if (exec.cached) {
+    std::printf("rcgp: %s (cached)\n", r.optimized_cost.to_string().c_str());
+  } else {
+    std::printf("init: %s\n", r.initial_cost.to_string().c_str());
+    std::printf("rcgp: %s (%.2fs)\n", r.optimized_cost.to_string().c_str(),
+                r.seconds_total);
+  }
+  std::printf("equivalent: %s\n", exec.verified ? "yes" : "NO");
   const bool interrupted = signal_token.stop_requested();
   if (interrupted) {
     std::fprintf(stderr, "synth: interrupted by signal — best-so-far kept%s\n",
-                 opt.evolve.checkpoint_path.empty()
-                     ? ""
-                     : ", checkpoint flushed");
-  }
-  if (store && check.all_match && !interrupted) {
-    if (store->insert(spec, r.optimized, "cgp")) {
-      store->save();
-      std::printf("cache: stored %s\n", store->path().c_str());
-    }
+                 ctx.checkpoint_path.empty() ? "" : ", checkpoint flushed");
   }
   if (!metrics_path.empty()) {
-    util::write_file_durable(metrics_path, synth_metrics_json(r));
+    util::write_file_durable(metrics_path, synth_metrics_json(exec));
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   if (trace) {
@@ -493,7 +496,7 @@ int cmd_synth(const std::vector<std::string>& args) {
     io::write_network(r.optimized, dot_path, io::Format::kDot);
     std::printf("wrote %s\n", dot_path.c_str());
   }
-  if (!check.all_match || !prof_ok) {
+  if (!exec.verified || !prof_ok) {
     return 1;
   }
   return interrupted ? 3 : 0;
@@ -516,23 +519,26 @@ int cmd_batch(const std::vector<std::string>& args) {
     } else if (opt_value(args[i], "--manifest", v)) {
       manifest_path = v;
     } else if (opt_value(args[i], "--jobs", v)) {
-      opt.workers = static_cast<unsigned>(std::stoul(v));
+      opt.workers = flag_number<unsigned>("--jobs", v);
     } else if (opt_value(args[i], "--out-dir", v)) {
       opt.out_dir = v;
     } else if (args[i] == "--resume") {
       opt.resume = true;
     } else if (opt_value(args[i], "--deadline", v)) {
-      opt.budget.deadline_seconds = std::stod(v);
+      opt.budget.deadline_seconds = flag_number<double>("--deadline", v);
     } else if (opt_value(args[i], "--retries", v)) {
-      opt.default_retries = static_cast<unsigned>(std::stoul(v));
+      opt.default_retries = flag_number<unsigned>("--retries", v);
     } else if (opt_value(args[i], "--checkpoint-interval", v)) {
-      opt.checkpoint_interval = std::stoull(v);
+      opt.execute.checkpoint_interval =
+          flag_number<std::uint64_t>("--checkpoint-interval", v);
     } else if (opt_value(args[i], "--generations", v)) {
-      opt.default_generations = std::stoull(v);
+      opt.execute.default_generations =
+          flag_number<std::uint64_t>("--generations", v);
     } else if (opt_value(args[i], "--threads-per-job", v)) {
-      opt.threads_per_job = static_cast<unsigned>(std::stoul(v));
+      opt.execute.threads_per_job =
+          flag_number<unsigned>("--threads-per-job", v);
     } else if (opt_value(args[i], "--island-endpoints", v)) {
-      opt.island_endpoints = split_csv(v);
+      opt.execute.island_endpoints = split_csv(v);
     } else if (opt_value(args[i], "--metrics-out", v)) {
       metrics_path = v;
     } else if (opt_value(args[i], "--cache", cache_path)) {
@@ -572,21 +578,13 @@ int cmd_batch(const std::vector<std::string>& args) {
   std::optional<cache::Store> store;
   if (!cache_path.empty()) {
     store.emplace(cache_path);
-    opt.cache = &*store;
+    opt.execute.cache = &*store;
     std::printf("cache: %s (%zu entries)\n", cache_path.c_str(),
                 store->size());
   }
 
-  std::unique_ptr<obs::TraceSink> trace;
-  if (!trace_path.empty()) {
-    trace = obs::TraceSink::open(trace_path);
-    if (!trace) {
-      std::fprintf(stderr, "batch: cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    trace->attach_to_log();
-    opt.trace = trace.get();
-  }
+  const auto trace = open_trace(trace_path);
+  opt.trace = trace.get();
 
   const auto manifest = batch::parse_manifest_file(manifest_path);
   const unsigned total = static_cast<unsigned>(manifest.jobs.size());
@@ -665,32 +663,21 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       // value captured
     } else if (opt_value(args[i], "--targets", v)) {
       opt.targets.clear();
-      std::size_t start = 0;
-      while (start <= v.size()) {
-        const std::size_t comma = v.find(',', start);
-        const std::string name =
-            v.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-        if (!name.empty()) {
-          opt.targets.push_back(fuzz::parse_target(name));
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        start = comma + 1;
+      for (const std::string& name : split_csv(v)) {
+        opt.targets.push_back(fuzz::parse_target(name));
       }
     } else if (opt_value(args[i], "--seed", v)) {
-      opt.seed = std::stoull(v);
+      opt.seed = flag_number<std::uint64_t>("--seed", v);
     } else if (opt_value(args[i], "--cases", v)) {
-      opt.cases = std::stoull(v);
+      opt.cases = flag_number<std::uint64_t>("--cases", v);
     } else if (opt_value(args[i], "--case", v)) {
-      opt.only_case = std::stoull(v);
+      opt.only_case = flag_number<std::uint64_t>("--case", v);
     } else if (opt_value(args[i], "--out-dir", v)) {
       opt.out_dir = v;
     } else if (opt_value(args[i], "--log", v)) {
       opt.log_path = v;
     } else if (opt_value(args[i], "--deadline", v)) {
-      opt.budget.deadline_seconds = std::stod(v);
+      opt.budget.deadline_seconds = flag_number<double>("--deadline", v);
     } else if (args[i] == "--no-shrink") {
       opt.shrink = false;
     } else if (opt_value(args[i], "--metrics-out", v)) {
@@ -772,11 +759,13 @@ int cmd_serve(const std::vector<std::string>& args) {
         opt_value(args[i], "--trace-out", trace_path)) {
       // value captured
     } else if (opt_value(args[i], "--workers", v)) {
-      opt.workers = static_cast<unsigned>(std::stoul(v));
+      opt.workers = flag_number<unsigned>("--workers", v);
     } else if (opt_value(args[i], "--generations", v)) {
-      opt.execute.default_generations = std::stoull(v);
+      opt.execute.default_generations =
+          flag_number<std::uint64_t>("--generations", v);
     } else if (opt_value(args[i], "--threads-per-job", v)) {
-      opt.execute.threads_per_job = static_cast<unsigned>(std::stoul(v));
+      opt.execute.threads_per_job =
+          flag_number<unsigned>("--threads-per-job", v);
     } else {
       std::fprintf(stderr, "serve: unknown option %s\n", args[i].c_str());
       usage_error = true;
@@ -815,16 +804,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     opt.execute.save_cache_on_insert = true;
   }
 
-  std::unique_ptr<obs::TraceSink> trace;
-  if (!trace_path.empty()) {
-    trace = obs::TraceSink::open(trace_path);
-    if (!trace) {
-      std::fprintf(stderr, "serve: cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    trace->attach_to_log();
-    opt.trace = trace.get();
-  }
+  const auto trace = open_trace(trace_path);
+  opt.trace = trace.get();
 
   serve::Server server(opt);
   server.start();
@@ -943,13 +924,13 @@ int cmd_cache(const std::vector<std::string>& args) {
     if (opt_value(args[i], "--store", store_path)) {
       // value captured
     } else if (opt_value(args[i], "--max-vars", v)) {
-      wopt.max_vars = static_cast<unsigned>(std::stoul(v));
+      wopt.max_vars = flag_number<unsigned>("--max-vars", v);
     } else if (opt_value(args[i], "--max-gates", v)) {
-      wopt.exact.max_gates = static_cast<std::uint32_t>(std::stoul(v));
+      wopt.exact.max_gates = flag_number<std::uint32_t>("--max-gates", v);
     } else if (opt_value(args[i], "--time-limit", v)) {
-      wopt.exact.time_limit_seconds = std::stod(v);
+      wopt.exact.time_limit_seconds = flag_number<double>("--time-limit", v);
     } else if (opt_value(args[i], "--save-every", v)) {
-      wopt.save_every = std::stoull(v);
+      wopt.save_every = flag_number<std::uint64_t>("--save-every", v);
     } else if (args[i] == "--refresh") {
       wopt.skip_existing = false; // re-derive classes that already exist
     } else if (args[i] == "--json") {
@@ -1061,15 +1042,15 @@ int cmd_exact(const std::vector<std::string>& args) {
   params.time_limit_seconds = 60;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "-m" && i + 1 < args.size()) {
-      params.max_gates = static_cast<std::uint32_t>(std::stoul(args[++i]));
+      params.max_gates = flag_number<std::uint32_t>("-m", args[++i]);
     } else if (args[i] == "-t" && i + 1 < args.size()) {
-      params.time_limit_seconds = std::stod(args[++i]);
+      params.time_limit_seconds = flag_number<double>("-t", args[++i]);
     } else {
       std::fprintf(stderr, "exact: unknown option %s\n", args[i].c_str());
       return 2;
     }
   }
-  const auto spec = load_spec(args[0]);
+  const auto spec = batch::resolve_circuit(args[0]).spec;
   const auto r = exact::exact_synthesize(spec, params);
   switch (r.status) {
     case exact::ExactStatus::kSolved:
@@ -1176,7 +1157,8 @@ int cmd_report(const std::vector<std::string>& args) {
     // Synthesize the benchmark's initialization baseline for reporting.
     core::FlowOptions opt;
     opt.run_cgp = false;
-    net = core::synthesize(load_spec(input), opt).initial;
+    net = core::synthesize(batch::resolve_circuit(input).flow_input(), opt)
+              .initial;
   }
   const auto cost = rqfp::cost_of(net);
   std::printf("%s\n", cost.to_string().c_str());
@@ -1314,6 +1296,9 @@ int main(int argc, char** argv) {
       return cmd_version(args);
     }
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
+    return 2;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
     return 2;
   } catch (const robust::IntegrityError& e) {
     std::fprintf(stderr, "integrity error: %s\n", e.what());

@@ -10,11 +10,17 @@
 #include <thread>
 #include <vector>
 
+#include "batch/execute.hpp"
 #include "batch/manifest.hpp"
 #include "batch/results.hpp"
 #include "batch/runner.hpp"
+#include "benchmarks/benchmarks.hpp"
+#include "cache/store.hpp"
+#include "io/io.hpp"
 #include "io/parse_error.hpp"
+#include "io/rqfp_writer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "robust/integrity.hpp"
 #include "robust/stop.hpp"
 #include "rqfp/gate.hpp"
@@ -237,9 +243,9 @@ rqfp::Netlist tiny_netlist() {
 
 JobExecution ok_execution() {
   JobExecution exec;
-  exec.netlist = tiny_netlist();
-  exec.cost.n_r = 1;
-  exec.cost.jjs = 24;
+  exec.flow.optimized = tiny_netlist();
+  exec.flow.optimized_cost.n_r = 1;
+  exec.flow.optimized_cost.jjs = 24;
   exec.verified = true;
   return exec;
 }
@@ -509,13 +515,13 @@ TEST(Runner, KilledRealRunResumesBitIdentically) {
 
   BatchOptions reference;
   reference.out_dir = temp_dir("ref");
-  reference.checkpoint_interval = 500;
+  reference.execute.checkpoint_interval = 500;
   const BatchSummary sr = run_batch(m, reference);
   ASSERT_EQ(sr.done, 1u);
 
   BatchOptions killed;
   killed.out_dir = temp_dir("killed");
-  killed.checkpoint_interval = 500;
+  killed.execute.checkpoint_interval = 500;
   killed.budget.deadline_seconds = 0.08;
   const BatchSummary sk = run_batch(m, killed);
   ASSERT_EQ(sk.done, 0u);
@@ -524,7 +530,7 @@ TEST(Runner, KilledRealRunResumesBitIdentically) {
 
   BatchOptions resumed;
   resumed.out_dir = killed.out_dir;
-  resumed.checkpoint_interval = 500;
+  resumed.execute.checkpoint_interval = 500;
   resumed.resume = true;
   const BatchSummary s2 = run_batch(m, resumed);
   ASSERT_EQ(s2.done, 1u);
@@ -562,6 +568,26 @@ TEST(Runner, ResumeSkipsFinalFailuresToo) {
   EXPECT_EQ(s2.failed, 1u);
 }
 
+TEST(Runner, ContextNamesTheFleetDirectoryBesideTheCheckpoint) {
+  const Manifest m =
+      parse_manifest_string("{\"id\":\"a\",\"circuit\":\"x\"}\n");
+  BatchOptions opt;
+  opt.out_dir = temp_dir("fleetdir");
+  JobContext seen;
+  opt.executor = [&seen](const Job&, const JobContext& ctx) {
+    seen = ctx;
+    return ok_execution();
+  };
+  run_batch(m, opt);
+  EXPECT_EQ(seen.checkpoint_path, opt.out_dir + "/a.ckpt");
+  EXPECT_EQ(seen.fleet_dir, fleet_state_dir(seen.checkpoint_path));
+
+  opt.execute.checkpoint_interval = 0; // no checkpoints: fleet in memory
+  run_batch(m, opt);
+  EXPECT_TRUE(seen.checkpoint_path.empty());
+  EXPECT_TRUE(seen.fleet_dir.empty());
+}
+
 TEST(Runner, WorkerMetricsAccountForEveryRecord) {
   obs::registry().reset_values();
   const Manifest m = parse_manifest_string(kRealManifest);
@@ -585,6 +611,93 @@ TEST(Runner, WorkerMetricsAccountForEveryRecord) {
   EXPECT_EQ(per_worker, finished);
   EXPECT_GE(reg.gauge("batch.workers").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("batch.jobs.running").value(), 0.0);
+}
+
+// ---------- the shared job path (batch/execute.hpp) ----------
+
+core::SynthesisRequest full_adder_job() {
+  core::SynthesisRequest job;
+  job.id = "j";
+  job.circuit = "full_adder";
+  job.generations = 300;
+  job.seed = 3;
+  return job;
+}
+
+TEST(ResolveCircuit, AigFilesKeepTheirStructureAndOutputNames) {
+  const std::string path = temp_dir("resolve_blif") + "/maj3.blif";
+  std::ofstream(path) << ".model maj3\n.inputs a b c\n.outputs m\n"
+                         ".names a b c m\n11- 1\n1-1 1\n-11 1\n.end\n";
+  const Circuit c = resolve_circuit(path);
+  ASSERT_TRUE(c.aig.has_value());
+  ASSERT_EQ(c.spec.size(), 1u);
+  EXPECT_EQ(c.po_names, std::vector<std::string>{"m"});
+  EXPECT_EQ(c.flow_input().po_name(0), "m");
+}
+
+TEST(ResolveCircuit, RqfpFilesKeepTheirOutputNames) {
+  const std::string path = temp_dir("resolve_rqfp") + "/tiny.rqfp";
+  io::write_network(tiny_netlist(), path);
+  const Circuit c = resolve_circuit(path);
+  EXPECT_FALSE(c.aig.has_value());
+  EXPECT_EQ(c.po_names, std::vector<std::string>{"f"});
+  EXPECT_EQ(c.flow_input().po_name(0), "f");
+}
+
+TEST(ResolveCircuit, InlineSpecWinsAndBenchmarksEnterThroughTables) {
+  const Circuit bench = resolve_circuit("full_adder");
+  EXPECT_FALSE(bench.aig.has_value());
+  EXPECT_EQ(bench.spec, benchmarks::get("full_adder").spec);
+  const Circuit inline_spec = resolve_circuit("no_such_circuit", bench.spec);
+  EXPECT_EQ(inline_spec.spec, bench.spec);
+  EXPECT_THROW(resolve_circuit("no_such_circuit"), std::exception);
+}
+
+TEST(ExecuteRequest, BaseFlowSwitchesReachTheFlow) {
+  core::FlowOptions base;
+  base.run_cgp = false;
+  const JobExecution exec =
+      execute_request(full_adder_job(), JobContext{}, ExecuteOptions{}, base);
+  EXPECT_TRUE(exec.verified);
+  EXPECT_EQ(exec.flow.optimized_cost, exec.flow.initial_cost);
+  EXPECT_EQ(exec.flow.phase_seconds("cgp"), 0.0);
+}
+
+TEST(ExecuteRequest, AnnealRunsTheRequestedStepsAndSeed) {
+  core::SynthesisRequest job = full_adder_job();
+  job.algorithm = core::Algorithm::kAnneal;
+  const JobExecution a = execute_request(job, JobContext{}, ExecuteOptions{});
+  EXPECT_TRUE(a.verified);
+  EXPECT_EQ(a.flow.optimization.anneal.steps_run, 300u);
+  const JobExecution b = execute_request(job, JobContext{}, ExecuteOptions{});
+  EXPECT_EQ(io::write_rqfp_string(a.flow.optimized),
+            io::write_rqfp_string(b.flow.optimized));
+}
+
+TEST(ExecuteRequest, CacheHitFillsOnlyTheOptimizedResultAndTracesIt) {
+  cache::Store store; // unbound: never touches the disk
+  ExecuteOptions options;
+  options.cache = &store;
+  const JobExecution miss =
+      execute_request(full_adder_job(), JobContext{}, options);
+  ASSERT_FALSE(miss.cached);
+  ASSERT_TRUE(miss.verified);
+
+  const std::string trace_path = temp_dir("hit_trace") + "/t.jsonl";
+  auto trace = obs::TraceSink::open(trace_path);
+  ASSERT_TRUE(trace);
+  core::FlowOptions base;
+  base.evolve.trace = trace.get();
+  const JobExecution hit =
+      execute_request(full_adder_job(), JobContext{}, options, base);
+  trace.reset();
+  EXPECT_TRUE(hit.cached);
+  EXPECT_TRUE(hit.verified);
+  EXPECT_EQ(hit.flow.optimized_cost.n_r, miss.flow.optimized_cost.n_r);
+  EXPECT_EQ(hit.flow.initial.num_gates(), 0u); // no flow ran
+  EXPECT_TRUE(hit.flow.phases.empty());
+  EXPECT_NE(read_file(trace_path).find("\"event\":\"cache_hit\""),
+            std::string::npos);
 }
 
 } // namespace

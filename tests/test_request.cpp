@@ -212,6 +212,29 @@ TEST(Request, OptimizerOptionsUseDefaultsForZeroFields) {
   EXPECT_EQ(o.evolve.threads, 2u);
 }
 
+TEST(Request, OptimizerOptionsLayTheRequestOverTheBase) {
+  SynthesisRequest r;
+  r.id = "j";
+  r.circuit = "c17";
+  r.algorithm = Algorithm::kAnneal;
+  r.generations = 3000;
+  r.seed = 11;
+  OptimizerOptions base;
+  base.evolve.paranoia = robust::ParanoiaLevel::kBoundaries;
+  base.evolve.trace_heartbeat = 7;
+  base.anneal.trace_heartbeat = 7;
+  base.evolve.lambda = 6;
+  const OptimizerOptions o = optimizer_options_for(r, {}, base);
+  EXPECT_EQ(o.algorithm, Algorithm::kAnneal);
+  EXPECT_EQ(o.anneal.steps, 3000u);
+  EXPECT_EQ(o.anneal.seed, 11u);
+  EXPECT_EQ(o.evolve.seed, 11u);
+  EXPECT_EQ(o.evolve.paranoia, robust::ParanoiaLevel::kBoundaries);
+  EXPECT_EQ(o.evolve.trace_heartbeat, 7u);
+  EXPECT_EQ(o.anneal.trace_heartbeat, 7u);
+  EXPECT_EQ(o.evolve.lambda, 6u); // the request leaves lambda unset
+}
+
 TEST(Request, OptimizerOptionsRequestOverridesWin) {
   SynthesisRequest r;
   r.id = "j";

@@ -256,10 +256,11 @@ TEST(Server, CheckpointDirMakesEvolveJobsResumable) {
       if (job.id == "island-0") {
         std::ofstream(ctx.checkpoint_path) << "stub"; // simulate a slice
       } else if (job.id == "fleet-0") {
-        // A multi-island run persists only a fleet manifest in a sibling
-        // directory, never the single checkpoint file.
-        std::filesystem::create_directories(ctx.checkpoint_path + ".islands");
-        std::ofstream(ctx.checkpoint_path + ".islands/fleet.json") << "{}";
+        // A multi-island run persists only a fleet manifest in the
+        // context's fleet directory, never the single checkpoint file.
+        EXPECT_EQ(ctx.fleet_dir, batch::fleet_state_dir(ctx.checkpoint_path));
+        std::filesystem::create_directories(ctx.fleet_dir);
+        std::ofstream(ctx.fleet_dir + "/fleet.json") << "{}";
       }
     }
     batch::JobExecution exec;
