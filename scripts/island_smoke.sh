@@ -4,7 +4,10 @@
 #      placement-independent reference (plus island.* telemetry),
 #   2. run the SAME fleet with both island slices farmed out to two
 #      `rcgp serve` daemons over TCP (ephemeral ports, shared
-#      --checkpoint-dir) — the result must be byte-identical to step 1,
+#      --checkpoint-dir) — the result must be byte-identical to step 1;
+#      then a 2-island fleet without migration (--topology=none, one
+#      epoch whose slices reach the daemons concurrently) both in-process
+#      and on the same daemons, again byte-identical,
 #   3. start a fresh distributed run, SIGKILL one worker daemon mid-epoch
 #      (one island dies), restart it, `--resume` the fleet, and assert the
 #      resumed result is still byte-identical to the in-process reference
@@ -66,7 +69,7 @@ echo "== phase 1: in-process 2-island fleet (the placement reference)"
 test -s "$WORKDIR/local.rqfp" \
   || { echo "FAIL: in-process fleet wrote no netlist" >&2; exit 1; }
 
-echo "== phase 2: same fleet on two TCP worker daemons"
+echo "== phase 2: same fleets on two TCP worker daemons"
 STATE2="$WORKDIR/state-remote"
 mkdir -p "$STATE2"
 read -r PID_A ADDR_A <<<"$(start_worker "$STATE2" "$WORKDIR/workerA.out")"
@@ -79,6 +82,16 @@ echo "   workers: $ADDR_A $ADDR_B"
 diff "$WORKDIR/local.rqfp" "$WORKDIR/remote.rqfp" \
   || { echo "FAIL: distributed placement changed the result" >&2; exit 1; }
 echo "   distributed result is byte-identical to the in-process run"
+NONE_FLAGS=(--islands=2 --topology=none -g "$GENS" -s "$SEED")
+"$RCGP" synth "$CIRCUIT" "${NONE_FLAGS[@]}" \
+  --island-state="$WORKDIR/state-none-local" -o "$WORKDIR/none-local.rqfp"
+"$RCGP" synth "$CIRCUIT" "${NONE_FLAGS[@]}" \
+  --island-state="$STATE2" --island-endpoints="$ADDR_A,$ADDR_B" \
+  -o "$WORKDIR/none-remote.rqfp"
+diff "$WORKDIR/none-local.rqfp" "$WORKDIR/none-remote.rqfp" \
+  || { echo "FAIL: distributed placement changed the topology-none result" >&2
+       exit 1; }
+echo "   topology-none fleet is byte-identical across placements too"
 kill -TERM "$PID_A" "$PID_B" 2>/dev/null || true
 wait "$PID_A" "$PID_B" 2>/dev/null || true
 PIDS=()

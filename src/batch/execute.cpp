@@ -96,7 +96,7 @@ JobExecution execute_request(const core::SynthesisRequest& job,
   static_cast<core::OptimizerOptions&>(fo) =
       core::optimizer_options_for(job, defaults, base);
   fo.limits.stop = ctx.stop;
-  fo.resume = ctx.resume_from_checkpoint;
+  fo.island.resume = ctx.resume_from_checkpoint;
   fo.evolve.checkpoint_path = ctx.checkpoint_path;
   fo.evolve.checkpoint_interval = options.checkpoint_interval;
   std::optional<island::RemoteSliceExecutor> remote;

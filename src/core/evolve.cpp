@@ -47,21 +47,51 @@ std::string run_end_reason(robust::StopReason reason, bool resumed) {
   return to_string(reason);
 }
 
-/// Shared implementation behind evolve() and evolve_resume(). When
-/// `resume` is non-null the loop continues from the checkpointed state;
-/// all result counters are then cumulative across the resume chain.
-///
+} // namespace
+
+namespace detail {
+
+robust::EvolveCheckpoint start_lineage(const rqfp::Netlist& initial,
+                                       std::span<const tt::TruthTable> spec,
+                                       const EvolveParams& params) {
+  static obs::Counter& c_evaluations =
+      obs::registry().counter("evolve.evaluations");
+  if (spec.size() != initial.num_pos()) {
+    throw std::invalid_argument("evolve: spec/PO count mismatch");
+  }
+  robust::EvolveCheckpoint state;
+  state.seed = params.seed;
+  state.lambda = params.lambda;
+  state.mu = params.mutation.mu;
+  state.generations_total = params.generations;
+  state.best = params.disable_shrink ? initial : shrink(initial);
+  state.best_fitness = evaluate(state.best, spec, params.fitness);
+  if (!state.best_fitness.functionally_correct()) {
+    throw std::invalid_argument(
+        "evolve: initial netlist does not implement the specification");
+  }
+  state.evaluations = 1;
+  c_evaluations.inc();
+  return state;
+}
+
 /// Offspring are evaluated λ-parallel through an EvalPool. Every stateful
 /// decision (budget checks, checkpoints, selection, acceptance) happens at
 /// generation boundaries on this thread, and offspring k of generation g
 /// draws from the counter-based stream (seed, g, k), so the run is
 /// bit-identical for every thread count and never needs to persist RNG
 /// engine state.
-EvolveResult evolve_run(const rqfp::Netlist& initial,
-                        std::span<const tt::TruthTable> spec,
-                        const EvolveParams& params,
-                        const robust::EvolveCheckpoint* resume) {
-  if (spec.size() != initial.num_pos()) {
+EvolveResult continue_lineage(robust::EvolveCheckpoint state,
+                              std::span<const tt::TruthTable> spec,
+                              const EvolveParams& params, bool resumed) {
+  if (state.seed != params.seed || state.lambda != params.lambda ||
+      state.mu != params.mutation.mu ||
+      state.generations_total != params.generations) {
+    throw std::invalid_argument(
+        "evolve: the lineage state was taken under a different run "
+        "configuration (seed/lambda/mu/generations mismatch)");
+  }
+  if (spec.size() != state.best.num_pos()) {
     throw std::invalid_argument("evolve: spec/PO count mismatch");
   }
   // Registered once; afterwards only relaxed atomic adds touch these.
@@ -77,73 +107,54 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
   static obs::Histogram& h_gap = obs::registry().histogram(
       "evolve.generations_between_improvements", kImprovementGapBounds);
 
+  // The state's own clock keeps running, so deadlines and the reported
+  // seconds span the whole resume chain.
   util::Stopwatch watch;
-  // Resumed runs keep counting the checkpointed wall clock, so deadlines
-  // and the reported seconds span the whole resume chain.
-  const double base_seconds = resume ? resume->elapsed_seconds : 0.0;
+  const double base_seconds = state.seconds;
   const auto elapsed = [&] { return base_seconds + watch.seconds(); };
+  // Counted into the registry at exit: only this call's share.
+  const std::uint64_t start_gen = state.generations_run;
+  const std::uint64_t start_evaluations = state.evaluations;
+  const std::uint64_t start_improvements = state.improvements;
+  const std::uint64_t start_sat_confirmations = state.sat_confirmations;
 
   obs::TraceSink* const trace = params.trace;
 
-  EvolveResult result;
-  result.resumed = resume != nullptr;
-  rqfp::Netlist parent;
-  Fitness parent_fit;
-  if (resume) {
-    parent = resume->parent;
+  rqfp::Netlist& parent = state.best;
+  Fitness& parent_fit = state.best_fitness;
+  {
     // Re-evaluating restores Fitness::objective (not serialized) and
-    // cross-checks the checkpointed netlist against the checkpointed
-    // fitness — a corrupted-but-CRC-valid state never continues silently.
-    // Not counted: the checkpoint already accounts for this evaluation.
-    parent_fit = evaluate(parent, spec, params.fitness);
-    if (!parent_fit.functionally_correct()) {
+    // cross-checks the state's netlist against its fitness — a
+    // corrupted-but-CRC-valid checkpoint never continues silently. Not
+    // counted: the state already accounts for this evaluation.
+    const Fitness fit = evaluate(parent, spec, params.fitness);
+    if (!fit.functionally_correct()) {
       throw robust::IntegrityError(
           robust::IntegrityError::Kind::kFunctional, "evolve:resume",
           "checkpointed parent does not implement the specification",
           io::write_rqfp_string(parent));
     }
-    if (parent_fit.success_rate != resume->fitness.success_rate ||
-        parent_fit.n_r != resume->fitness.n_r ||
-        parent_fit.n_g != resume->fitness.n_g ||
-        parent_fit.n_b != resume->fitness.n_b) {
+    if (fit.success_rate != parent_fit.success_rate ||
+        fit.n_r != parent_fit.n_r || fit.n_g != parent_fit.n_g ||
+        fit.n_b != parent_fit.n_b) {
       throw robust::IntegrityError(
           robust::IntegrityError::Kind::kFunctional, "evolve:resume",
-          "checkpointed fitness " + resume->fitness.to_string() +
-              " does not match re-evaluated parent " + parent_fit.to_string(),
+          "checkpointed fitness " + parent_fit.to_string() +
+              " does not match re-evaluated parent " + fit.to_string(),
           io::write_rqfp_string(parent));
     }
-    result.generations_run = resume->generation;
-    result.evaluations = resume->evaluations;
-    result.improvements = resume->improvements;
-    result.sat_confirmations = resume->sat_confirmations;
-    result.sat_cec_conflicts = resume->sat_cec_conflicts;
-    result.mutations_attempted = resume->mutations_attempted;
-    result.mutations_accepted = resume->mutations_accepted;
-  } else {
-    parent = params.disable_shrink ? initial : shrink(initial);
-    parent_fit = evaluate(parent, spec, params.fitness);
-    ++result.evaluations;
-    if (!parent_fit.functionally_correct()) {
-      throw std::invalid_argument(
-          "evolve: initial netlist does not implement the specification");
-    }
+    parent_fit = fit;
   }
   c_runs.inc();
   if (params.paranoia >= robust::ParanoiaLevel::kBoundaries) {
     robust::enforce_integrity(parent, spec,
-                              resume ? "evolve:resume" : "evolve:start");
+                              resumed ? "evolve:resume" : "evolve:start");
   }
 
   EvalPool pool(EvalPool::resolve_threads(params.threads, params.lambda));
   std::vector<OffspringResult> offspring(params.lambda);
 
   if (trace) {
-    if (resume) {
-      trace->event("checkpoint_loaded")
-          .field("path", std::string_view(params.checkpoint_path))
-          .field("generation", resume->generation)
-          .field("evaluations", resume->evaluations);
-    }
     auto ev = trace->event("run_start");
     ev.field("optimizer", "evolve")
         .field("generations", params.generations)
@@ -151,13 +162,10 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
         .field("mu", params.mutation.mu)
         .field("seed", params.seed)
         .field("threads", static_cast<std::uint64_t>(pool.threads()))
-        .field("resumed", result.resumed);
+        .field("resumed", resumed);
     put_fitness(ev, parent_fit);
   }
 
-  std::uint64_t since_improvement = resume ? resume->since_improvement : 0;
-  std::uint64_t last_improvement_gen =
-      resume ? resume->last_improvement_gen : 0;
   auto stop_reason = robust::StopReason::kCompleted;
 
   // Boundary budget predicate, checked once per generation before the λ
@@ -172,7 +180,7 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
       return true;
     }
     if (params.budget.max_evaluations &&
-        result.evaluations + params.lambda > params.budget.max_evaluations) {
+        state.evaluations + params.lambda > params.budget.max_evaluations) {
       stop_reason = robust::StopReason::kEvaluationBudget;
       return true;
     }
@@ -196,37 +204,17 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
   };
 
   const bool checkpointing = !params.checkpoint_path.empty();
-  const auto make_checkpoint = [&] {
-    robust::EvolveCheckpoint ck;
-    ck.seed = params.seed;
-    ck.lambda = params.lambda;
-    ck.mu = params.mutation.mu;
-    ck.generations_total = params.generations;
-    ck.generation = result.generations_run;
-    ck.evaluations = result.evaluations;
-    ck.improvements = result.improvements;
-    ck.sat_confirmations = result.sat_confirmations;
-    ck.sat_cec_conflicts = result.sat_cec_conflicts;
-    ck.since_improvement = since_improvement;
-    ck.last_improvement_gen = last_improvement_gen;
-    ck.elapsed_seconds = elapsed();
-    ck.fitness = parent_fit;
-    ck.mutations_attempted = result.mutations_attempted;
-    ck.mutations_accepted = result.mutations_accepted;
-    ck.parent = parent;
-    return ck;
-  };
   const auto save_checkpoint_now = [&] {
-    robust::save_checkpoint(make_checkpoint(), params.checkpoint_path);
+    state.seconds = elapsed();
+    robust::save_checkpoint(state, params.checkpoint_path);
     if (trace) {
       trace->event("checkpoint_saved")
           .field("path", std::string_view(params.checkpoint_path))
-          .field("generation", result.generations_run)
-          .field("evaluations", result.evaluations);
+          .field("generation", state.generations_run)
+          .field("evaluations", state.evaluations);
     }
   };
 
-  const std::uint64_t start_gen = resume ? resume->generation : 0;
   for (std::uint64_t gen = start_gen; gen < params.generations; ++gen) {
     if (params.budget.max_generations &&
         gen >= params.budget.max_generations) {
@@ -260,7 +248,7 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
       }
       break;
     }
-    result.evaluations += params.lambda;
+    state.evaluations += params.lambda;
 
     // Selection scan in offspring-index order: a later offspring with
     // better-or-equal fitness wins the tie, exactly as the historical
@@ -269,7 +257,7 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
     std::size_t best_k = 0;
     bool have_child = false;
     for (unsigned k = 0; k < params.lambda; ++k) {
-      result.mutations_attempted.add(offspring[k].stats);
+      state.mutations_attempted.add(offspring[k].stats);
       if (!have_child ||
           offspring[k].fitness.better_or_equal(offspring[best_k].fitness)) {
         best_k = k;
@@ -288,30 +276,30 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
         // verification before trusting a candidate).
         const auto cec =
             cec::sat_check(best_child, spec, params.sat_conflict_budget);
-        ++result.sat_confirmations;
-        result.sat_cec_conflicts += cec.conflicts;
+        ++state.sat_confirmations;
+        state.sat_cec_conflicts += cec.conflicts;
         accept = cec.verdict != cec::CecVerdict::kNotEquivalent;
       }
       if (accept) {
         parent = params.disable_shrink ? std::move(best_child)
                                        : shrink(best_child);
         parent_fit = best_child_fit;
-        result.mutations_accepted.add(offspring[best_k].stats);
+        state.mutations_accepted.add(offspring[best_k].stats);
         if (params.paranoia == robust::ParanoiaLevel::kEveryAcceptance) {
           robust::enforce_integrity(
               parent, spec,
               "evolve:acceptance:gen=" + std::to_string(gen));
         }
         if (improved) {
-          ++result.improvements;
-          since_improvement = 0;
-          h_gap.observe(static_cast<double>(gen - last_improvement_gen));
-          last_improvement_gen = gen;
+          ++state.improvements;
+          state.since_improvement = 0;
+          h_gap.observe(static_cast<double>(gen - state.last_improvement_gen));
+          state.last_improvement_gen = gen;
           if (trace) {
             auto ev = trace->event("improvement");
             ev.field("gen", gen)
-                .field("evaluations", result.evaluations)
-                .field("improvements", result.improvements)
+                .field("evaluations", state.evaluations)
+                .field("improvements", state.improvements)
                 .field("elapsed_s", elapsed());
             put_fitness(ev, parent_fit);
           }
@@ -319,28 +307,28 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
             params.on_improvement(gen, parent_fit);
           }
         } else {
-          ++since_improvement;
+          ++state.since_improvement;
         }
       } else {
-        ++since_improvement;
+        ++state.since_improvement;
       }
     } else {
-      ++since_improvement;
+      ++state.since_improvement;
     }
-    result.generations_run = gen + 1;
+    state.generations_run = gen + 1;
 
     if (trace && params.trace_heartbeat &&
         (gen + 1) % params.trace_heartbeat == 0) {
       auto ev = trace->event("heartbeat");
       ev.field("gen", gen)
-          .field("evaluations", result.evaluations)
-          .field("improvements", result.improvements)
+          .field("evaluations", state.evaluations)
+          .field("improvements", state.improvements)
           .field("elapsed_s", elapsed());
       put_fitness(ev, parent_fit);
     }
 
     if (params.stagnation_limit &&
-        since_improvement >= params.stagnation_limit) {
+        state.since_improvement >= params.stagnation_limit) {
       stop_reason = robust::StopReason::kStagnation;
       break;
     }
@@ -355,85 +343,32 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
     // terminal state.
     save_checkpoint_now();
   }
+  state.seconds = elapsed();
 
-  result.best = std::move(parent);
-  result.best_fitness = parent_fit;
-  result.seconds = elapsed();
-  result.stop_reason = stop_reason;
-  result.since_improvement = since_improvement;
-  result.last_improvement_gen = last_improvement_gen;
-
-  c_generations.inc(result.generations_run -
-                    (resume ? resume->generation : 0));
-  c_evaluations.inc(result.evaluations -
-                    (resume ? resume->evaluations : 0));
-  c_improvements.inc(result.improvements -
-                     (resume ? resume->improvements : 0));
-  c_sat_confirmations.inc(result.sat_confirmations -
-                          (resume ? resume->sat_confirmations : 0));
+  c_generations.inc(state.generations_run - start_gen);
+  c_evaluations.inc(state.evaluations - start_evaluations);
+  c_improvements.inc(state.improvements - start_improvements);
+  c_sat_confirmations.inc(state.sat_confirmations - start_sat_confirmations);
 
   if (trace) {
     auto ev = trace->event("run_end");
     ev.field("optimizer", "evolve")
         .field("reason",
-               std::string_view(run_end_reason(stop_reason, result.resumed)))
-        .field("generations_run", result.generations_run)
-        .field("evaluations", result.evaluations)
-        .field("improvements", result.improvements)
-        .field("sat_confirmations", result.sat_confirmations)
-        .field("sat_cec_conflicts", result.sat_cec_conflicts)
-        .field("elapsed_s", result.seconds);
-    put_fitness(ev, result.best_fitness);
-    put_mix(ev, "mutations_attempted", result.mutations_attempted);
-    put_mix(ev, "mutations_accepted", result.mutations_accepted);
+               std::string_view(run_end_reason(stop_reason, resumed)))
+        .field("generations_run", state.generations_run)
+        .field("evaluations", state.evaluations)
+        .field("improvements", state.improvements)
+        .field("sat_confirmations", state.sat_confirmations)
+        .field("sat_cec_conflicts", state.sat_cec_conflicts)
+        .field("elapsed_s", state.seconds);
+    put_fitness(ev, parent_fit);
+    put_mix(ev, "mutations_attempted", state.mutations_attempted);
+    put_mix(ev, "mutations_accepted", state.mutations_accepted);
     trace->flush();
   }
-  return result;
-}
-
-} // namespace
-
-namespace detail {
-
-EvolveResult evolve_impl(const rqfp::Netlist& initial,
-                         std::span<const tt::TruthTable> spec,
-                         const EvolveParams& params) {
-  return evolve_run(initial, spec, params, nullptr);
-}
-
-EvolveResult evolve_resume_impl(const std::string& checkpoint_path,
-                                std::span<const tt::TruthTable> spec,
-                                const EvolveParams& params) {
-  static obs::Counter& c_resumes = obs::registry().counter("evolve.resumes");
-  const robust::EvolveCheckpoint ck = robust::load_checkpoint(checkpoint_path);
-  EvolveParams run_params = params;
-  if (run_params.checkpoint_path.empty()) {
-    run_params.checkpoint_path = checkpoint_path;
-  }
-  c_resumes.inc();
-  return evolve_continue_impl(ck, spec, run_params);
-}
-
-EvolveResult evolve_continue_impl(const robust::EvolveCheckpoint& state,
-                                  std::span<const tt::TruthTable> spec,
-                                  const EvolveParams& params) {
-  if (state.seed != params.seed ||
-      state.lambda != params.lambda ||
-      state.mu != params.mutation.mu ||
-      state.generations_total != params.generations) {
-    throw std::invalid_argument(
-        "evolve_resume: checkpoint was taken under a different run "
-        "configuration (seed/lambda/mu/generations mismatch)");
-  }
-  return evolve_run(state.parent, spec, params, &state);
+  return EvolveResult{std::move(state), stop_reason, resumed};
 }
 
 } // namespace detail
-
-EvolveResult evolve_resume(const std::string& checkpoint_path,
-                           std::span<const tt::TruthTable> spec,
-                           const EvolveParams& params) {
-  return detail::evolve_resume_impl(checkpoint_path, spec, params);
-}
 
 } // namespace rcgp::core

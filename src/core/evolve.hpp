@@ -61,8 +61,8 @@ struct EvolveParams {
   /// path every `checkpoint_interval` generations and once more on exit.
   /// No RNG engine state is stored: offspring streams are re-derived from
   /// (seed, generation, k), so a checkpoint is also thread-count
-  /// independent. evolve_resume() continues such a run bit-identically to
-  /// one that was never interrupted.
+  /// independent. An Optimizer with island.resume set continues such a run
+  /// bit-identically to one that was never interrupted.
   std::string checkpoint_path;
   std::uint64_t checkpoint_interval = 1000;
 
@@ -85,67 +85,75 @@ struct EvolveParams {
   std::uint64_t trace_heartbeat = 10000;
 };
 
-struct EvolveResult {
+/// One (1+λ) lineage at a generation boundary (the paper's Algorithm 1):
+/// the parent, which is always the best netlist found so far, and every
+/// counter a run reports. A fresh run, a resumed run, an island slice and
+/// a window's sub-run all continue one of these (detail::continue_lineage),
+/// so a lineage cut into any number of pieces ends in the same state as
+/// one that ran whole. robust::EvolveCheckpoint is this state plus the run
+/// identity, serialized.
+struct LineageState {
   rqfp::Netlist best;
   Fitness best_fitness;
+  /// Generations run, which is also the next generation index.
   std::uint64_t generations_run = 0;
   std::uint64_t evaluations = 0;
   std::uint64_t improvements = 0;
   std::uint64_t sat_confirmations = 0;
   /// SAT conflicts spent confirming improvements (sat_verify_improvements).
   std::uint64_t sat_cec_conflicts = 0;
+  /// Stagnation clock: generations since the last strict improvement, and
+  /// the generation that made it.
+  std::uint64_t since_improvement = 0;
+  std::uint64_t last_improvement_gen = 0;
+  /// Wall-clock seconds, cumulative over a resume chain: deadlines span
+  /// the whole chain.
+  double seconds = 0.0;
   /// Operator statistics over every offspring mutation...
   MutationMix mutations_attempted;
   /// ...and over the mutations of offspring accepted as the new parent —
   /// the per-kind acceptance picture (accepted/attempted per operator).
   MutationMix mutations_accepted;
-  double seconds = 0.0;
+};
+
+struct EvolveResult : LineageState {
   /// Why the loop exited (kCompleted = full generation budget consumed).
   robust::StopReason stop_reason = robust::StopReason::kCompleted;
-  /// True when this result continues a checkpointed run; all counters and
-  /// `seconds` are then cumulative across the whole resume chain, so a
-  /// resumed run that finishes reports exactly what an uninterrupted run
-  /// would have.
+  /// True when this result continues a checkpoint file. The counters and
+  /// `seconds` are cumulative either way, so a resumed run that finishes
+  /// reports exactly what an uninterrupted run would have.
   bool resumed = false;
-  /// Stagnation counter / last improving generation at exit. Together with
-  /// the counters above they are exactly the state a
-  /// robust::EvolveCheckpoint captures, so a caller slicing one logical
-  /// run into resumable chunks (the island runner) can rebuild the
-  /// checkpoint in memory without a file round-trip.
-  std::uint64_t since_improvement = 0;
-  std::uint64_t last_improvement_gen = 0;
 };
 
 namespace detail {
 
-/// Implementation entry points behind the core::Optimizer facade
-/// (core/optimizer.hpp). Call these from internal code; external callers
-/// should go through Optimizer.
-EvolveResult evolve_impl(const rqfp::Netlist& initial,
-                         std::span<const tt::TruthTable> spec,
-                         const EvolveParams& params);
-EvolveResult evolve_resume_impl(const std::string& checkpoint_path,
-                                std::span<const tt::TruthTable> spec,
-                                const EvolveParams& params);
-/// Continues from an in-memory checkpoint without touching the
-/// filesystem. Identity rules are the same as evolve_resume(); the island
-/// runner (src/island) uses this to run one slice of an island between
-/// two migration boundaries.
-EvolveResult evolve_continue_impl(const robust::EvolveCheckpoint& state,
-                                  std::span<const tt::TruthTable> spec,
-                                  const EvolveParams& params);
+/// The two lineage entry points behind the core::Optimizer facade
+/// (core/optimizer.hpp), the island runner and the window sweep. External
+/// callers should go through Optimizer.
+///
+/// start_lineage builds the generation-0 state of a run under `params`:
+/// the initial netlist (shrunk unless disable_shrink), evaluated once, and
+/// that evaluation counted; the run identity comes from `params`. Throws
+/// std::invalid_argument when `initial` does not implement `spec`.
+robust::EvolveCheckpoint start_lineage(const rqfp::Netlist& initial,
+                                       std::span<const tt::TruthTable> spec,
+                                       const EvolveParams& params);
+
+/// Runs `state` forward until its generation budget, a RunBudget limit or
+/// the stagnation limit stops it, checkpointing to params.checkpoint_path
+/// when set. The state's run identity (seed, λ, μ, total generations) must
+/// match `params`, or std::invalid_argument is thrown, so a state is never
+/// continued under a different search configuration. The parent is
+/// re-evaluated, uncounted, and must reproduce the state's fitness, or
+/// robust::IntegrityError is thrown: a corrupted checkpoint that still
+/// passes its CRC never continues. `resumed` marks a state loaded from a
+/// checkpoint file; the result and the trace say so. Continuing is
+/// bit-identical to never having stopped.
+EvolveResult continue_lineage(robust::EvolveCheckpoint state,
+                              std::span<const tt::TruthTable> spec,
+                              const EvolveParams& params,
+                              bool resumed = false);
 
 } // namespace detail
-
-/// Continues a checkpointed (1+λ) run from `checkpoint_path`. The
-/// checkpoint's run identity (seed, λ, μ, total generations) must match
-/// `params` — a mismatch throws std::invalid_argument so a checkpoint is
-/// never silently continued under a different search configuration. The
-/// checkpointed parent is re-validated against `spec` (corruption raises
-/// robust::IntegrityError). A resumed run is bit-identical to an
-/// uninterrupted one: same best netlist, fitness, and counters.
-EvolveResult evolve_resume(const std::string& checkpoint_path,
-                           std::span<const tt::TruthTable> spec,
-                           const EvolveParams& params = {});
 
 } // namespace rcgp::core

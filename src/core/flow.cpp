@@ -1,7 +1,6 @@
 #include "core/flow.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "core/window.hpp"
 
@@ -119,36 +118,23 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   }
   if (options.run_cgp && !stopped()) {
     obs::PhaseSpan timer("cgp");
-    // A fleet resume restores from state_dir through run() — never-started
-    // islands still need the mapped baseline as their starting netlist.
-    const bool fleet_resume =
-        options.resume && !options.island.state_dir.empty();
-    OptimizerOptions oo = options;
-    oo.island.resume = oo.island.resume || fleet_resume;
-    const Optimizer optimizer(std::move(oo));
-    if (options.resume && !fleet_resume) {
-      if (options.evolve.checkpoint_path.empty()) {
-        throw std::invalid_argument(
-            "flow: resume requested without a checkpoint path");
+    // A resumed single lineage ignores the starting netlist; a resumed
+    // fleet still starts its never-started islands from it.
+    const rqfp::Netlist* start = &result.initial;
+    if (options.cgp_seed != nullptr) {
+      const bool fits =
+          options.cgp_seed->num_pis() == result.initial.num_pis() &&
+          options.cgp_seed->num_pos() == result.initial.num_pos() &&
+          options.cgp_seed->validate().empty() &&
+          cec::sim_check(*options.cgp_seed, spec).all_match;
+      obs::registry()
+          .counter(fits ? "flow.seed.used" : "flow.seed.rejected")
+          .inc();
+      if (fits) {
+        start = options.cgp_seed;
       }
-      result.optimization = optimizer.resume(spec);
-    } else {
-      const rqfp::Netlist* start = &result.initial;
-      if (options.cgp_seed != nullptr) {
-        const bool fits =
-            options.cgp_seed->num_pis() == result.initial.num_pis() &&
-            options.cgp_seed->num_pos() == result.initial.num_pos() &&
-            options.cgp_seed->validate().empty() &&
-            cec::sim_check(*options.cgp_seed, spec).all_match;
-        obs::registry()
-            .counter(fits ? "flow.seed.used" : "flow.seed.rejected")
-            .inc();
-        if (fits) {
-          start = options.cgp_seed;
-        }
-      }
-      result.optimization = optimizer.run(*start, spec);
     }
+    result.optimization = Optimizer(options).run(*start, spec);
     result.optimized = result.optimization.best;
   } else {
     result.optimized = result.initial;

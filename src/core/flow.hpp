@@ -17,7 +17,8 @@ namespace rcgp::core {
 /// RTL/AIG input → logic synthesis (resyn2) → AQFP-oriented MIG →
 /// RQFP netlist conversion → splitter insertion → CGP optimization →
 /// buffer insertion. The inherited OptimizerOptions configure the CGP
-/// phase and are handed to core::Optimizer as they are. Beyond that,
+/// phase and are handed to core::Optimizer as they are, so island.resume
+/// continues a saved CGP run (docs/ROBUSTNESS.md). Beyond that,
 /// evolve.budget and `limits` also bound the flow: a cooperative stop
 /// skips the remaining optional phases (the mapping phases still run so
 /// the result is always a valid netlist), and evolve.paranoia ≥
@@ -36,12 +37,6 @@ struct FlowOptions : OptimizerOptions {
   /// Extension: after CGP, replace small windows with SAT-proven optimal
   /// sub-circuits (closes the gap to the exact optima at laptop budgets).
   bool run_exact_polish = false;
-  /// Continue the CGP phase from evolve.checkpoint_path instead of
-  /// starting fresh (see docs/ROBUSTNESS.md). The checkpoint must stem
-  /// from the same specification and evolve configuration. Only
-  /// Algorithm::kEvolve supports checkpointing; with islands > 1 the
-  /// fleet is restored from island.state_dir instead.
-  bool resume = false;
   /// Optional CGP starting point (not owned), e.g. a de-canonicalized
   /// synthesis-cache hit for the same function class. When it is a valid
   /// netlist over the right PIs/POs that implements the specification, the

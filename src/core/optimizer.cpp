@@ -5,6 +5,7 @@
 
 #include "island/island.hpp"
 #include "obs/metrics.hpp"
+#include "robust/checkpoint.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rcgp::core {
@@ -60,6 +61,28 @@ OptimizeResult from_evolve(EvolveResult evolve) {
   return r;
 }
 
+/// Loads the lineage saved at params.checkpoint_path and continues it.
+EvolveResult resume_lineage(std::span<const tt::TruthTable> spec,
+                            const EvolveParams& params) {
+  static obs::Counter& c_resumes = obs::registry().counter("evolve.resumes");
+  if (params.checkpoint_path.empty()) {
+    throw std::invalid_argument(
+        "Optimizer: resume needs a checkpoint path (set "
+        "EvolveParams::checkpoint_path)");
+  }
+  robust::EvolveCheckpoint state =
+      robust::load_checkpoint(params.checkpoint_path);
+  c_resumes.inc();
+  if (params.trace != nullptr) {
+    params.trace->event("checkpoint_loaded")
+        .field("path", std::string_view(params.checkpoint_path))
+        .field("generation", state.generations_run)
+        .field("evaluations", state.evaluations);
+  }
+  return detail::continue_lineage(std::move(state), spec, params,
+                                  /*resumed=*/true);
+}
+
 } // namespace
 
 Optimizer::Optimizer(OptimizerOptions options) : options_(std::move(options)) {
@@ -70,6 +93,10 @@ Optimizer::Optimizer(OptimizerOptions options) : options_(std::move(options)) {
       options_.algorithm != Algorithm::kEvolve) {
     throw std::invalid_argument(
         "Optimizer: islands > 1 requires Algorithm::kEvolve");
+  }
+  if (options_.island.resume && options_.algorithm != Algorithm::kEvolve) {
+    throw std::invalid_argument(
+        "Optimizer: only Algorithm::kEvolve supports checkpointed resume");
   }
 }
 
@@ -87,10 +114,15 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
   switch (options_.algorithm) {
     case Algorithm::kEvolve: {
       const island::FleetOptions& fleet = options_.island;
-      r = from_evolve(
-          fleet.islands > 1 || fleet.resume || fleet.executor != nullptr
-              ? island::run_fleet(initial, spec, evolve_params(), fleet)
-              : detail::evolve_impl(initial, spec, evolve_params()));
+      const EvolveParams p = evolve_params();
+      if (fleet.islands > 1 || fleet.executor != nullptr) {
+        r = from_evolve(island::run_fleet(initial, spec, p, fleet));
+      } else if (fleet.resume) {
+        r = from_evolve(resume_lineage(spec, p));
+      } else {
+        r = from_evolve(detail::continue_lineage(
+            detail::start_lineage(initial, spec, p), spec, p));
+      }
       break;
     }
     case Algorithm::kAnneal: {
@@ -114,28 +146,11 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
       r.best = detail::window_optimize_impl(initial, p, &r.window);
       r.best_fitness = evaluate(r.best, spec, p.evolve.fitness);
       r.seconds = watch.seconds();
-      r.stop_reason = (p.evolve.budget.stop_requested())
-                          ? robust::StopReason::kStopRequested
-                          : robust::StopReason::kCompleted;
+      r.stop_reason = r.window.stop_reason;
       break;
     }
   }
   return r;
-}
-
-OptimizeResult Optimizer::resume(std::span<const tt::TruthTable> spec) const {
-  if (options_.algorithm != Algorithm::kEvolve) {
-    throw std::invalid_argument(
-        "Optimizer::resume: only Algorithm::kEvolve supports checkpointed "
-        "resume");
-  }
-  const EvolveParams p = evolve_params();
-  if (p.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "Optimizer::resume: no checkpoint path configured (set "
-        "EvolveParams::checkpoint_path)");
-  }
-  return from_evolve(detail::evolve_resume_impl(p.checkpoint_path, spec, p));
 }
 
 } // namespace rcgp::core

@@ -67,20 +67,22 @@ struct FleetOptions {
   /// `migration_size` donors of its topology donor order.
   unsigned migration_size = 1;
   /// Directory for island-<i>.ckpt files + fleet.json (empty = in-memory
-  /// only; required for resume and for RemoteSliceExecutor).
+  /// only; required for a fleet resume and for RemoteSliceExecutor).
   std::string state_dir;
-  /// Continue an interrupted fleet from state_dir: islands restart from
-  /// their last checkpoints (mid-slice ones included) and the run finishes
-  /// bit-identical to one that was never killed.
+  /// Continue the saved state instead of starting over: a fleet from
+  /// state_dir (islands restart from their last checkpoints, mid-slice ones
+  /// included), a single lineage (Optimizer with islands == 1 and no
+  /// executor) from evolve.checkpoint_path. Either way the run finishes
+  /// bit-identical to one that was never killed. Only Algorithm::kEvolve
+  /// resumes.
   bool resume = false;
   /// Where slices run (not owned; nullptr = in-process threads). Point it
   /// at an island::RemoteSliceExecutor to farm slices out to `rcgp serve`
   /// daemons.
   SliceExecutor* executor = nullptr;
   /// Concurrent slices per epoch (0 = one thread per island). Purely a
-  /// throughput knob: results are bit-identical for any value. Ignored for
-  /// Topology::kNone, which runs islands sequentially to reproduce the
-  /// historical multistart semantics exactly.
+  /// throughput knob: results are bit-identical for any value, and no
+  /// slice starts or runs past the fleet's deadline whatever it is.
   unsigned parallelism = 0;
   /// Run at most this many epochs in this call (0 = until done). An early
   /// exit reports StopReason::kGenerationBudget and leaves the fleet
@@ -127,10 +129,9 @@ struct OptimizeResult {
 
 /// Unified entry point over the optimizer loops (evolve and its island
 /// fleets, anneal, window). Construct once with options, then run()
-/// against any number of (netlist, spec) pairs; resume() continues a
-/// checkpointed kEvolve run. This facade is the only public way to launch
-/// a search — the historical free functions (evolve(), anneal(), ...) are
-/// gone.
+/// against any number of (netlist, spec) pairs. This facade is the only
+/// public way to launch a search — the historical free functions
+/// (evolve(), anneal(), ...) are gone.
 class Optimizer {
 public:
   explicit Optimizer(OptimizerOptions options);
@@ -138,16 +139,13 @@ public:
   const OptimizerOptions& options() const { return options_; }
 
   /// Runs the configured algorithm. `initial` must implement `spec`.
+  /// With island.resume set a kEvolve run continues its saved state
+  /// instead: a fleet from island.state_dir (never-started islands start
+  /// from `initial`), a single lineage from evolve.checkpoint_path. The
+  /// checkpoint's run identity must match the options; an empty path
+  /// throws std::invalid_argument and a missing file std::runtime_error.
   OptimizeResult run(const rqfp::Netlist& initial,
                      std::span<const tt::TruthTable> spec) const;
-
-  /// Continues a checkpointed run from evolve.checkpoint_path. Only
-  /// Algorithm::kEvolve supports checkpointing; any other algorithm throws
-  /// std::invalid_argument, as does an empty checkpoint path. Island
-  /// fleets (islands > 1) resume through run() with FleetOptions::resume
-  /// set instead — they restore from state_dir, not from a single
-  /// checkpoint file.
-  OptimizeResult resume(std::span<const tt::TruthTable> spec) const;
 
 private:
   EvolveParams evolve_params() const;

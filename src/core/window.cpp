@@ -5,10 +5,30 @@
 #include <unordered_map>
 
 #include "exact/exact_rqfp.hpp"
+#include "robust/checkpoint.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rcgp::core {
+
+namespace {
+
+/// Why a sweep must stop before its next window (kCompleted = it need
+/// not): the stop token, or a sweep deadline, counted by `watch`, that
+/// has passed. Either way the sweep keeps what it spliced so far.
+robust::StopReason sweep_stop(const robust::RunBudget& budget,
+                              const util::Stopwatch& watch) {
+  if (budget.stop_requested()) {
+    return robust::StopReason::kStopRequested;
+  }
+  if (budget.deadline_seconds > 0.0 &&
+      watch.seconds() > budget.deadline_seconds) {
+    return robust::StopReason::kTimeLimit;
+  }
+  return robust::StopReason::kCompleted;
+}
+
+} // namespace
 
 bool extract_window(const rqfp::Netlist& net, std::uint32_t first,
                     std::uint32_t count, unsigned max_inputs, Window& out) {
@@ -186,17 +206,15 @@ rqfp::Netlist detail::window_optimize_impl(const rqfp::Netlist& input,
       params.stride ? params.stride : params.window_gates;
   util::Stopwatch watch;
   const robust::RunBudget& budget = params.evolve.budget;
-  // Checked between windows: a stop or an expired sweep deadline keeps all
-  // improvements spliced so far and returns cleanly.
-  bool stopped = false;
+  auto& reason = local.stop_reason;
 
-  for (unsigned pass = 0; pass < params.passes && !stopped; ++pass) {
+  for (unsigned pass = 0;
+       pass < params.passes && reason == robust::StopReason::kCompleted;
+       ++pass) {
     std::uint32_t start = 0;
     while (start < net.num_gates()) {
-      if (budget.stop_requested() ||
-          (budget.deadline_seconds > 0.0 &&
-           watch.seconds() > budget.deadline_seconds)) {
-        stopped = true;
+      reason = sweep_stop(budget, watch);
+      if (reason != robust::StopReason::kCompleted) {
         break;
       }
       Window window;
@@ -228,13 +246,19 @@ rqfp::Netlist detail::window_optimize_impl(const rqfp::Netlist& input,
       // Each per-window run carries its own eval-pool scratch, so the
       // incremental sim + cost caches (SimCache/CostCache) are rebuilt
       // once per window and then serve every offspring inside it.
-      const auto result = detail::evolve_impl(window.sub, spec, ep);
+      const auto result = detail::continue_lineage(
+          detail::start_lineage(window.sub, spec, ep), spec, ep);
       if (result.best.num_gates() < window.sub.num_gates()) {
         ++local.windows_improved;
         net = splice_window(net, window, result.best);
         net = net.remove_dead_gates();
       }
       start += stride;
+      if (result.stop_reason == robust::StopReason::kStopRequested ||
+          result.stop_reason == robust::StopReason::kTimeLimit) {
+        reason = result.stop_reason; // even when this was the last window
+        break;
+      }
     }
   }
 
@@ -252,15 +276,15 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
   rqfp::Netlist net = input.remove_dead_gates();
   local.gates_before = net.num_gates();
   util::Stopwatch watch;
-  bool stopped = false;
+  auto& reason = local.stop_reason;
 
-  for (unsigned pass = 0; pass < params.passes && !stopped; ++pass) {
+  for (unsigned pass = 0;
+       pass < params.passes && reason == robust::StopReason::kCompleted;
+       ++pass) {
     std::uint32_t start = 0;
     while (start < net.num_gates()) {
-      if (params.budget.stop_requested() ||
-          (params.budget.deadline_seconds > 0.0 &&
-           watch.seconds() > params.budget.deadline_seconds)) {
-        stopped = true;
+      reason = sweep_stop(params.budget, watch);
+      if (reason != robust::StopReason::kCompleted) {
         break;
       }
       Window window;

@@ -39,6 +39,9 @@ struct WindowStats {
   std::uint32_t windows_improved = 0;
   std::uint32_t gates_before = 0;
   std::uint32_t gates_after = 0;
+  /// kStopRequested or kTimeLimit when the budget cut the sweep short
+  /// (the windows spliced until then are kept), else kCompleted.
+  robust::StopReason stop_reason = robust::StopReason::kCompleted;
 };
 
 /// A window extracted from a netlist, with the port maps needed to splice

@@ -409,10 +409,10 @@ std::string seed_checkpoint(CaseContext& ctx) {
   ck.lambda = 1 + static_cast<unsigned>(rng.below(8));
   ck.mu = 0.1;
   ck.generations_total = 1 + rng.below(100000);
-  ck.generation = rng.below(ck.generations_total);
-  ck.evaluations = ck.generation * ck.lambda;
-  ck.parent = random_netlist(rng);
-  ck.fitness = core::evaluate(ck.parent, rqfp::simulate(ck.parent));
+  ck.generations_run = rng.below(ck.generations_total);
+  ck.evaluations = ck.generations_run * ck.lambda;
+  ck.best = random_netlist(rng);
+  ck.best_fitness = core::evaluate(ck.best, rqfp::simulate(ck.best));
   return robust::serialize_checkpoint(ck);
 }
 

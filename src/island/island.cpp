@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/request.hpp"
-#include "core/shrink.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
@@ -49,8 +48,8 @@ std::optional<StopReason> settled_reason(const robust::EvolveCheckpoint& st,
       st.since_improvement >= params.stagnation_limit) {
     return StopReason::kStagnation;
   }
-  if (st.generation >= plan.total) return StopReason::kCompleted;
-  if (plan.cap < plan.total && st.generation >= plan.cap) {
+  if (st.generations_run >= plan.total) return StopReason::kCompleted;
+  if (plan.cap < plan.total && st.generations_run >= plan.cap) {
     return StopReason::kGenerationBudget;
   }
   if (params.budget.max_evaluations != 0 &&
@@ -179,32 +178,11 @@ std::string fleet_manifest_path(const std::string& state_dir) {
   return state_dir + "/fleet.json";
 }
 
-SliceResult LocalSliceExecutor::run(const Slice& slice,
-                                    std::span<const tt::TruthTable> spec,
-                                    const core::EvolveParams& params,
-                                    const robust::EvolveCheckpoint& state) {
+core::EvolveResult LocalSliceExecutor::run(
+    const Slice& slice, std::span<const tt::TruthTable> spec,
+    const core::EvolveParams& params, const robust::EvolveCheckpoint& state) {
   (void)slice; // params.checkpoint_path already names the state file
-  core::EvolveResult r = core::detail::evolve_continue_impl(state, spec,
-                                                            params);
-  SliceResult out;
-  out.stop_reason = r.stop_reason;
-  out.state.seed = params.seed;
-  out.state.lambda = params.lambda;
-  out.state.mu = params.mutation.mu;
-  out.state.generations_total = params.generations;
-  out.state.generation = r.generations_run;
-  out.state.evaluations = r.evaluations;
-  out.state.improvements = r.improvements;
-  out.state.sat_confirmations = r.sat_confirmations;
-  out.state.sat_cec_conflicts = r.sat_cec_conflicts;
-  out.state.since_improvement = r.since_improvement;
-  out.state.last_improvement_gen = r.last_improvement_gen;
-  out.state.elapsed_seconds = r.seconds;
-  out.state.fitness = r.best_fitness;
-  out.state.mutations_attempted = r.mutations_attempted;
-  out.state.mutations_accepted = r.mutations_accepted;
-  out.state.parent = std::move(r.best);
-  return out;
+  return core::detail::continue_lineage(state, spec, params);
 }
 
 RemoteSliceExecutor::RemoteSliceExecutor(std::vector<std::string> endpoints)
@@ -215,10 +193,9 @@ RemoteSliceExecutor::RemoteSliceExecutor(std::vector<std::string> endpoints)
   }
 }
 
-SliceResult RemoteSliceExecutor::run(const Slice& slice,
-                                     std::span<const tt::TruthTable> spec,
-                                     const core::EvolveParams& params,
-                                     const robust::EvolveCheckpoint& state) {
+core::EvolveResult RemoteSliceExecutor::run(
+    const Slice& slice, std::span<const tt::TruthTable> spec,
+    const core::EvolveParams& params, const robust::EvolveCheckpoint& state) {
   if (slice.checkpoint_path.empty()) {
     throw std::invalid_argument(
         "island: remote islands need a file-backed fleet (set state_dir)");
@@ -263,28 +240,26 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
     throw std::runtime_error("island: remote slice " + r.id + " failed at " +
                              address + ": " + resp.error);
   }
-  SliceResult out;
-  out.state = robust::load_checkpoint(slice.checkpoint_path);
-  if (out.state.seed != params.seed || out.state.lambda != params.lambda ||
-      out.state.generations_total != params.generations) {
+  robust::EvolveCheckpoint st = robust::load_checkpoint(slice.checkpoint_path);
+  if (st.seed != params.seed || st.lambda != params.lambda ||
+      st.generations_total != params.generations) {
     throw std::runtime_error("island: checkpoint " + slice.checkpoint_path +
                              " no longer matches " + r.id +
                              " after the slice at " + address);
   }
-  out.stop_reason = robust::parse_stop_reason(resp.stop_reason);
+  const StopReason reason = robust::parse_stop_reason(resp.stop_reason);
   // Progress guard. Identity proves nothing — this executor wrote the
   // checkpoint itself, so a daemon that never opened it (started without
   // --checkpoint-dir, or pointing at the wrong directory) still reloads
   // bit-identical. A slice only launches on an unsettled state below its
   // boundary, so a daemon that really ran it must leave the state at the
   // slice boundary or a terminal stop, or report an interruption.
-  const robust::EvolveCheckpoint& st = out.state;
-  const bool interrupted = out.stop_reason == StopReason::kStopRequested ||
-                           out.stop_reason == StopReason::kTimeLimit;
+  const bool interrupted = reason == StopReason::kStopRequested ||
+                           reason == StopReason::kTimeLimit;
   const std::uint64_t boundary = params.budget.max_generations;
-  const bool at_boundary = boundary != 0 && st.generation >= boundary;
+  const bool at_boundary = boundary != 0 && st.generations_run >= boundary;
   const bool terminal =
-      st.generation >= st.generations_total ||
+      st.generations_run >= st.generations_total ||
       (params.stagnation_limit != 0 &&
        st.since_improvement >= params.stagnation_limit) ||
       (params.budget.max_evaluations != 0 &&
@@ -294,7 +269,7 @@ SliceResult RemoteSliceExecutor::run(const Slice& slice,
         "island: daemon at " + address + " did not advance " + r.id +
         " (is its --checkpoint-dir pointing at the fleet state_dir?)");
   }
-  return out;
+  return core::EvolveResult{std::move(st), reason};
 }
 
 core::EvolveResult run_fleet(const rqfp::Netlist& initial,
@@ -316,8 +291,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       obs::registry().counter("island.migrations.accepted");
   static obs::Counter& c_rejected =
       obs::registry().counter("island.migrations.rejected");
-  static obs::Counter& c_evals =
-      obs::registry().counter("evolve.evaluations");
   static obs::Gauge& g_islands = obs::registry().gauge("island.islands");
 
   util::Stopwatch watch;
@@ -327,6 +300,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   const unsigned N = options.islands;
   const core::Topology topo = options.topology;
   const bool multistart = topo == core::Topology::kNone;
+  // A no-migration fleet is one epoch: every island runs its whole share.
   const std::uint64_t interval = multistart ? 0 : options.migration_interval;
   const unsigned channel =
       options.migration_size == 0 ? 1 : options.migration_size;
@@ -398,7 +372,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       w.field("started", state[i].has_value());
       w.field("done", done[i] != 0);
       w.field("reason", std::string_view(robust::to_string(reason[i])));
-      w.field("generation", state[i] ? state[i]->generation : 0);
+      w.field("generation", state[i] ? state[i]->generations_run : 0);
       w.field("evaluations", state[i] ? state[i]->evaluations : 0);
       w.field("immigrants", immigrants[i]);
       w.end_object();
@@ -454,7 +428,9 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         for (const auto& [island, checkpoint] : adopted) {
           if (island != i) continue;
           robust::EvolveCheckpoint post = robust::parse_checkpoint(checkpoint);
-          if (!ck || ck->generation <= post.generation) ck = std::move(post);
+          if (!ck || ck->generations_run <= post.generations_run) {
+            ck = std::move(post);
+          }
         }
         if (!ck) continue;
         if (ck->seed != plan[i].seed || ck->lambda != params.lambda ||
@@ -506,28 +482,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         .field("resumed", options.resume);
   }
 
-  // The synthetic generation-0 state: exactly what a fresh evolve run
-  // computes before its first generation (shrunk parent, one counted
-  // evaluation), so "continue this checkpoint" is the only slice operation
-  // and a fresh island is indistinguishable from a resumed one — the key
-  // to placement-independent bit-identity.
-  const auto make_initial_state = [&](unsigned i) {
-    robust::EvolveCheckpoint ck;
-    ck.seed = plan[i].seed;
-    ck.lambda = params.lambda;
-    ck.mu = params.mutation.mu;
-    ck.generations_total = plan[i].total;
-    ck.parent = params.disable_shrink ? initial : core::shrink(initial);
-    ck.fitness = core::evaluate(ck.parent, spec, params.fitness);
-    ck.evaluations = 1;
-    c_evals.inc();
-    if (!ck.fitness.functionally_correct()) {
-      throw std::invalid_argument(
-          "evolve: initial netlist does not implement the specification");
-    }
-    return ck;
-  };
-
   const auto boundary_for = [&](unsigned i) {
     return interval != 0 ? std::min((epoch + 1) * interval, plan[i].cap)
                          : plan[i].cap;
@@ -542,47 +496,65 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   };
 
   const auto run_slice = [&](unsigned i, SliceLog& log) -> SliceState {
-    if (!state[i]) state[i] = make_initial_state(i);
+    // No slice starts after a stop or once the fleet's time, counted from
+    // the start of this call, is up; whatever `parallelism` queued.
+    const bool stop = params.budget.stop_requested();
+    const double left = params.budget.deadline_seconds - watch.seconds();
+    if (stop || (params.budget.deadline_seconds > 0.0 && left <= 0.0)) {
+      log.reason = stop ? StopReason::kStopRequested : StopReason::kTimeLimit;
+      return SliceState::kInterrupted;
+    }
+    core::EvolveParams p = sp;
+    p.seed = plan[i].seed;
+    p.generations = plan[i].total;
+    // A fresh island starts exactly where a fresh evolve run does, so
+    // "continue this state" is the only slice operation and a fresh
+    // island is indistinguishable from a resumed one — the key to
+    // placement-independent bit-identity.
+    if (!state[i]) state[i] = core::detail::start_lineage(initial, spec, p);
     if (const auto r = settled_reason(*state[i], plan[i], params)) {
       done[i] = 1;
       reason[i] = *r;
       return SliceState::kDone;
     }
     const std::uint64_t b = boundary_for(i);
-    if (state[i]->generation >= b) {
+    if (state[i]->generations_run >= b) {
       // Resumed after this slice landed but before its epoch committed.
       return SliceState::kActive;
     }
-    core::EvolveParams p = sp;
-    p.seed = plan[i].seed;
-    p.generations = plan[i].total;
     p.budget.max_generations = b < plan[i].total ? b : user_max;
+    if (params.budget.deadline_seconds > 0.0) {
+      // The island's own deadline spans its resume chain; the slice also
+      // ends with the fleet's time.
+      p.budget.deadline_seconds =
+          std::min(p.budget.deadline_seconds, state[i]->seconds + left);
+    }
     p.checkpoint_path = state_path(i);
     Slice s;
     s.island = i;
     s.epoch = epoch;
     s.checkpoint_path = p.checkpoint_path;
     log.ran = true;
-    log.from = state[i]->generation;
-    SliceResult r = executor->run(s, spec, p, *state[i]);
-    state[i] = std::move(r.state);
-    log.to = state[i]->generation;
+    log.from = state[i]->generations_run;
+    core::EvolveResult r = executor->run(s, spec, p, *state[i]);
     log.reason = r.stop_reason;
-    if (r.stop_reason == StopReason::kStopRequested ||
-        r.stop_reason == StopReason::kTimeLimit) {
+    // The slice advanced the lineage; its run identity stays as it was.
+    static_cast<core::LineageState&>(*state[i]) = std::move(r);
+    log.to = state[i]->generations_run;
+    if (log.reason == StopReason::kStopRequested ||
+        log.reason == StopReason::kTimeLimit) {
       // A stop or the fleet deadline: a resumable interruption, not a
       // terminal island state.
       return SliceState::kInterrupted;
     }
     const auto s2 = settled_reason(*state[i], plan[i], params);
-    if (r.stop_reason == StopReason::kGenerationBudget &&
-        state[i]->generation >= b && b < plan[i].cap && !s2) {
+    if (log.reason == StopReason::kGenerationBudget &&
+        state[i]->generations_run >= b && b < plan[i].cap && !s2) {
       return SliceState::kActive; // parked at the migration boundary
     }
     done[i] = 1;
     reason[i] =
-        (r.stop_reason == StopReason::kGenerationBudget && s2) ? *s2
-                                                               : r.stop_reason;
+        (log.reason == StopReason::kGenerationBudget && s2) ? *s2 : log.reason;
     return SliceState::kDone;
   };
 
@@ -594,235 +566,195 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         .field("from", log.from)
         .field("to", log.to)
         .field("reason", std::string_view(robust::to_string(log.reason)))
-        .field("n_r", state[i]->fitness.n_r);
+        .field("n_r", state[i]->best_fitness.n_r);
   };
 
   StopReason fleet_reason = StopReason::kCompleted;
   bool finished_all = false;
-
-  if (multistart) {
-    // Sequential multistart scheduling: stop check, then remaining-deadline
-    // check, then the run.
+  std::uint64_t epochs_this_call = 0;
+  while (true) {
+    std::vector<unsigned> active;
     for (unsigned i = 0; i < N; ++i) {
-      if (done[i]) continue;
-      if (params.budget.stop_requested()) {
-        fleet_reason = StopReason::kStopRequested;
-        break;
-      }
-      if (params.budget.deadline_seconds > 0.0) {
-        const double remaining =
-            params.budget.deadline_seconds - watch.seconds();
-        if (remaining <= 0.0) {
-          fleet_reason = StopReason::kTimeLimit;
-          break;
-        }
-        sp.budget.deadline_seconds = remaining;
-      }
-      if (params.trace != nullptr) {
-        // One `restart` event per run, so the trace of a no-migration
-        // fleet splits into its independent runs.
-        params.trace->event("restart")
-            .field("index", static_cast<std::uint64_t>(i))
-            .field("of", static_cast<std::uint64_t>(N))
-            .field("seed", plan[i].seed)
-            .field("generations", plan[i].total);
-      }
-      SliceLog log;
-      const SliceState s = run_slice(i, log);
-      trace_slice(i, log);
-      if (s == SliceState::kInterrupted) {
-        fleet_reason = log.reason == StopReason::kStopRequested
-                           ? StopReason::kStopRequested
-                           : StopReason::kTimeLimit;
-        break;
-      }
+      if (!done[i]) active.push_back(i);
     }
-  } else {
-    std::uint64_t epochs_this_call = 0;
-    while (true) {
-      std::vector<unsigned> active;
-      for (unsigned i = 0; i < N; ++i) {
-        if (!done[i]) active.push_back(i);
-      }
-      if (active.empty()) {
-        finished_all = true;
-        break;
-      }
-      if (params.budget.stop_requested()) {
-        fleet_reason = StopReason::kStopRequested;
-        break;
-      }
-      if (params.budget.deadline_seconds > 0.0 &&
-          watch.seconds() >= params.budget.deadline_seconds) {
-        fleet_reason = StopReason::kTimeLimit;
-        break;
-      }
-      if (options.max_epochs != 0 && epochs_this_call >= options.max_epochs) {
-        fleet_reason = StopReason::kGenerationBudget;
-        break;
-      }
+    if (active.empty()) {
+      finished_all = true;
+      break;
+    }
+    if (params.budget.stop_requested()) {
+      fleet_reason = StopReason::kStopRequested;
+      break;
+    }
+    if (params.budget.deadline_seconds > 0.0 &&
+        watch.seconds() >= params.budget.deadline_seconds) {
+      fleet_reason = StopReason::kTimeLimit;
+      break;
+    }
+    if (options.max_epochs != 0 && epochs_this_call >= options.max_epochs) {
+      fleet_reason = StopReason::kGenerationBudget;
+      break;
+    }
 
-      // Run this epoch's slices. Concurrency is a pure throughput knob:
-      // slices touch disjoint islands and the exchange below happens only
-      // after every slice joined.
-      std::vector<SliceLog> logs(active.size());
-      std::vector<SliceState> outcome(active.size(), SliceState::kActive);
-      std::vector<std::exception_ptr> errors(active.size());
-      {
-        const unsigned par =
-            options.parallelism != 0
-                ? static_cast<unsigned>(std::min<std::size_t>(
-                      options.parallelism, active.size()))
-                : static_cast<unsigned>(active.size());
-        // Islands before lineages: concurrent local slices share the cores
-        // instead of each resolving threads = 0 to all of them.
-        if (params.threads == 0 && local_slices) {
-          sp.threads =
-              par > 1 ? std::max(1u, std::thread::hardware_concurrency() / par)
-                      : 0;
-        }
-        std::atomic<std::size_t> next{0};
-        const auto worker = [&] {
-          for (std::size_t k = next.fetch_add(1); k < active.size();
-               k = next.fetch_add(1)) {
-            try {
-              outcome[k] = run_slice(active[k], logs[k]);
-            } catch (...) {
-              errors[k] = std::current_exception();
-            }
+    // Run this epoch's slices. Concurrency is a pure throughput knob:
+    // slices touch disjoint islands and the exchange below happens only
+    // after every slice joined.
+    std::vector<SliceLog> logs(active.size());
+    std::vector<SliceState> outcome(active.size(), SliceState::kActive);
+    std::vector<std::exception_ptr> errors(active.size());
+    {
+      const unsigned par =
+          options.parallelism != 0
+              ? static_cast<unsigned>(std::min<std::size_t>(
+                    options.parallelism, active.size()))
+              : static_cast<unsigned>(active.size());
+      // Islands before lineages: concurrent local slices share the cores
+      // instead of each resolving threads = 0 to all of them.
+      if (params.threads == 0 && local_slices) {
+        sp.threads =
+            par > 1 ? std::max(1u, std::thread::hardware_concurrency() / par)
+                    : 0;
+      }
+      std::atomic<std::size_t> next{0};
+      const auto worker = [&] {
+        for (std::size_t k = next.fetch_add(1); k < active.size();
+             k = next.fetch_add(1)) {
+          try {
+            outcome[k] = run_slice(active[k], logs[k]);
+          } catch (...) {
+            errors[k] = std::current_exception();
           }
-        };
-        if (par <= 1) {
-          worker();
-        } else {
-          std::vector<std::thread> threads;
-          threads.reserve(par);
-          for (unsigned t = 0; t < par; ++t) threads.emplace_back(worker);
-          for (std::thread& t : threads) t.join();
         }
-      }
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        if (errors[k]) {
-          // Every island that finished its slice is already checkpointed
-          // (file-backed fleets), so the fleet stays resumable after the
-          // cause — e.g. a killed worker daemon — is fixed.
-          std::rethrow_exception(errors[k]);
-        }
-      }
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        trace_slice(active[k], logs[k]);
-      }
-
-      bool interrupted = false;
-      bool stop_requested = false;
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        if (outcome[k] == SliceState::kInterrupted) {
-          interrupted = true;
-          stop_requested |= logs[k].reason == StopReason::kStopRequested;
-        }
-      }
-      if (interrupted) {
-        fleet_reason = stop_requested ? StopReason::kStopRequested
-                                      : StopReason::kTimeLimit;
-        break;
-      }
-
-      // Deterministic elite exchange at the epoch boundary, computed from
-      // the pre-migration snapshot so adoption order cannot matter. Done
-      // islands still donate; only active islands accept.
-      struct Adoption {
-        unsigned to = 0;
-        unsigned from = 0;
       };
-      std::vector<Adoption> adoptions;
-      std::uint64_t offered_now = 0;
-      if (interval != 0 && N > 1) {
-        for (unsigned i = 0; i < N; ++i) {
-          if (done[i] || !state[i]) continue;
-          const std::vector<unsigned> donors = donors_for(topo, i, N);
-          const std::size_t considered =
-              std::min<std::size_t>(channel, donors.size());
-          int best = -1;
-          for (std::size_t d = 0; d < considered; ++d) {
-            const unsigned j = donors[d];
-            if (!state[j]) continue;
-            const core::Fitness& against =
-                best < 0 ? state[i]->fitness : state[best]->fitness;
-            if (state[j]->fitness.strictly_better(against)) {
-              best = static_cast<int>(j);
-            }
-          }
-          offered += considered;
-          offered_now += considered;
-          c_offered.inc(considered);
-          if (best >= 0) {
-            adoptions.push_back({i, static_cast<unsigned>(best)});
-            ++accepted;
-            rejected += considered - 1;
-            c_accepted.inc();
-            c_rejected.inc(considered - 1);
-          } else {
-            rejected += considered;
-            c_rejected.inc(considered);
-          }
-        }
+      if (par <= 1) {
+        worker();
+      } else {
+        std::vector<std::thread> threads;
+        threads.reserve(par);
+        for (unsigned t = 0; t < par; ++t) threads.emplace_back(worker);
+        for (std::thread& t : threads) t.join();
       }
+    }
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      if (errors[k]) {
+        // Every island that finished its slice is already checkpointed
+        // (file-backed fleets), so the fleet stays resumable after the
+        // cause — e.g. a killed worker daemon — is fixed.
+        std::rethrow_exception(errors[k]);
+      }
+    }
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      trace_slice(active[k], logs[k]);
+    }
 
-      // Apply adoptions: the immigrant elite replaces the parent and the
-      // stagnation clock restarts. Every next state comes from the
-      // pre-migration snapshot before any is applied. For file-backed
-      // fleets the manifest write is the commit point: it carries the
-      // adopters' post-migration states, which resume prefers over island
-      // files still at or below the boundary (docs/ISLANDS.md).
-      std::vector<robust::EvolveCheckpoint> next_states;
-      next_states.reserve(adoptions.size());
-      for (const Adoption& a : adoptions) {
-        robust::EvolveCheckpoint ns = *state[a.to];
-        ns.parent = state[a.from]->parent;
-        ns.fitness = state[a.from]->fitness;
-        ns.since_improvement = 0;
-        ns.last_improvement_gen = ns.generation;
-        next_states.push_back(std::move(ns));
+    bool interrupted = false;
+    bool stop_requested = false;
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      if (outcome[k] == SliceState::kInterrupted) {
+        interrupted = true;
+        stop_requested |= logs[k].reason == StopReason::kStopRequested;
       }
-      ++epoch;
-      ++epochs_this_call;
-      c_epochs.inc();
-      adopted.clear();
-      for (std::size_t k = 0; k < adoptions.size(); ++k) {
-        const unsigned to = adoptions[k].to;
-        state[to] = std::move(next_states[k]);
-        ++immigrants[to];
-        island_immigrant_counter(to).inc();
-        if (files) {
-          adopted.emplace_back(to, robust::serialize_checkpoint(*state[to]));
+    }
+    if (interrupted) {
+      fleet_reason = stop_requested ? StopReason::kStopRequested
+                                    : StopReason::kTimeLimit;
+      break;
+    }
+
+    // Deterministic elite exchange at the epoch boundary, computed from
+    // the pre-migration snapshot so adoption order cannot matter. Done
+    // islands still donate; only active islands accept.
+    struct Adoption {
+      unsigned to = 0;
+      unsigned from = 0;
+    };
+    std::vector<Adoption> adoptions;
+    std::uint64_t offered_now = 0;
+    if (interval != 0 && N > 1) {
+      for (unsigned i = 0; i < N; ++i) {
+        if (done[i] || !state[i]) continue;
+        const std::vector<unsigned> donors = donors_for(topo, i, N);
+        const std::size_t considered =
+            std::min<std::size_t>(channel, donors.size());
+        int best = -1;
+        for (std::size_t d = 0; d < considered; ++d) {
+          const unsigned j = donors[d];
+          if (!state[j]) continue;
+          const core::Fitness& against =
+              best < 0 ? state[i]->best_fitness : state[best]->best_fitness;
+          if (state[j]->best_fitness.strictly_better(against)) {
+            best = static_cast<int>(j);
+          }
         }
-        if (params.trace != nullptr) {
-          params.trace->event("island_migration")
-              .field("epoch", epoch)
-              .field("to", to)
-              .field("from", adoptions[k].from)
-              .field("n_r", state[to]->fitness.n_r);
+        offered += considered;
+        offered_now += considered;
+        c_offered.inc(considered);
+        if (best >= 0) {
+          adoptions.push_back({i, static_cast<unsigned>(best)});
+          ++accepted;
+          rejected += considered - 1;
+          c_accepted.inc();
+          c_rejected.inc(considered - 1);
+        } else {
+          rejected += considered;
+          c_rejected.inc(considered);
         }
-      }
-      save_manifest(); // commit point
-      if (params.trace != nullptr) {
-        params.trace->event("island_epoch")
-            .field("epoch", epoch)
-            .field("active", static_cast<std::uint64_t>(active.size()))
-            .field("offered", offered_now)
-            .field("accepted", static_cast<std::uint64_t>(adoptions.size()));
       }
     }
 
-    if (finished_all) {
-      // All islands ran to a terminal state: report their shared reason,
-      // or kCompleted for a mixed fleet.
-      fleet_reason = reason[0];
-      for (unsigned i = 1; i < N; ++i) {
-        if (reason[i] != fleet_reason) {
-          fleet_reason = StopReason::kCompleted;
-          break;
-        }
+    // Apply adoptions: the immigrant elite replaces the parent and the
+    // stagnation clock restarts. Every next state comes from the
+    // pre-migration snapshot before any is applied. For file-backed
+    // fleets the manifest write is the commit point: it carries the
+    // adopters' post-migration states, which resume prefers over island
+    // files still at or below the boundary (docs/ISLANDS.md).
+    std::vector<robust::EvolveCheckpoint> next_states;
+    next_states.reserve(adoptions.size());
+    for (const Adoption& a : adoptions) {
+      robust::EvolveCheckpoint ns = *state[a.to];
+      ns.best = state[a.from]->best;
+      ns.best_fitness = state[a.from]->best_fitness;
+      ns.since_improvement = 0;
+      ns.last_improvement_gen = ns.generations_run;
+      next_states.push_back(std::move(ns));
+    }
+    ++epoch;
+    ++epochs_this_call;
+    c_epochs.inc();
+    adopted.clear();
+    for (std::size_t k = 0; k < adoptions.size(); ++k) {
+      const unsigned to = adoptions[k].to;
+      state[to] = std::move(next_states[k]);
+      ++immigrants[to];
+      island_immigrant_counter(to).inc();
+      if (files) {
+        adopted.emplace_back(to, robust::serialize_checkpoint(*state[to]));
+      }
+      if (params.trace != nullptr) {
+        params.trace->event("island_migration")
+            .field("epoch", epoch)
+            .field("to", to)
+            .field("from", adoptions[k].from)
+            .field("n_r", state[to]->best_fitness.n_r);
+      }
+    }
+    save_manifest(); // commit point
+    if (params.trace != nullptr) {
+      params.trace->event("island_epoch")
+          .field("epoch", epoch)
+          .field("active", static_cast<std::uint64_t>(active.size()))
+          .field("offered", offered_now)
+          .field("accepted", static_cast<std::uint64_t>(adoptions.size()));
+    }
+  }
+
+  if (finished_all) {
+    // All islands ran to a terminal state: report their shared reason,
+    // or kCompleted for a mixed fleet.
+    fleet_reason = reason[0];
+    for (unsigned i = 1; i < N; ++i) {
+      if (reason[i] != fleet_reason) {
+        fleet_reason = StopReason::kCompleted;
+        break;
       }
     }
   }
@@ -834,15 +766,16 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   int best = -1;
   for (unsigned i = 0; i < N; ++i) {
     if (!state[i]) continue;
-    out.generations_run += state[i]->generation;
+    out.generations_run += state[i]->generations_run;
     out.evaluations += state[i]->evaluations;
     out.improvements += state[i]->improvements;
     out.sat_confirmations += state[i]->sat_confirmations;
     out.sat_cec_conflicts += state[i]->sat_cec_conflicts;
     out.mutations_attempted += state[i]->mutations_attempted;
     out.mutations_accepted += state[i]->mutations_accepted;
-    island_best_gauge(i).set(state[i]->fitness.n_r);
-    if (best < 0 || state[i]->fitness.strictly_better(state[best]->fitness)) {
+    island_best_gauge(i).set(state[i]->best_fitness.n_r);
+    if (best < 0 ||
+        state[i]->best_fitness.strictly_better(state[best]->best_fitness)) {
       best = static_cast<int>(i);
     }
   }
@@ -853,7 +786,7 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     out.best_fitness = core::evaluate(initial, spec, params.fitness);
     ++out.evaluations;
   } else {
-    out.best = state[best]->parent;
+    out.best = state[best]->best;
     // Re-derives Fitness::objective, which checkpoints do not carry. The
     // evaluation is pure and deliberately uncounted: an uninterrupted
     // single run reports the same evaluation total.

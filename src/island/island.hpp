@@ -19,10 +19,10 @@ namespace rcgp::island {
 /// epochs of `migration_interval` generations and exchange elites at the
 /// epoch boundaries. The whole fleet state lives in per-island
 /// robust::EvolveCheckpoint values, so a slice of island work is "continue
-/// this checkpoint to the next boundary": the same unit of work whether it
-/// runs on an in-process thread or on a remote `rcgp serve` daemon, which
-/// is what makes results bit-identical for any worker placement given
-/// (seed, topology, migration_interval).
+/// this lineage state to the next boundary": the same unit of work whether
+/// it runs on an in-process thread or on a remote `rcgp serve` daemon,
+/// which is what makes results bit-identical for any worker placement
+/// given (seed, topology, migration_interval).
 
 /// One unit of island work handed to a SliceExecutor.
 struct Slice {
@@ -36,31 +36,27 @@ struct Slice {
   std::string checkpoint_path;
 };
 
-struct SliceResult {
-  robust::EvolveCheckpoint state;
-  robust::StopReason stop_reason = robust::StopReason::kCompleted;
-};
-
 /// Where slices run. Implementations must behave exactly like
-/// core::detail::evolve_continue_impl under the slice-specialized params
-/// (seed, generations, budget.max_generations are pre-set; trace and
-/// callbacks stripped): same trajectory, same counters. The returned state
-/// is the run state at the slice's exit boundary.
+/// core::detail::continue_lineage under the slice-specialized params
+/// (seed, generations, budget.max_generations and deadline are pre-set;
+/// trace and callbacks stripped): same trajectory, same counters. The
+/// result is the lineage state at the slice's exit boundary.
 class SliceExecutor {
 public:
   virtual ~SliceExecutor() = default;
-  virtual SliceResult run(const Slice& slice,
-                          std::span<const tt::TruthTable> spec,
-                          const core::EvolveParams& params,
-                          const robust::EvolveCheckpoint& state) = 0;
+  virtual core::EvolveResult run(const Slice& slice,
+                                 std::span<const tt::TruthTable> spec,
+                                 const core::EvolveParams& params,
+                                 const robust::EvolveCheckpoint& state) = 0;
 };
 
 /// Runs slices in-process (the default).
 class LocalSliceExecutor : public SliceExecutor {
 public:
-  SliceResult run(const Slice& slice, std::span<const tt::TruthTable> spec,
-                  const core::EvolveParams& params,
-                  const robust::EvolveCheckpoint& state) override;
+  core::EvolveResult run(const Slice& slice,
+                         std::span<const tt::TruthTable> spec,
+                         const core::EvolveParams& params,
+                         const robust::EvolveCheckpoint& state) override;
 };
 
 /// Farms slices out to `rcgp serve` daemons: island i talks to
@@ -77,9 +73,10 @@ public:
 class RemoteSliceExecutor : public SliceExecutor {
 public:
   explicit RemoteSliceExecutor(std::vector<std::string> endpoints);
-  SliceResult run(const Slice& slice, std::span<const tt::TruthTable> spec,
-                  const core::EvolveParams& params,
-                  const robust::EvolveCheckpoint& state) override;
+  core::EvolveResult run(const Slice& slice,
+                         std::span<const tt::TruthTable> spec,
+                         const core::EvolveParams& params,
+                         const robust::EvolveCheckpoint& state) override;
 
 private:
   std::vector<std::string> endpoints_;
@@ -101,8 +98,11 @@ std::string fleet_manifest_path(const std::string& state_dir);
 /// EvolveResult: best netlist by index-order strictly-better scan,
 /// counters summed across islands. With Topology::kNone the fleet is a
 /// multistart: the generation budget is split across islands (base +
-/// remainder) and they run one after another; with any other topology
-/// every island runs the full `params.generations` budget.
+/// remainder) and the fleet is one epoch; with any other topology every
+/// island runs the full `params.generations` budget. Up to
+/// `options.parallelism` slices run at once. No slice starts or runs past
+/// params.budget.deadline_seconds counted from the start of this call, and
+/// no island runs past it counted over its own resume chain.
 core::EvolveResult run_fleet(const rqfp::Netlist& initial,
                              std::span<const tt::TruthTable> spec,
                              const core::EvolveParams& params,

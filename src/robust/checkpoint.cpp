@@ -61,21 +61,21 @@ std::string serialize_checkpoint(const EvolveCheckpoint& ck) {
   payload << "lambda " << ck.lambda << '\n';
   payload << "mu " << std::hexfloat << ck.mu << std::defaultfloat << '\n';
   payload << "generations_total " << ck.generations_total << '\n';
-  payload << "generation " << ck.generation << '\n';
+  payload << "generation " << ck.generations_run << '\n';
   payload << "evaluations " << ck.evaluations << '\n';
   payload << "improvements " << ck.improvements << '\n';
   payload << "sat_confirmations " << ck.sat_confirmations << '\n';
   payload << "sat_cec_conflicts " << ck.sat_cec_conflicts << '\n';
   payload << "since_improvement " << ck.since_improvement << '\n';
   payload << "last_improvement_gen " << ck.last_improvement_gen << '\n';
-  payload << "elapsed_seconds " << std::hexfloat << ck.elapsed_seconds
+  payload << "elapsed_seconds " << std::hexfloat << ck.seconds
           << std::defaultfloat << '\n';
-  payload << "fitness " << std::hexfloat << ck.fitness.success_rate
-          << std::defaultfloat << ' ' << ck.fitness.n_r << ' '
-          << ck.fitness.n_g << ' ' << ck.fitness.n_b << '\n';
+  payload << "fitness " << std::hexfloat << ck.best_fitness.success_rate
+          << std::defaultfloat << ' ' << ck.best_fitness.n_r << ' '
+          << ck.best_fitness.n_g << ' ' << ck.best_fitness.n_b << '\n';
   put_mix(payload, "mix_attempted", ck.mutations_attempted);
   put_mix(payload, "mix_accepted", ck.mutations_accepted);
-  payload << "netlist\n" << io::write_rqfp_string(ck.parent);
+  payload << "netlist\n" << io::write_rqfp_string(ck.best);
   payload << "end-checkpoint\n";
 
   const std::string body = payload.str();
@@ -145,7 +145,7 @@ EvolveCheckpoint parse_checkpoint(const std::string& text) {
     } else if (key == "generations_total") {
       ok = static_cast<bool>(ls >> ck.generations_total);
     } else if (key == "generation") {
-      ok = static_cast<bool>(ls >> ck.generation);
+      ok = static_cast<bool>(ls >> ck.generations_run);
     } else if (key == "evaluations") {
       ok = static_cast<bool>(ls >> ck.evaluations);
     } else if (key == "improvements") {
@@ -159,11 +159,11 @@ EvolveCheckpoint parse_checkpoint(const std::string& text) {
     } else if (key == "last_improvement_gen") {
       ok = static_cast<bool>(ls >> ck.last_improvement_gen);
     } else if (key == "elapsed_seconds") {
-      ok = read_double(ls, ck.elapsed_seconds);
+      ok = read_double(ls, ck.seconds);
     } else if (key == "fitness") {
-      ok = read_double(ls, ck.fitness.success_rate) &&
-           static_cast<bool>(ls >> ck.fitness.n_r >> ck.fitness.n_g >>
-                             ck.fitness.n_b);
+      ok = read_double(ls, ck.best_fitness.success_rate) &&
+           static_cast<bool>(ls >> ck.best_fitness.n_r >>
+                             ck.best_fitness.n_g >> ck.best_fitness.n_b);
     } else if (key == "mix_attempted") {
       ck.mutations_attempted = get_mix(ls);
     } else if (key == "mix_accepted") {
@@ -181,7 +181,7 @@ EvolveCheckpoint parse_checkpoint(const std::string& text) {
     format_error("truncated checkpoint (missing end-checkpoint)");
   }
   try {
-    ck.parent = io::parse_rqfp_string(netlist_text);
+    ck.best = io::parse_rqfp_string(netlist_text);
   } catch (const std::exception& e) {
     format_error(std::string("embedded netlist unreadable: ") + e.what());
   }

@@ -3,28 +3,27 @@
 #include <cstdint>
 #include <string>
 
-#include "core/fitness.hpp"
-#include "core/mutation.hpp"
-#include "rqfp/netlist.hpp"
+#include "core/evolve.hpp"
 
 namespace rcgp::robust {
 
-/// Full evolve() state at a generation boundary — everything needed to
-/// continue a (1+λ) run bit-identically to one that was never interrupted:
-/// the parent netlist and fitness, every counter the result reports, and
-/// the consumed wall-clock budget. No RNG engine words: offspring k of
-/// generation g draws from the counter-based stream (seed, g, k)
-/// (util::Rng::stream), so the resume point is fully described by the
-/// generation index and the checkpoint is independent of the thread count
-/// that produced it (version 2 dropped the old `rng` line).
+/// A (1+λ) lineage at a generation boundary, core::LineageState, plus the
+/// run identity it belongs to — everything needed to continue the run
+/// bit-identically to one that was never interrupted. No RNG engine words:
+/// offspring k of generation g draws from the counter-based stream
+/// (seed, g, k) (util::Rng::stream), so the resume point is fully
+/// described by the generation index and the checkpoint is independent of
+/// the thread count that produced it (version 2 dropped the old `rng`
+/// line). Interrupted partial generations are discarded and re-run.
 ///
 /// On-disk format (docs/ROBUSTNESS.md): a one-line header
 /// `rcgp-evolve-checkpoint <version> <crc32-hex>` followed by the payload;
 /// the CRC covers every byte after the header line, so torn writes and
 /// bit rot are detected at load. Files are written through
 /// util::write_file_durable, so a kill or power loss mid-save leaves the
-/// previous checkpoint intact.
-struct EvolveCheckpoint {
+/// previous checkpoint intact. Fitness::objective is not stored; continuing
+/// re-derives it.
+struct EvolveCheckpoint : core::LineageState {
   static constexpr std::uint32_t kVersion = 2;
 
   // Run identity — checked against the resuming params so a checkpoint is
@@ -33,24 +32,6 @@ struct EvolveCheckpoint {
   unsigned lambda = 0;
   double mu = 0.0;
   std::uint64_t generations_total = 0;
-
-  /// Next generation index to execute (the checkpoint is always taken at a
-  /// generation boundary; interrupted partial generations are discarded
-  /// and re-run on resume).
-  std::uint64_t generation = 0;
-
-  std::uint64_t evaluations = 0;
-  std::uint64_t improvements = 0;
-  std::uint64_t sat_confirmations = 0;
-  std::uint64_t sat_cec_conflicts = 0;
-  std::uint64_t since_improvement = 0;
-  std::uint64_t last_improvement_gen = 0;
-  double elapsed_seconds = 0.0;
-
-  core::Fitness fitness; // parent fitness (objective restored by resume)
-  core::MutationMix mutations_attempted;
-  core::MutationMix mutations_accepted;
-  rqfp::Netlist parent;
 };
 
 /// Serializes / parses the checkpoint payload (header + CRC included).

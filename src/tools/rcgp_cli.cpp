@@ -60,6 +60,7 @@
 //
 // Robustness (see docs/ROBUSTNESS.md):
 //   synth --checkpoint=c.ckpt    crash-safe periodic state snapshots
+//                                (--optimizer=evolve only, like --resume)
 //   synth --checkpoint-interval=N  generations between snapshots
 //   synth --resume               continue from --checkpoint bit-identically
 //   synth --deadline=SECONDS     wall-clock budget (clean best-so-far exit)
@@ -411,6 +412,10 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else {
       throw UsageError("unknown option " + args[i]);
     }
+  }
+  if ((ctx.resume_from_checkpoint || !ctx.checkpoint_path.empty()) &&
+      job.algorithm != core::Algorithm::kEvolve) {
+    throw UsageError("--checkpoint and --resume need --optimizer=evolve");
   }
   if (ctx.resume_from_checkpoint && ctx.checkpoint_path.empty() &&
       ctx.fleet_dir.empty()) {

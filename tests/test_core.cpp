@@ -588,7 +588,7 @@ TEST(Evolve, MutationMixAccountsForEveryOffspring) {
   EXPECT_GE(result.mutations_accepted.mutations, result.improvements);
 }
 
-TEST(EvolveMultistart, TraceEmitsOneRestartPerRun) {
+TEST(EvolveMultistart, TraceEmitsOneSlicePerIsland) {
   const auto b = benchmarks::get("decoder_2_4");
   const auto init = init_netlist("decoder_2_4");
   auto sink = obs::TraceSink::memory();
@@ -597,14 +597,18 @@ TEST(EvolveMultistart, TraceEmitsOneRestartPerRun) {
   params.seed = 2;
   params.trace = sink.get();
   const auto result = run_multistart(init, b.spec, params, 3);
-  std::uint64_t restarts = 0;
+  // A fleet without migration is one epoch: each island runs its whole
+  // share of the budget in one slice.
+  std::vector<std::uint64_t> slices(3, 0);
   for (const auto& line : jsonl_lines(sink->buffer())) {
     ASSERT_TRUE(obs::json::validate(line)) << line;
-    if (obs::json::string_field(line, "event") == "restart") {
-      ++restarts;
+    if (obs::json::string_field(line, "event") == "island_slice") {
+      const auto island = obs::json::number_field(line, "island");
+      ASSERT_TRUE(island.has_value() && *island < 3) << line;
+      ++slices[static_cast<std::size_t>(*island)];
     }
   }
-  EXPECT_EQ(restarts, 3u);
+  EXPECT_EQ(slices, (std::vector<std::uint64_t>{1, 1, 1}));
   EXPECT_TRUE(result.best_fitness.functionally_correct());
 }
 

@@ -201,7 +201,8 @@ TEST(Determinism, ResumeAtDifferentThreadCountMatchesUninterrupted) {
     resume_opts.algorithm = Algorithm::kEvolve;
     resume_opts.evolve = chunk;
     resume_opts.evolve.threads = 8;
-    const auto resumed = Optimizer(resume_opts).resume(b.spec);
+    resume_opts.island.resume = true;
+    const auto resumed = Optimizer(resume_opts).run(initial, b.spec);
 
     EXPECT_TRUE(resumed.evolve.resumed) << what;
     EvolveResult final = resumed.evolve;

@@ -25,6 +25,7 @@
 #include "island/island.hpp"
 #include "robust/stop.hpp"
 #include "serve/server.hpp"
+#include "util/stopwatch.hpp"
 
 namespace rcgp {
 namespace {
@@ -162,10 +163,10 @@ TEST(IslandFleet, ParallelismDoesNotChangeResults) {
 /// Local executor that records the widest pool any slice resolved to.
 class PoolWidthProbe : public island::LocalSliceExecutor {
 public:
-  island::SliceResult run(const island::Slice& slice,
-                          std::span<const tt::TruthTable> spec,
-                          const EvolveParams& params,
-                          const robust::EvolveCheckpoint& state) override {
+  EvolveResult run(const island::Slice& slice,
+                   std::span<const tt::TruthTable> spec,
+                   const EvolveParams& params,
+                   const robust::EvolveCheckpoint& state) override {
     const unsigned width =
         core::EvalPool::resolve_threads(params.threads, params.lambda);
     unsigned seen = widest.load();
@@ -289,81 +290,94 @@ TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
   const auto init = init_netlist("full_adder");
   const EvolveParams p = small_params(600, 13);
 
-  FleetOptions fleet;
-  fleet.islands = 3;
-  fleet.topology = Topology::kRing;
-  fleet.migration_interval = 100;
-  const EvolveResult whole = island::run_fleet(init, b.spec, p, fleet);
+  // Fleets that migrate every epoch, and the one-epoch fleet without
+  // migration (each island runs its third of the budget in one slice).
+  struct Shape {
+    Topology topology;
+    std::uint64_t interval;
+    std::size_t epochs;
+  };
+  for (const Shape shape : {Shape{Topology::kRing, 100, 6},
+                            Shape{Topology::kNone, 0, 1}}) {
+    SCOPED_TRACE("topology " + std::string(core::to_string(shape.topology)));
+    FleetOptions fleet;
+    fleet.islands = 3;
+    fleet.topology = shape.topology;
+    fleet.migration_interval = shape.interval;
+    const EvolveResult whole = island::run_fleet(init, b.spec, p, fleet);
 
-  // committed[k] is the state_dir after epoch k committed; committed[0]
-  // holds only the manifest a fresh fleet writes before its first slice.
-  const std::string root = temp_dir("crash_points");
-  fleet.state_dir = root + "/live";
-  {
-    robust::StopToken stop;
-    stop.request_stop();
-    EvolveParams stopped = p;
-    stopped.budget.stop = &stop;
-    (void)island::run_fleet(init, b.spec, stopped, fleet);
-  }
-  std::vector<std::string> committed{root + "/epoch0"};
-  copy_dir(fleet.state_dir, committed.back());
-  fleet.resume = true;
-  fleet.max_epochs = 1;
-  for (int step = 1; step < 64; ++step) {
-    const EvolveResult r = island::run_fleet(init, b.spec, p, fleet);
-    committed.push_back(root + "/epoch" + std::to_string(step));
+    // committed[k] is the state_dir after epoch k committed; committed[0]
+    // holds only the manifest a fresh fleet writes before its first slice.
+    const std::string root = temp_dir(
+        "crash_points_" + std::string(core::to_string(shape.topology)));
+    fleet.state_dir = root + "/live";
+    {
+      robust::StopToken stop;
+      stop.request_stop();
+      EvolveParams stopped = p;
+      stopped.budget.stop = &stop;
+      (void)island::run_fleet(init, b.spec, stopped, fleet);
+    }
+    std::vector<std::string> committed{root + "/epoch0"};
     copy_dir(fleet.state_dir, committed.back());
-    if (r.stop_reason == robust::StopReason::kCompleted) break;
-  }
-  ASSERT_EQ(committed.size(), 7u); // 600 generations / interval 100 + 1
+    fleet.resume = true;
+    fleet.max_epochs = 1;
+    for (int step = 1; step < 64; ++step) {
+      const EvolveResult r = island::run_fleet(init, b.spec, p, fleet);
+      committed.push_back(root + "/epoch" + std::to_string(step));
+      copy_dir(fleet.state_dir, committed.back());
+      if (r.stop_reason == robust::StopReason::kCompleted) break;
+    }
+    ASSERT_EQ(committed.size(), shape.epochs + 1);
 
-  // A kill during epoch k+1 leaves the epoch-k manifest with any subset of
-  // the islands' slice checkpoints landed, or the epoch-(k+1) manifest
-  // once the commit went through; either may carry the temp file of a
-  // write that never finished.
-  fleet.max_epochs = 0;
-  const std::string crashed = root + "/crashed";
-  const std::string manifest = island::fleet_manifest_path(crashed);
-  const unsigned subsets = 1u << fleet.islands;
-  for (std::size_t k = 0; k + 1 < committed.size(); ++k) {
-    const std::string& before = committed[k];
-    const std::string& after = committed[k + 1];
-    for (unsigned point = 0; point <= subsets; ++point) {
-      for (const bool torn : {false, true}) {
-        SCOPED_TRACE("epoch " + std::to_string(k + 1) + ", crash point " +
-                     std::to_string(point) + (torn ? ", torn write" : ""));
-        if (point == subsets) {
-          copy_dir(after, crashed);
-        } else {
-          copy_dir(before, crashed);
-          for (unsigned i = 0; i < fleet.islands; ++i) {
-            if ((point >> i) & 1u) {
-              std::filesystem::copy_file(
-                  island::island_state_path(after, i),
-                  island::island_state_path(crashed, i),
-                  std::filesystem::copy_options::overwrite_existing);
+    // A kill during epoch k+1 leaves the epoch-k manifest with any subset of
+    // the islands' slice checkpoints landed, or the epoch-(k+1) manifest
+    // once the commit went through; either may carry the temp file of a
+    // write that never finished.
+    fleet.max_epochs = 0;
+    const std::string crashed = root + "/crashed";
+    const std::string manifest = island::fleet_manifest_path(crashed);
+    const unsigned subsets = 1u << fleet.islands;
+    for (std::size_t k = 0; k + 1 < committed.size(); ++k) {
+      const std::string& before = committed[k];
+      const std::string& after = committed[k + 1];
+      for (unsigned point = 0; point <= subsets; ++point) {
+        for (const bool torn : {false, true}) {
+          SCOPED_TRACE("epoch " + std::to_string(k + 1) + ", crash point " +
+                       std::to_string(point) + (torn ? ", torn write" : ""));
+          if (point == subsets) {
+            copy_dir(after, crashed);
+          } else {
+            copy_dir(before, crashed);
+            for (unsigned i = 0; i < fleet.islands; ++i) {
+              if ((point >> i) & 1u) {
+                std::filesystem::copy_file(
+                    island::island_state_path(after, i),
+                    island::island_state_path(crashed, i),
+                    std::filesystem::copy_options::overwrite_existing);
+              }
             }
           }
+          if (torn) {
+            plant_torn_copy(island::fleet_manifest_path(after),
+                            manifest + ".tmp.1.0");
+            plant_torn_copy(island::island_state_path(after, 0),
+                            island::island_state_path(crashed, 0) + ".tmp.1.1");
+          }
+          fleet.state_dir = crashed;
+          const EvolveResult resumed =
+              island::run_fleet(init, b.spec, p, fleet);
+          EXPECT_EQ(resumed.stop_reason, robust::StopReason::kCompleted);
+          expect_same_result(whole, resumed);
+          EXPECT_EQ(resumed.mutations_attempted.mutations,
+                    whole.mutations_attempted.mutations);
+          EXPECT_EQ(resumed.mutations_accepted.mutations,
+                    whole.mutations_accepted.mutations);
         }
-        if (torn) {
-          plant_torn_copy(island::fleet_manifest_path(after),
-                          manifest + ".tmp.1.0");
-          plant_torn_copy(island::island_state_path(after, 0),
-                          island::island_state_path(crashed, 0) + ".tmp.1.1");
-        }
-        fleet.state_dir = crashed;
-        const EvolveResult resumed = island::run_fleet(init, b.spec, p, fleet);
-        EXPECT_EQ(resumed.stop_reason, robust::StopReason::kCompleted);
-        expect_same_result(whole, resumed);
-        EXPECT_EQ(resumed.mutations_attempted.mutations,
-                  whole.mutations_attempted.mutations);
-        EXPECT_EQ(resumed.mutations_accepted.mutations,
-                  whole.mutations_accepted.mutations);
       }
     }
+    std::filesystem::remove_all(root);
   }
-  std::filesystem::remove_all(root);
 }
 
 TEST(IslandFleet, ResumeRefusesASchemaOneManifest) {
@@ -434,6 +448,27 @@ TEST(IslandFleet, ResumeRejectsMismatchedConfiguration) {
   EXPECT_THROW(island::run_fleet(init, b.spec, p, fleet),
                std::invalid_argument);
   std::filesystem::remove_all(fleet.state_dir);
+}
+
+TEST(IslandFleet, DeadlineBindsTheFleetWhateverItsParallelism) {
+  // One epoch far longer than the deadline, run one island at a time: the
+  // islands still waiting when the fleet's time is up must not start.
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  EvolveParams p = small_params(100'000'000, 3);
+  p.budget.deadline_seconds = 0.3;
+
+  FleetOptions fleet;
+  fleet.islands = 4;
+  fleet.topology = Topology::kRing;
+  fleet.migration_interval = p.generations;
+  fleet.parallelism = 1;
+  fleet.max_epochs = 1;
+  util::Stopwatch watch;
+  const EvolveResult r = island::run_fleet(init, b.spec, p, fleet);
+  EXPECT_LT(watch.seconds(), 2 * p.budget.deadline_seconds);
+  EXPECT_EQ(r.stop_reason, robust::StopReason::kTimeLimit);
+  EXPECT_TRUE(cec::sim_check(r.best, b.spec).all_match);
 }
 
 TEST(IslandFleet, ResultsAreFunctionallyCorrect) {

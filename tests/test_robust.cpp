@@ -63,6 +63,18 @@ core::EvolveResult run_evolve(const rqfp::Netlist& init,
   return core::Optimizer(oo).run(init, spec).evolve;
 }
 
+/// Continues the run checkpointed at `path`: the Optimizer's resume
+/// switch on a single lineage, which ignores the starting netlist.
+core::EvolveResult resume_evolve(const std::string& path,
+                                 std::span<const tt::TruthTable> spec,
+                                 const EvolveParams& params) {
+  core::OptimizerOptions oo;
+  oo.evolve = params;
+  oo.evolve.checkpoint_path = path;
+  oo.island.resume = true;
+  return core::Optimizer(oo).run(rqfp::Netlist(), spec).evolve;
+}
+
 core::AnnealResult run_anneal(const rqfp::Netlist& init,
                               std::span<const tt::TruthTable> spec,
                               const core::AnnealParams& params) {
@@ -132,29 +144,92 @@ TEST(Paranoia, ParsesAllSpellings) {
 
 // ---------- Checkpoint serialization ----------
 
+/// A fixed full-adder netlist (the flow's initialization baseline when
+/// these tests were written), so the checkpoint samples below stay put
+/// when the front end changes.
+constexpr const char* kSampleParent = R"(.rqfp 1
+.pis 3 x0 x1 x2
+.pos 2
+gate 0 1 0 001-001-001
+gate 0 2 0 001-001-001
+gate 0 3 0 001-001-001
+gate 4 7 10 101-011-001
+gate 5 8 11 100-010-000
+gate 0 18 0 001-001-001
+gate 12 15 19 101-011-001
+po 24 y0
+po 20 y1
+.end
+)";
+
+/// serialize_checkpoint(sample_checkpoint()) byte for byte: the version-2
+/// layout of every checkpoint already on disk. A renamed or reordered key
+/// must fail here instead of at a user's resume.
+constexpr const char* kGoldenCheckpoint = R"(rcgp-evolve-checkpoint 2 9e212891
+seed 42
+lambda 4
+mu 0x1.1eb851eb851ecp-4
+generations_total 12345
+generation 678
+evaluations 2713
+improvements 17
+sat_confirmations 3
+sat_cec_conflicts 99
+since_improvement 41
+last_improvement_gen 637
+elapsed_seconds 0x1.bc10624dd2f1bp+0
+fitness 0x1p+0 21 5 33
+mix_attempted 100 250 0 0 0 0 0
+mix_accepted 30 0 0 0 0 0 0
+netlist
+.rqfp 1
+.pis 3 x0 x1 x2
+.pos 2
+gate 0 1 0 001-001-001
+gate 0 2 0 001-001-001
+gate 0 3 0 001-001-001
+gate 4 7 10 101-011-001
+gate 5 8 11 100-010-000
+gate 0 18 0 001-001-001
+gate 12 15 19 101-011-001
+po 24 y0
+po 20 y1
+.end
+end-checkpoint
+)";
+
 EvolveCheckpoint sample_checkpoint() {
   EvolveCheckpoint ck;
   ck.seed = 42;
   ck.lambda = 4;
   ck.mu = 0.07;
   ck.generations_total = 12345;
-  ck.generation = 678;
+  ck.generations_run = 678;
   ck.evaluations = 2713;
   ck.improvements = 17;
   ck.sat_confirmations = 3;
   ck.sat_cec_conflicts = 99;
   ck.since_improvement = 41;
   ck.last_improvement_gen = 637;
-  ck.elapsed_seconds = 1.734625;
-  ck.fitness.success_rate = 1.0;
-  ck.fitness.n_r = 21;
-  ck.fitness.n_g = 5;
-  ck.fitness.n_b = 33;
+  ck.seconds = 1.734625;
+  ck.best_fitness.success_rate = 1.0;
+  ck.best_fitness.n_r = 21;
+  ck.best_fitness.n_g = 5;
+  ck.best_fitness.n_b = 33;
   ck.mutations_attempted.mutations = 100;
   ck.mutations_attempted.genes_changed = 250;
   ck.mutations_accepted.mutations = 30;
-  ck.parent = init_netlist("full_adder");
+  ck.best = io::parse_rqfp_string(kSampleParent);
   return ck;
+}
+
+TEST(Checkpoint, SerializedBytesMatchTheGoldenText) {
+  EXPECT_EQ(robust::serialize_checkpoint(sample_checkpoint()),
+            kGoldenCheckpoint);
+  // The committed text parses back to the same checkpoint.
+  EXPECT_EQ(robust::serialize_checkpoint(
+                robust::parse_checkpoint(kGoldenCheckpoint)),
+            kGoldenCheckpoint);
 }
 
 TEST(Checkpoint, SerializeParseRoundTrip) {
@@ -165,23 +240,23 @@ TEST(Checkpoint, SerializeParseRoundTrip) {
   EXPECT_EQ(back.lambda, ck.lambda);
   EXPECT_EQ(back.mu, ck.mu); // hexfloat round-trip is exact
   EXPECT_EQ(back.generations_total, ck.generations_total);
-  EXPECT_EQ(back.generation, ck.generation);
+  EXPECT_EQ(back.generations_run, ck.generations_run);
   EXPECT_EQ(back.evaluations, ck.evaluations);
   EXPECT_EQ(back.improvements, ck.improvements);
   EXPECT_EQ(back.sat_confirmations, ck.sat_confirmations);
   EXPECT_EQ(back.sat_cec_conflicts, ck.sat_cec_conflicts);
   EXPECT_EQ(back.since_improvement, ck.since_improvement);
   EXPECT_EQ(back.last_improvement_gen, ck.last_improvement_gen);
-  EXPECT_EQ(back.elapsed_seconds, ck.elapsed_seconds);
-  expect_same_fitness(back.fitness, ck.fitness);
+  EXPECT_EQ(back.seconds, ck.seconds);
+  expect_same_fitness(back.best_fitness, ck.best_fitness);
   EXPECT_EQ(back.mutations_attempted.mutations,
             ck.mutations_attempted.mutations);
   EXPECT_EQ(back.mutations_attempted.genes_changed,
             ck.mutations_attempted.genes_changed);
   EXPECT_EQ(back.mutations_accepted.mutations,
             ck.mutations_accepted.mutations);
-  EXPECT_EQ(io::write_rqfp_string(back.parent),
-            io::write_rqfp_string(ck.parent));
+  EXPECT_EQ(io::write_rqfp_string(back.best),
+            io::write_rqfp_string(ck.best));
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
@@ -189,7 +264,7 @@ TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
   const std::string path = temp_path("roundtrip.ckpt");
   robust::save_checkpoint(ck, path);
   const EvolveCheckpoint back = robust::load_checkpoint(path);
-  EXPECT_EQ(back.generation, ck.generation);
+  EXPECT_EQ(back.generations_run, ck.generations_run);
   EXPECT_EQ(back.evaluations, ck.evaluations);
   std::remove(path.c_str());
 }
@@ -462,7 +537,7 @@ TEST(Resume, KillAndResumeIsBitIdentical) {
   auto trace = obs::TraceSink::memory();
   EvolveParams p2 = base;
   p2.trace = trace.get();
-  const auto part2 = core::evolve_resume(path, b.spec, p2);
+  const auto part2 = resume_evolve(path, b.spec, p2);
   EXPECT_TRUE(part2.resumed);
   EXPECT_EQ(part2.stop_reason, StopReason::kCompleted);
   EXPECT_EQ(part2.generations_run, ref.generations_run);
@@ -498,7 +573,7 @@ TEST(Resume, MidGenerationInterruptIsBitIdentical) {
   EXPECT_EQ(part1.generations_run, 400u);
   EXPECT_EQ(part1.evaluations, 1u + 4u * 400u);
 
-  const auto part2 = core::evolve_resume(path, b.spec, base);
+  const auto part2 = resume_evolve(path, b.spec, base);
   EXPECT_EQ(part2.stop_reason, StopReason::kCompleted);
   EXPECT_EQ(part2.generations_run, ref.generations_run);
   EXPECT_EQ(part2.evaluations, ref.evaluations);
@@ -526,11 +601,11 @@ TEST(Resume, ChainOfInterruptionsStillMatches) {
 
   EvolveParams p2 = base;
   p2.budget.max_generations = 600;
-  const auto mid = core::evolve_resume(path, b.spec, p2);
+  const auto mid = resume_evolve(path, b.spec, p2);
   EXPECT_EQ(mid.stop_reason, StopReason::kGenerationBudget);
   EXPECT_EQ(mid.generations_run, 600u);
 
-  const auto fin = core::evolve_resume(path, b.spec, base);
+  const auto fin = resume_evolve(path, b.spec, base);
   EXPECT_EQ(fin.generations_run, ref.generations_run);
   EXPECT_EQ(fin.evaluations, ref.evaluations);
   EXPECT_EQ(io::write_rqfp_string(fin.best), io::write_rqfp_string(ref.best));
@@ -549,13 +624,27 @@ TEST(Resume, MismatchedConfigurationIsRejected) {
 
   EvolveParams other = p;
   other.seed = 10;
-  EXPECT_THROW(core::evolve_resume(path, b.spec, other),
+  EXPECT_THROW(resume_evolve(path, b.spec, other),
                std::invalid_argument);
   other = p;
   other.generations = 9999;
-  EXPECT_THROW(core::evolve_resume(path, b.spec, other),
+  EXPECT_THROW(resume_evolve(path, b.spec, other),
                std::invalid_argument);
   std::remove(path.c_str());
+}
+
+TEST(Resume, NeedsACheckpointPathAndFile) {
+  const auto b = benchmarks::get("full_adder");
+  core::OptimizerOptions oo;
+  oo.island.resume = true;
+  EXPECT_THROW(core::Optimizer(oo).run(rqfp::Netlist(), b.spec),
+               std::invalid_argument);
+  const std::string missing = temp_path("missing.ckpt");
+  std::remove(missing.c_str());
+  EXPECT_THROW(resume_evolve(missing, b.spec, EvolveParams{}),
+               std::runtime_error);
+  oo.algorithm = core::Algorithm::kAnneal;
+  EXPECT_THROW(core::Optimizer{oo}, std::invalid_argument);
 }
 
 TEST(Resume, CorruptedCheckpointFileNeverResumesSilently) {
@@ -580,7 +669,7 @@ TEST(Resume, CorruptedCheckpointFileNeverResumesSilently) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
   }
-  EXPECT_THROW(core::evolve_resume(path, b.spec, p), IntegrityError);
+  EXPECT_THROW(resume_evolve(path, b.spec, p), IntegrityError);
   std::remove(path.c_str());
 }
 

@@ -120,6 +120,27 @@ TEST(Window, ScalesToCircuitsTooWideForGlobalSimulation) {
   EXPECT_TRUE(cec::sim_check(optimized, b.spec).all_match);
 }
 
+TEST(Window, SweepReportsWhyItStopped) {
+  const auto b = benchmarks::get("hwb8");
+  const auto net = init_netlist("hwb8");
+  OptimizerOptions oo;
+  oo.algorithm = Algorithm::kWindow;
+  oo.window.window_gates = 10;
+  oo.window.max_window_inputs = 8;
+  oo.evolve.generations = 50;
+  oo.evolve.seed = 3;
+  EXPECT_EQ(Optimizer(oo).run(net, b.spec).stop_reason,
+            robust::StopReason::kCompleted);
+
+  // A deadline that expires mid-sweep keeps the windows spliced so far and
+  // says so.
+  oo.evolve.generations = 200000;
+  oo.limits.deadline_seconds = 0.2;
+  const auto cut = Optimizer(oo).run(net, b.spec);
+  EXPECT_EQ(cut.stop_reason, robust::StopReason::kTimeLimit);
+  EXPECT_TRUE(cec::sim_check(cut.best, b.spec).all_match);
+}
+
 class ExactPolish : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ExactPolish, ReachesOrBeatsCgpResult) {
