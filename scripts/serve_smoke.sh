@@ -8,10 +8,13 @@
 #      against pass 2 (hit-vs-hit responses are bit-identical; the cold
 #      pass legitimately differs in port names, which the canonical store
 #      drops),
-#   4. SIGKILL the daemon, assert the store on disk still verifies (saves
+#   4. push NPN variants of two cached jobs (permuted and complemented
+#      inputs, complemented outputs) — each must be answered from the
+#      cache through a non-identity transform,
+#   5. SIGKILL the daemon, assert the store on disk still verifies (saves
 #      are atomic and write-through), restart, and assert the new daemon
 #      answers the whole manifest from the persisted cache,
-#   5. shut down cleanly (SIGTERM) and validate the serve.*/cache.*
+#   6. shut down cleanly (SIGTERM) and validate the serve.*/cache.*
 #      telemetry invariants with scripts/check_telemetry.py.
 #
 # Usage: scripts/serve_smoke.sh [path-to-rcgp-binary]
@@ -39,6 +42,16 @@ cat > "$MANIFEST" <<EOF
 {"schema":1,"id":"maj", "spec":["e8"], "spec_vars":3, "generations":$GENS,"seed":5}
 EOF
 JOBS=4
+
+# NPN variants of cached jobs: 69,2b is full_adder (96,e8) under a
+# permutation, an input complement and an output complement (both have
+# key 3:69,17); 4d is a variant of maj (e8) (both have key 3:17).
+VARIANTS="$WORKDIR/variants.jsonl"
+cat > "$VARIANTS" <<EOF
+{"schema":1,"id":"fa-npn",  "spec":["69","2b"], "spec_vars":3, "generations":$GENS,"seed":7}
+{"schema":1,"id":"maj-npn", "spec":["4d"],      "spec_vars":3, "generations":$GENS,"seed":5}
+EOF
+VARIANT_JOBS=2
 
 wait_for_socket() {
   for _ in $(seq 100); do
@@ -116,7 +129,14 @@ netlists "$WORKDIR/pass3.jsonl" > "$WORKDIR/pass3.net"
 diff -u "$WORKDIR/pass2.net" "$WORKDIR/pass3.net" \
   || { echo "FAIL: cached netlists differ between passes" >&2; exit 1; }
 
-echo "== phase 4: SIGKILL the daemon — the store must survive"
+echo "== phase 4: NPN variants of cached jobs are answered from the cache"
+"$RCGP" client "$VARIANTS" --socket="$SOCK" > "$WORKDIR/variants-out.jsonl"
+read -r OKV CACHEDV _ <<<"$(summarize "$WORKDIR/variants-out.jsonl")"
+echo "   variants: $OKV/$VARIANT_JOBS ok, $CACHEDV cached"
+[ "$OKV" -eq "$VARIANT_JOBS" ] && [ "$CACHEDV" -eq "$VARIANT_JOBS" ] \
+  || { echo "FAIL: NPN variants were not all cache hits" >&2; exit 1; }
+
+echo "== phase 5: SIGKILL the daemon — the store must survive"
 kill -KILL "$DAEMON_PID" 2>/dev/null || true
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
@@ -125,7 +145,7 @@ test -s "$STORE" || { echo "FAIL: no store at $STORE" >&2; exit 1; }
 "$RCGP" cache verify --store="$STORE" \
   || { echo "FAIL: store corrupt after SIGKILL" >&2; exit 1; }
 
-echo "== phase 5: restart — the persisted cache answers everything"
+echo "== phase 6: restart — the persisted cache answers everything"
 start_daemon --metrics-out="$WORKDIR/serve-metrics.json"
 "$RCGP" client "$MANIFEST" --socket="$SOCK" > "$WORKDIR/pass4.jsonl"
 read -r OK4 CACHED4 _ <<<"$(summarize "$WORKDIR/pass4.jsonl")"
@@ -133,7 +153,7 @@ echo "   pass 4: $OK4/$JOBS ok, $CACHED4 cached"
 [ "$OK4" -eq "$JOBS" ] && [ "$CACHED4" -eq "$JOBS" ] \
   || { echo "FAIL: restarted daemon missed the persisted cache" >&2; exit 1; }
 
-echo "== phase 6: clean shutdown + telemetry invariants"
+echo "== phase 7: clean shutdown + telemetry invariants"
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || { echo "FAIL: daemon exited non-zero" >&2; exit 1; }
 DAEMON_PID=""

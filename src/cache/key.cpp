@@ -7,13 +7,16 @@ namespace rcgp::cache {
 
 namespace {
 
+/// Most outputs one specification may have (one output_phase bit each).
+constexpr std::size_t kMaxOutputs = 32;
+
 /// Arity/shape validation shared by canonicalize and the transform
 /// appliers.
 unsigned checked_arity(std::span<const tt::TruthTable> spec) {
   if (spec.empty()) {
     throw std::invalid_argument("cache: empty specification");
   }
-  if (spec.size() > 32) {
+  if (spec.size() > kMaxOutputs) {
     throw std::invalid_argument("cache: more than 32 outputs");
   }
   const unsigned n = spec[0].num_vars();
@@ -133,52 +136,59 @@ std::string spec_key(std::span<const tt::TruthTable> tables) {
 CanonicalSpec canonicalize(std::span<const tt::TruthTable> spec) {
   const unsigned n = checked_arity(spec);
   CanonicalSpec best;
-  best.tables.assign(spec.begin(), spec.end());
   if (n > kMaxJointVars) {
     // Identity transform: wide specs cache under their exact tables.
+    best.tables.assign(spec.begin(), spec.end());
     best.key = spec_key(best.tables);
     return best;
   }
 
-  // Per-output polarity canonicalization first: under any fixed input
-  // transform, output o contributes min(t, ~t).
-  const auto polarized = [&](const SpecTransform& tr,
-                             std::vector<tt::TruthTable>& out,
-                             std::uint32_t& phase) {
-    out.clear();
-    phase = 0;
-    for (std::size_t o = 0; o < spec.size(); ++o) {
-      tt::NpnTransform single = output_transform(tr, o);
-      tt::TruthTable pos = npn_apply(spec[o], single);
-      tt::TruthTable neg = ~pos;
-      if (neg < pos) {
-        phase |= std::uint32_t{1} << o;
-        out.push_back(std::move(neg));
-      } else {
-        out.push_back(std::move(pos));
-      }
-    }
+  // Under a fixed input transform, output o contributes its polarity
+  // normal form min(t, ~t); candidates compare as vectors of those, output
+  // 0 first, and the first strict minimum in search order wins.
+  const std::size_t outputs = spec.size();
+  const std::uint64_t mask = tt::npn_mask(n);
+  const auto polarized = [mask](std::uint64_t w) {
+    return std::min(w, w ^ mask);
   };
-
+  // variants[o][p]: output o under the current permutation and phase p.
+  std::array<std::array<std::uint64_t, 1u << kMaxJointVars>, kMaxOutputs>
+      variants{};
+  std::array<std::uint64_t, kMaxOutputs> best_words{};
   bool first = true;
-  std::vector<tt::TruthTable> cand;
-  SpecTransform tr;
-  do {
+  tt::for_each_permutation(n, [&](const auto& perm,
+                                  const tt::WordPermutation& move) {
+    for (std::size_t o = 0; o < outputs; ++o) {
+      tt::phase_variants(move.apply(spec[o].word(0)), n, variants[o]);
+    }
     for (unsigned phase = 0; phase < (1u << n); ++phase) {
-      tr.input_phase = phase;
-      tr.output_phase = 0;
-      std::uint32_t out_phase = 0;
-      polarized(tr, cand, out_phase);
-      if (first || std::lexicographical_compare(cand.begin(), cand.end(),
-                                                best.tables.begin(),
-                                                best.tables.end())) {
-        best.tables = cand;
-        best.transform = tr;
-        best.transform.output_phase = out_phase;
-        first = false;
+      if (!first) {
+        std::size_t o = 0;
+        while (o < outputs && polarized(variants[o][phase]) == best_words[o]) {
+          ++o;
+        }
+        if (o == outputs || polarized(variants[o][phase]) > best_words[o]) {
+          continue;
+        }
+      }
+      first = false;
+      best.transform.perm = perm;
+      best.transform.input_phase = phase;
+      best.transform.output_phase = 0;
+      for (std::size_t o = 0; o < outputs; ++o) {
+        const std::uint64_t w = variants[o][phase];
+        if ((w ^ mask) < w) {
+          best.transform.output_phase |= std::uint32_t{1} << o;
+        }
+        best_words[o] = polarized(w);
       }
     }
-  } while (std::next_permutation(tr.perm.begin(), tr.perm.begin() + n));
+  });
+  best.tables.reserve(outputs);
+  for (std::size_t o = 0; o < outputs; ++o) {
+    best.tables.emplace_back(n);
+    best.tables.back().set_word(0, best_words[o]);
+  }
   best.key = spec_key(best.tables);
   return best;
 }

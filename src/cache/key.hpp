@@ -49,13 +49,16 @@ std::string spec_key(std::span<const tt::TruthTable> tables);
 
 /// Canonicalizes a multi-output specification. For specs of at most
 /// kMaxJointVars inputs this enumerates every shared input
-/// permutation/phase, canonicalizes each output's polarity to
-/// min(t, ~t), and keeps the lexicographically smallest table vector —
-/// so any two specs equal up to shared input NPN transformation and
-/// per-output complementation share a bit-identical key. Wider specs get
-/// the identity transform. All tables must share one arity
-/// (<= tt::TruthTable arity limits); throws std::invalid_argument
-/// otherwise or when the spec is empty or has more than 32 outputs.
+/// permutation/phase on the tt/npn word engine (tt::for_each_permutation
+/// order, phases ascending), canonicalizes each output's polarity to
+/// min(t, ~t), and keeps the first lexicographically smallest table
+/// vector — so any two specs equal up to shared input NPN transformation
+/// and per-output complementation share a bit-identical key, and ties
+/// always pick the same transform (which fixes the netlist a hit
+/// returns). The search allocates nothing. Wider specs get the identity
+/// transform. All tables must share one arity (<= tt::TruthTable arity
+/// limits); throws std::invalid_argument otherwise or when the spec is
+/// empty or has more than 32 outputs.
 CanonicalSpec canonicalize(std::span<const tt::TruthTable> spec);
 
 /// Applies / inverts a spec transform on the table vector:

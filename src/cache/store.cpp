@@ -206,6 +206,16 @@ std::vector<std::string> Store::verify() const {
     }
     if (spec_key(entry.tables) != key) {
       problems.push_back(key + ": key does not match stored tables");
+      continue;
+    }
+    // Lookups canonicalize first, so an entry whose tables are not their
+    // class's canonical form (a drifted canonicalizer, a hand edit) can
+    // never hit. Store::parse derives keys from tables, so only this
+    // check sees it on a loaded store.
+    const std::string class_key = canonicalize(entry.tables).key;
+    if (class_key != key) {
+      problems.push_back(key + ": tables are not canonical (class key " +
+                         class_key + "), so no lookup reaches this entry");
     }
   }
   return problems;

@@ -93,8 +93,10 @@ public:
   bool insert_canonical(const CanonicalSpec& canon, const rqfp::Netlist& net,
                         const std::string& origin);
 
-  /// Re-validates and re-simulates every entry against its stored tables.
-  /// Returns problem descriptions, empty when the store is sound.
+  /// Re-validates and re-simulates every entry against its stored tables,
+  /// and checks that the tables are the canonical form of their class
+  /// (canonicalize(tables).key == key), so every entry is reachable by a
+  /// lookup. Returns problem descriptions, empty when the store is sound.
   std::vector<std::string> verify() const;
 
   /// Snapshot of the entries (for stats / inspection).

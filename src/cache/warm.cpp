@@ -1,9 +1,7 @@
 #include "cache/warm.hpp"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "tt/npn.hpp"
@@ -16,34 +14,26 @@ namespace {
 /// Representatives of every single-output NPN class of exactly `n`
 /// inputs, as raw table words. Ascending enumeration visits the minimal
 /// (= canonical) member of each class first; marking the whole orbit of
-/// each new representative as seen skips the rest of the class without
-/// ever running a full canonization.
+/// each new representative in a seen-set of 2^(2^n) bits skips the rest
+/// of the class without ever running a full canonization.
 std::vector<std::uint64_t> class_representatives(unsigned n) {
-  const std::uint64_t num_functions = std::uint64_t{1}
-                                      << (std::uint64_t{1} << n);
-  const std::uint64_t mask =
-      num_functions - 1; // low 2^n bits (n <= 4 here, so <= 16 bits)
+  const std::uint64_t mask = tt::npn_mask(n); // n <= 4: at most 16 bits
+  std::vector<bool> seen(mask + 1, false);
   std::vector<std::uint64_t> reps;
-  std::unordered_set<std::uint64_t> seen;
-  std::array<unsigned, tt::kMaxNpnVars> identity{0, 1, 2, 3, 4, 5};
-  for (std::uint64_t v = 0; v < num_functions; ++v) {
-    if (!seen.insert(v).second) {
+  std::array<std::uint64_t, 1u << kMaxJointVars> variants{};
+  for (std::uint64_t v = 0; v <= mask; ++v) {
+    if (seen[v]) {
       continue;
     }
     reps.push_back(v);
-    tt::TruthTable t(n);
-    t.set_word(0, v);
-    auto perm = identity;
-    do {
+    tt::for_each_permutation(n, [&](const auto&,
+                                    const tt::WordPermutation& move) {
+      tt::phase_variants(move.apply(v), n, variants);
       for (unsigned phase = 0; phase < (1u << n); ++phase) {
-        tt::NpnTransform tr;
-        tr.perm = perm;
-        tr.input_phase = phase;
-        const std::uint64_t w = npn_apply(t, tr).word(0);
-        seen.insert(w);
-        seen.insert(~w & mask);
+        seen[variants[phase]] = true;
+        seen[variants[phase] ^ mask] = true;
       }
-    } while (std::next_permutation(perm.begin(), perm.begin() + n));
+    });
   }
   return reps;
 }

@@ -10,11 +10,6 @@ namespace rcgp::tt {
 
 namespace {
 
-// Bit masks for the projection of variable v (< 6) within one 64-bit word.
-constexpr std::uint64_t kProjection[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
-
 std::size_t word_count(unsigned num_vars) {
   return num_vars < 6 ? 1 : (std::size_t{1} << (num_vars - 6));
 }
@@ -216,10 +211,8 @@ TruthTable TruthTable::cofactor1(unsigned var) const {
 TruthTable TruthTable::flip_var(unsigned var) const {
   TruthTable r(*this);
   if (var < 6) {
-    const unsigned shift = 1u << var;
-    const std::uint64_t mask = kProjection[var];
     for (auto& w : r.words_) {
-      w = ((w & mask) >> shift) | ((w & ~mask) << shift);
+      w = flip_var_word(w, var);
     }
   } else {
     const std::size_t stride = std::size_t{1} << (var - 6);

@@ -6,6 +6,21 @@
 
 namespace rcgp::tt {
 
+/// Bit masks of the projection x_var (var < 6) within one 64-bit word:
+/// bit i is set iff bit `var` of the assignment i is. The single-word
+/// kernels (cofactors, variable flips, the NPN engine in tt/npn) build
+/// their shuffles from these.
+inline constexpr std::uint64_t kProjection[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
+/// Complements input `var` (< 6) of the table bits held in one word: the
+/// word kernel of TruthTable::flip_var and of the NPN engine.
+constexpr std::uint64_t flip_var_word(std::uint64_t w, unsigned var) {
+  const unsigned shift = 1u << var;
+  return ((w & kProjection[var]) >> shift) | ((w & ~kProjection[var]) << shift);
+}
+
 /// Bit-parallel dynamic truth table over `num_vars` Boolean variables.
 ///
 /// Bit `i` of the table stores f(x) for the input assignment whose binary

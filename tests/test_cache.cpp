@@ -1,19 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/key.hpp"
 #include "cache/store.hpp"
 #include "cache/warm.hpp"
 #include "fuzz/generator.hpp"
+#include "npn_reference.hpp"
 #include "obs/metrics.hpp"
 #include "robust/integrity.hpp"
 #include "rqfp/simulate.hpp"
 #include "tt/truth_table.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace rcgp::cache {
@@ -30,6 +36,119 @@ std::string temp_path(const std::string& name) {
 std::vector<tt::TruthTable> random_spec(util::Rng& rng, unsigned vars,
                                         unsigned outputs) {
   return fuzz::random_tables(rng, vars, outputs);
+}
+
+/// A uniformly random joint transform of an `vars`-input, `outputs`-output
+/// specification.
+SpecTransform random_transform(util::Rng& rng, unsigned vars,
+                               std::size_t outputs) {
+  SpecTransform tr;
+  for (unsigned i = vars; i-- > 1;) {
+    std::swap(tr.perm[i], tr.perm[rng.below(i + 1)]);
+  }
+  tr.input_phase = static_cast<unsigned>(rng.below(1u << vars));
+  tr.output_phase = static_cast<std::uint32_t>(rng.below(1u << outputs));
+  return tr;
+}
+
+namespace reference {
+
+// cache::canonicalize as it was before the NPN word engine, kept verbatim
+// (one per-bit tt::reference::npn_apply per output and transform).
+
+tt::NpnTransform output_transform(const SpecTransform& tr, std::size_t o) {
+  tt::NpnTransform r;
+  r.perm = tr.perm;
+  r.input_phase = tr.input_phase;
+  r.output_phase = ((tr.output_phase >> o) & 1) != 0;
+  return r;
+}
+
+CanonicalSpec canonicalize(std::span<const tt::TruthTable> spec) {
+  const unsigned n = spec[0].num_vars();
+  CanonicalSpec best;
+  best.tables.assign(spec.begin(), spec.end());
+  if (n > kMaxJointVars) {
+    // Identity transform: wide specs cache under their exact tables.
+    best.key = spec_key(best.tables);
+    return best;
+  }
+
+  // Per-output polarity canonicalization first: under any fixed input
+  // transform, output o contributes min(t, ~t).
+  const auto polarized = [&](const SpecTransform& tr,
+                             std::vector<tt::TruthTable>& out,
+                             std::uint32_t& phase) {
+    out.clear();
+    phase = 0;
+    for (std::size_t o = 0; o < spec.size(); ++o) {
+      tt::NpnTransform single = output_transform(tr, o);
+      tt::TruthTable pos = tt::reference::npn_apply(spec[o], single);
+      tt::TruthTable neg = ~pos;
+      if (neg < pos) {
+        phase |= std::uint32_t{1} << o;
+        out.push_back(std::move(neg));
+      } else {
+        out.push_back(std::move(pos));
+      }
+    }
+  };
+
+  bool first = true;
+  std::vector<tt::TruthTable> cand;
+  SpecTransform tr;
+  do {
+    for (unsigned phase = 0; phase < (1u << n); ++phase) {
+      tr.input_phase = phase;
+      tr.output_phase = 0;
+      std::uint32_t out_phase = 0;
+      polarized(tr, cand, out_phase);
+      if (first || std::lexicographical_compare(cand.begin(), cand.end(),
+                                                best.tables.begin(),
+                                                best.tables.end())) {
+        best.tables = cand;
+        best.transform = tr;
+        best.transform.output_phase = out_phase;
+        first = false;
+      }
+    }
+  } while (std::next_permutation(tr.perm.begin(), tr.perm.begin() + n));
+  best.key = spec_key(best.tables);
+  return best;
+}
+
+} // namespace reference
+
+/// Every single-output spec of 0..3 inputs, every 2-output spec of <= 2
+/// inputs, 2000 fixed-seed random 4-input specs of 1..4 outputs, and one
+/// 4-input spec of 32 outputs.
+std::vector<std::vector<tt::TruthTable>> canonicalize_corpus() {
+  const auto table = [](unsigned nv, std::uint64_t v) {
+    tt::TruthTable t(nv);
+    t.set_word(0, v);
+    return t;
+  };
+  std::vector<std::vector<tt::TruthTable>> corpus;
+  for (unsigned nv = 0; nv <= 3; ++nv) {
+    for (std::uint64_t v = 0; v < (std::uint64_t{1} << (1u << nv)); ++v) {
+      corpus.push_back({table(nv, v)});
+    }
+  }
+  for (unsigned nv = 0; nv <= 2; ++nv) {
+    const std::uint64_t functions = std::uint64_t{1} << (1u << nv);
+    for (std::uint64_t a = 0; a < functions; ++a) {
+      for (std::uint64_t b = 0; b < functions; ++b) {
+        corpus.push_back({table(nv, a), table(nv, b)});
+      }
+    }
+  }
+  util::Rng rng(1803);
+  for (int i = 0; i < 2000; ++i) {
+    const auto outputs = 1 + static_cast<unsigned>(rng.below(4));
+    corpus.push_back(random_spec(rng, kMaxJointVars, outputs));
+  }
+  corpus.push_back(random_spec(rng, kMaxJointVars, 32));
+  return corpus;
 }
 
 // ---------- canonicalization ----------
@@ -85,6 +204,34 @@ TEST(Key, WideSpecsGetTheIdentityTransform) {
   const CanonicalSpec canon = canonicalize(spec);
   EXPECT_TRUE(canon.transform.identity(kMaxJointVars + 1));
   EXPECT_EQ(canon.tables, spec);
+}
+
+TEST(Key, CanonicalizeMatchesThePerBitSearch) {
+  for (const auto& spec : canonicalize_corpus()) {
+    const CanonicalSpec want = reference::canonicalize(spec);
+    const CanonicalSpec got = canonicalize(spec);
+    EXPECT_EQ(got.tables, want.tables) << want.key;
+    EXPECT_EQ(got.transform, want.transform) << want.key;
+    EXPECT_EQ(got.key, want.key);
+  }
+}
+
+TEST(Key, CanonicalizeCorpusDigestIsPinned) {
+  // CRC32 of "key perm input_phase output_phase" over the corpus, as
+  // canonicalize produced it before the word engine: an edit that moves
+  // the reference and the library together still fails here, and a drift
+  // here would re-key every persisted store.
+  std::string lines;
+  for (const auto& spec : canonicalize_corpus()) {
+    const CanonicalSpec c = canonicalize(spec);
+    lines += c.key + ' ';
+    for (const unsigned p : c.transform.perm) {
+      lines += static_cast<char>('0' + p);
+    }
+    lines += ' ' + std::to_string(c.transform.input_phase) + ' ' +
+             std::to_string(c.transform.output_phase) + '\n';
+  }
+  EXPECT_EQ(util::crc32(lines), 0x3659a78du);
 }
 
 TEST(Key, NetlistRewriteTracksTheTransform) {
@@ -235,6 +382,117 @@ TEST(Store, ConcurrentSavesNeverPublishACorruptFile) {
   Store back(path);
   EXPECT_EQ(back.size(), store.size());
   EXPECT_TRUE(back.verify().empty());
+}
+
+TEST(Store, ConcurrentLookupsAndInsertsStayConsistent) {
+  // Serve workers share one store: 8 threads look up random NPN variants
+  // of stored classes while one thread inserts new ones. Lookups of the
+  // inserter's classes may hit or miss depending on timing; lookups of the
+  // pre-stored ones must hit. TSan (CI) covers the shared state.
+  util::Rng rng(1804);
+  fuzz::NetlistShape shape;
+  shape.min_pis = kMaxJointVars;
+  shape.max_pis = kMaxJointVars;
+  shape.max_pos = 3;
+  shape.max_gates = 12;
+  const auto draw = [&](int count) {
+    std::vector<std::pair<rqfp::Netlist, std::vector<tt::TruthTable>>> out;
+    for (int i = 0; i < count; ++i) {
+      rqfp::Netlist net = fuzz::random_netlist(rng, shape);
+      auto spec = rqfp::simulate(net);
+      out.emplace_back(std::move(net), std::move(spec));
+    }
+    return out;
+  };
+  const auto stored = draw(16);
+  const auto fresh = draw(24);
+  Store store;
+  for (const auto& [net, spec] : stored) {
+    store.insert(spec, net, "stored");
+  }
+
+  auto& reg = obs::registry();
+  const std::uint64_t lookups0 = reg.counter("cache.lookups").value();
+  const std::uint64_t hits0 = reg.counter("cache.hits").value();
+  const std::uint64_t misses0 = reg.counter("cache.misses").value();
+  const std::uint64_t failures0 = reg.counter("cache.verify.failures").value();
+
+  constexpr int kReaders = 8;
+  constexpr int kLookups = 100;
+  std::vector<int> wrong(kReaders, 0);
+  std::vector<int> stored_misses(kReaders, 0);
+  // Every thread waits at the gate so the inserts overlap the lookups.
+  std::atomic<int> waiting{kReaders + 1};
+  const auto gate = [&waiting] {
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    gate();
+    for (const auto& [net, spec] : fresh) {
+      store.insert(spec, net, "fresh");
+    }
+  });
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      gate();
+      util::Rng local(1900 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kLookups; ++i) {
+        const bool old = local.chance(0.5);
+        const auto& pool = old ? stored : fresh;
+        const auto& spec = pool[local.below(pool.size())].second;
+        const auto variant = cache::apply(
+            spec, random_transform(local, kMaxJointVars, spec.size()));
+        const auto hit = store.lookup(variant);
+        if (!hit) {
+          stored_misses[t] += old ? 1 : 0;
+        } else if (rqfp::simulate(hit->netlist) != variant) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(wrong[t], 0) << "reader " << t;
+    EXPECT_EQ(stored_misses[t], 0) << "reader " << t;
+  }
+  const std::uint64_t lookups =
+      reg.counter("cache.lookups").value() - lookups0;
+  EXPECT_EQ(lookups, std::uint64_t{kReaders} * kLookups);
+  EXPECT_EQ(reg.counter("cache.hits").value() - hits0 +
+                reg.counter("cache.misses").value() - misses0,
+            lookups);
+  EXPECT_EQ(reg.counter("cache.verify.failures").value(), failures0);
+}
+
+TEST(Store, VerifyFlagsEntriesNoLookupCanReach) {
+  // x0 & x1 stored under its raw table 8 rather than its class key "2:1":
+  // every lookup canonicalizes first, so this entry can never hit, and
+  // verify must say so even though the netlist implements its tables.
+  const std::vector<tt::TruthTable> and2 = {tt::TruthTable::from_hex(2, "8")};
+  ASSERT_EQ(canonicalize(and2).key, "2:1");
+  rqfp::Netlist net(2);
+  // Every majority computes M(x0, x1, !1) = x0 & x1.
+  const std::uint32_t g =
+      net.add_gate({1, 2, rqfp::kConstPort}, rqfp::InvConfig::triple(4));
+  net.add_po(net.port_of(g, 0), "f");
+  CanonicalSpec raw;
+  raw.tables = and2;
+  raw.key = spec_key(and2);
+  Store written;
+  written.insert_canonical(raw, net, "hand");
+  // A loaded store derives each key from its tables (Store::parse), as
+  // for a file written by a drifted canonicalizer or edited by hand.
+  const Store loaded = Store::parse(written.serialize(), "raw.rcc");
+  const std::vector<std::string> problems = loaded.verify();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0].rfind("2:8: ", 0), 0u) << problems[0];
 }
 
 TEST(Store, CorruptPayloadRaisesChecksumError) {

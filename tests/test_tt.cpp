@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "npn_reference.hpp"
 #include "tt/isop.hpp"
 #include "tt/npn.hpp"
 #include "tt/truth_table.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace rcgp::tt {
@@ -262,6 +266,22 @@ TEST(Npn, ApplyUnapplyRoundTrip) {
 
 TEST(Npn, RejectsWideTables) {
   EXPECT_THROW(npn_canonize(TruthTable(7)), std::invalid_argument);
+  EXPECT_THROW(npn_apply(TruthTable(7), NpnTransform{}), std::invalid_argument);
+}
+
+TEST(Npn, RejectsTransformsThatAreNotPermutations) {
+  NpnTransform repeated;
+  repeated.perm = {1, 1, 2, 3, 4, 5};
+  EXPECT_THROW(npn_apply(TruthTable(3), repeated), std::invalid_argument);
+  NpnTransform out_of_range;
+  out_of_range.perm = {0, 4, 2, 3, 1, 5}; // variable 4 of a 2-input table
+  EXPECT_THROW(npn_unapply(TruthTable(2), out_of_range),
+               std::invalid_argument);
+  // Entries at positions >= the arity are ignored.
+  NpnTransform swap01;
+  swap01.perm = {1, 0, 9, 9, 9, 9};
+  const TruthTable x0 = TruthTable::projection(2, 0);
+  EXPECT_EQ(npn_apply(x0, swap01), TruthTable::projection(2, 1));
 }
 
 TEST(Npn, RoundTripRecoversOriginalUpToSixVars) {
@@ -319,6 +339,81 @@ TEST(Npn, ConstantAndProjectionClasses) {
             npn_canonize(TruthTable::constant(3, true)).canon);
   EXPECT_EQ(npn_canonize(TruthTable::projection(3, 0)).canon,
             npn_canonize(~TruthTable::projection(3, 2)).canon);
+}
+
+// ---------- NPN against the per-bit reference (npn_reference.hpp) ----------
+
+bool same_transform(const NpnTransform& a, const NpnTransform& b) {
+  return a.perm == b.perm && a.input_phase == b.input_phase &&
+         a.output_phase == b.output_phase;
+}
+
+/// Every function of 0..3 variables, then fixed-seed samples of 4, 5 and 6
+/// variables (few at 5 and 6: the reference takes ~140 ms per 6-variable
+/// canonization).
+std::vector<TruthTable> canonize_corpus() {
+  std::vector<TruthTable> corpus;
+  for (unsigned nv = 0; nv <= 3; ++nv) {
+    for (std::uint64_t v = 0; v < (std::uint64_t{1} << (1u << nv)); ++v) {
+      TruthTable t(nv);
+      t.set_word(0, v);
+      corpus.push_back(t);
+    }
+  }
+  util::Rng rng(1801);
+  for (const auto& [nv, count] : {std::pair{4u, 200}, {5u, 20}, {6u, 4}}) {
+    for (int i = 0; i < count; ++i) {
+      corpus.push_back(random_table(nv, rng));
+    }
+  }
+  return corpus;
+}
+
+TEST(NpnReference, CanonizeMatchesThePerBitSearch) {
+  for (const TruthTable& f : canonize_corpus()) {
+    const NpnCanonization want = reference::npn_canonize(f);
+    const NpnCanonization got = npn_canonize(f);
+    EXPECT_EQ(got.canon, want.canon) << f.num_vars() << ":" << f.to_hex();
+    EXPECT_TRUE(same_transform(got.transform, want.transform))
+        << f.num_vars() << ":" << f.to_hex();
+  }
+}
+
+TEST(NpnReference, CanonizeCorpusDigestIsPinned) {
+  // CRC32 of "canon perm input_phase output_phase" over the corpus, as
+  // npn_canonize produced it before the word engine: an edit that moves
+  // the reference and the library together still fails here.
+  std::string lines;
+  for (const TruthTable& f : canonize_corpus()) {
+    const NpnCanonization c = npn_canonize(f);
+    lines += c.canon.to_hex() + ' ';
+    for (const unsigned p : c.transform.perm) {
+      lines += static_cast<char>('0' + p);
+    }
+    lines += ' ' + std::to_string(c.transform.input_phase) + ' ' +
+             std::to_string(c.transform.output_phase ? 1 : 0) + '\n';
+  }
+  EXPECT_EQ(util::crc32(lines), 0x3de8d3a9u);
+}
+
+TEST(NpnReference, ApplyAndUnapplyMatchThePerBitLoops) {
+  util::Rng rng(1802);
+  for (unsigned nv = 0; nv <= kMaxNpnVars; ++nv) {
+    for (int round = 0; round < 50; ++round) {
+      const TruthTable f = random_table(nv, rng);
+      NpnTransform tr;
+      for (unsigned i = nv; i-- > 1;) {
+        std::swap(tr.perm[i], tr.perm[rng.below(i + 1)]);
+      }
+      // Phase bits at or above the arity are ignored; draw them anyway.
+      tr.input_phase = static_cast<unsigned>(rng.below(1u << kMaxNpnVars));
+      tr.output_phase = rng.chance(0.5);
+      EXPECT_EQ(npn_apply(f, tr), reference::npn_apply(f, tr))
+          << "nv=" << nv << " round=" << round;
+      EXPECT_EQ(npn_unapply(f, tr), reference::npn_unapply(f, tr))
+          << "nv=" << nv << " round=" << round;
+    }
+  }
 }
 
 // ---------- ISOP ----------
