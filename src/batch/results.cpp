@@ -41,45 +41,38 @@ std::string to_json(const JobRecord& record) {
 }
 
 std::optional<JobRecord> parse_record(const std::string& line) {
-  if (!obs::json::validate(line)) {
-    return std::nullopt;
-  }
-  const auto id = obs::json::string_field(line, "id");
-  const auto reason = obs::json::string_field(line, "stop_reason");
-  if (!id || !reason) {
+  const std::optional<obs::json::Value> doc = obs::json::parse(line);
+  const obs::json::Value* id = doc ? doc->find("id") : nullptr;
+  const obs::json::Value* reason = doc ? doc->find("stop_reason") : nullptr;
+  if (!id || !id->is_string() || !reason || !reason->is_string()) {
     return std::nullopt;
   }
   JobRecord r;
-  r.id = *id;
-  r.stop_reason = *reason;
-  // validate() guarantees well-formed JSON, so the boolean literals can be
-  // found with a flat scan like the numeric fields.
-  r.ok = line.find("\"ok\":true") != std::string::npos;
-  r.final_record = line.find("\"final\":true") != std::string::npos;
-  r.verified = line.find("\"verified\":true") != std::string::npos;
-  r.cached = line.find("\"cached\":true") != std::string::npos;
-  r.seeded = line.find("\"seeded\":true") != std::string::npos;
-  if (const auto e = obs::json::string_field(line, "error")) {
-    r.error = *e;
-  }
-  if (const auto p = obs::json::string_field(line, "netlist")) {
-    r.netlist_path = *p;
-  }
-  const auto u32 = [&](const char* key) -> std::uint32_t {
-    const auto v = obs::json::number_field(line, key);
-    return v ? static_cast<std::uint32_t>(*v) : 0;
-  };
-  r.n_r = u32("n_r");
-  r.n_b = u32("n_b");
-  r.n_d = u32("n_d");
-  r.n_g = u32("n_g");
-  if (const auto v = obs::json::number_field(line, "jjs")) {
-    r.jjs = static_cast<std::uint64_t>(*v);
-  }
-  r.attempts = u32("attempts");
-  r.worker = u32("worker");
-  if (const auto v = obs::json::number_field(line, "seconds")) {
-    r.seconds = *v;
+  r.id = id->as_string();
+  r.stop_reason = reason->as_string();
+  r.ok = doc->bool_or("ok", false);
+  r.final_record = doc->bool_or("final", false);
+  r.verified = doc->bool_or("verified", false);
+  r.cached = doc->bool_or("cached", false);
+  r.seeded = doc->bool_or("seeded", false);
+  r.error = doc->string_or("error", "");
+  r.netlist_path = doc->string_or("netlist", "");
+  r.seconds = doc->number_or("seconds", 0.0);
+  // Counts are exact integers that fit their fields; a record that breaks
+  // this is malformed, like a torn one.
+  try {
+    using obs::json::integer_or;
+    if (const obs::json::Value* cost = doc->find("cost")) {
+      r.n_r = integer_or(*cost, "n_r", r.n_r);
+      r.n_b = integer_or(*cost, "n_b", r.n_b);
+      r.jjs = integer_or(*cost, "jjs", r.jjs);
+      r.n_d = integer_or(*cost, "n_d", r.n_d);
+      r.n_g = integer_or(*cost, "n_g", r.n_g);
+    }
+    r.attempts = integer_or(*doc, "attempts", r.attempts);
+    r.worker = integer_or(*doc, "worker", r.worker);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
   return r;
 }

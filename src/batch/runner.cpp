@@ -93,18 +93,10 @@ BatchSummary run_batch(const Manifest& manifest,
       options.budget.stop != nullptr) {
     watchdog = std::thread([&] {
       while (!workers_done.load(std::memory_order_relaxed)) {
-        if (options.budget.stop_requested()) {
-          batch_reason.store(
-              static_cast<int>(robust::StopReason::kStopRequested),
-              std::memory_order_relaxed);
-          internal_stop.request_stop();
-          return;
-        }
-        if (options.budget.deadline_seconds > 0.0 &&
-            seconds_since(start) > options.budget.deadline_seconds) {
-          batch_reason.store(
-              static_cast<int>(robust::StopReason::kTimeLimit),
-              std::memory_order_relaxed);
+        if (const auto stop =
+                options.budget.interrupted(seconds_since(start))) {
+          batch_reason.store(static_cast<int>(*stop),
+                             std::memory_order_relaxed);
           internal_stop.request_stop();
           return;
         }

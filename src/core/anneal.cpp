@@ -70,24 +70,13 @@ AnnealResult detail::anneal_impl(const rqfp::Netlist& initial,
 
   const double t0 = params.initial_temperature;
   const double t1 = params.final_temperature;
-  for (std::uint64_t step = 0; step < params.steps; ++step) {
-    if (params.budget.stop_requested()) {
-      result.stop_reason = robust::StopReason::kStopRequested;
-      break;
-    }
-    if (params.budget.max_generations &&
-        step >= params.budget.max_generations) {
-      result.stop_reason = robust::StopReason::kGenerationBudget;
-      break;
-    }
-    if (params.budget.max_evaluations &&
-        result.steps_run >= params.budget.max_evaluations) {
-      result.stop_reason = robust::StopReason::kEvaluationBudget;
-      break;
-    }
-    if (params.budget.deadline_seconds > 0.0 &&
-        watch.seconds() > params.budget.deadline_seconds) {
-      result.stop_reason = robust::StopReason::kTimeLimit;
+  for (;;) {
+    // A step is one evaluation. Annealing keeps no stagnation clock, so
+    // the rule never reports stagnation here.
+    const std::uint64_t step = result.steps_run;
+    if (const auto stop = params.budget.check({step, params.steps, step, 1, 0},
+                                              watch.seconds())) {
+      result.stop_reason = *stop;
       break;
     }
     ++result.steps_run;

@@ -26,9 +26,11 @@ struct AnnealParams {
   std::uint64_t seed = 1;
   FitnessOptions fitness;
 
-  /// Cooperative stop / deadline / evaluation budgets, polled every step.
-  /// Tripping any of them exits cleanly with the best-seen netlist;
-  /// max_generations caps steps here.
+  /// Run limits, checked before every step (RunBudget::check); each exits
+  /// cleanly with the best-seen netlist. A step is one evaluation and
+  /// max_generations caps steps, while `steps` stays the plan the
+  /// temperature schedule spans. No stagnation clock: stagnation_limit is
+  /// ignored.
   robust::RunBudget budget;
 
   /// Optional JSONL trace (not owned; nullptr disables). Events:

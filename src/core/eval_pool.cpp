@@ -264,9 +264,11 @@ bool EvalPool::evaluate_generation(const EvalJob& job,
   for (const auto& s : scratch_) {
     busy_seconds_ += s->busy_seconds;
   }
-  obs::registry().gauge("evolve.pool.utilization").set(utilization());
+  static obs::Gauge& g_utilization =
+      obs::registry().gauge("evolve.pool.utilization");
   static obs::Histogram& h_generation = obs::registry().histogram(
       "evolve.generation.seconds", kGenerationSecondsBounds);
+  g_utilization.set(utilization());
   h_generation.observe(gen_seconds);
   return !aborted_.load(std::memory_order_relaxed);
 }

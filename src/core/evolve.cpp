@@ -1,5 +1,6 @@
 #include "core/evolve.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -166,43 +167,6 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
     put_fitness(ev, parent_fit);
   }
 
-  auto stop_reason = robust::StopReason::kCompleted;
-
-  // Boundary budget predicate, checked once per generation before the λ
-  // dispatch. The evaluation-budget form `evaluations + λ > max` is
-  // arithmetically identical to the historical per-offspring check with
-  // mid-generation rollback: a generation runs iff it fits the budget
-  // whole. Check order (stop, evaluations, time) matches the historical
-  // predicate so resumed runs report identical stop reasons.
-  const auto boundary_stop = [&]() -> bool {
-    if (params.budget.stop_requested()) {
-      stop_reason = robust::StopReason::kStopRequested;
-      return true;
-    }
-    if (params.budget.max_evaluations &&
-        state.evaluations + params.lambda > params.budget.max_evaluations) {
-      stop_reason = robust::StopReason::kEvaluationBudget;
-      return true;
-    }
-    if (params.budget.deadline_seconds > 0.0 &&
-        elapsed() > params.budget.deadline_seconds) {
-      stop_reason = robust::StopReason::kTimeLimit;
-      return true;
-    }
-    return false;
-  };
-  // Polled between offspring on every worker, so a deadline or a SIGINT is
-  // honored within one evaluation even for SAT-heavy configurations. Only
-  // monotone conditions: once true mid-generation it is still true at the
-  // boundary, where boundary_stop() re-derives the reason after the
-  // partial generation is discarded. The evaluation budget is not polled
-  // here — it is fully decided at the boundary.
-  const auto mid_generation_abort = [&]() -> bool {
-    return params.budget.stop_requested() ||
-           (params.budget.deadline_seconds > 0.0 &&
-            elapsed() > params.budget.deadline_seconds);
-  };
-
   const bool checkpointing = !params.checkpoint_path.empty();
   const auto save_checkpoint_now = [&] {
     state.seconds = elapsed();
@@ -215,18 +179,15 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
     }
   };
 
-  for (std::uint64_t gen = start_gen; gen < params.generations; ++gen) {
-    if (params.budget.max_generations &&
-        gen >= params.budget.max_generations) {
-      stop_reason = robust::StopReason::kGenerationBudget;
-      break;
-    }
+  // One stop rule at the top of every generation (RunBudget::check). The
+  // periodic checkpoint comes after it, so a stop on a checkpoint
+  // boundary writes once, at exit.
+  std::optional<robust::StopReason> stop;
+  while (!(stop = params.budget.check(state.progress(), elapsed()))) {
+    const std::uint64_t gen = state.generations_run;
     if (checkpointing && params.checkpoint_interval && gen > start_gen &&
         gen % params.checkpoint_interval == 0) {
       save_checkpoint_now();
-    }
-    if (boundary_stop()) {
-      break;
     }
 
     EvalJob job;
@@ -237,15 +198,17 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
     job.seed = params.seed;
     job.generation = gen;
     job.lambda = params.lambda;
-    job.should_abort = mid_generation_abort;
+    // Polled between offspring on every worker, so a deadline or a SIGINT
+    // is honored within one evaluation even for SAT-heavy configurations.
+    job.should_abort = [&] {
+      return params.budget.interrupted(elapsed()).has_value();
+    };
     if (!pool.evaluate_generation(job, offspring)) {
       // Aborted mid-generation: the partial generation is discarded (a
-      // generation is atomic w.r.t. both the result and resume) and the
-      // reason is re-derived — the abort conditions are monotone, so
-      // boundary_stop() finds the same verdict the worker saw.
-      if (!boundary_stop()) {
-        stop_reason = robust::StopReason::kStopRequested;
-      }
+      // generation is atomic w.r.t. both the result and resume), and the
+      // monotone interrupt rule still gives the verdict the worker saw.
+      stop = params.budget.interrupted(elapsed())
+                 .value_or(robust::StopReason::kStopRequested);
       break;
     }
     state.evaluations += params.lambda;
@@ -326,14 +289,9 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
           .field("elapsed_s", elapsed());
       put_fitness(ev, parent_fit);
     }
-
-    if (params.stagnation_limit &&
-        state.since_improvement >= params.stagnation_limit) {
-      stop_reason = robust::StopReason::kStagnation;
-      break;
-    }
   }
 
+  const robust::StopReason stop_reason = *stop;
   if (params.paranoia >= robust::ParanoiaLevel::kBoundaries) {
     robust::enforce_integrity(parent, spec, "evolve:end");
   }

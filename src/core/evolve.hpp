@@ -47,13 +47,12 @@ struct EvolveParams {
   /// §3.2.3 argues shrink reduces the search space).
   bool disable_shrink = false;
 
-  /// Stop early after this many generations without improvement (0 = off).
-  std::uint64_t stagnation_limit = 0;
-
-  /// Cooperative stop / deadline / evaluation budgets, polled between
-  /// offspring evaluations so even SAT-heavy configs stop promptly. All
-  /// exits are clean: the loop returns the best-so-far netlist and reports
-  /// why it stopped in EvolveResult::stop_reason.
+  /// Early stops: stagnation, generation and evaluation ceilings, deadline
+  /// and stop token. Checked at the top of every generation, and the
+  /// deadline and token also between offspring evaluations, so even
+  /// SAT-heavy configs stop promptly. All exits are clean: the loop
+  /// returns the best-so-far netlist and reports why it stopped in
+  /// EvolveResult::stop_reason.
   robust::RunBudget budget;
 
   /// Crash safety: when non-empty, the full evolve state (parent netlist,
@@ -139,16 +138,16 @@ robust::EvolveCheckpoint start_lineage(const rqfp::Netlist& initial,
                                        std::span<const tt::TruthTable> spec,
                                        const EvolveParams& params);
 
-/// Runs `state` forward until its generation budget, a RunBudget limit or
-/// the stagnation limit stops it, checkpointing to params.checkpoint_path
-/// when set. The state's run identity (seed, λ, μ, total generations) must
-/// match `params`, or std::invalid_argument is thrown, so a state is never
-/// continued under a different search configuration. The parent is
-/// re-evaluated, uncounted, and must reproduce the state's fitness, or
-/// robust::IntegrityError is thrown: a corrupted checkpoint that still
-/// passes its CRC never continues. `resumed` marks a state loaded from a
-/// checkpoint file; the result and the trace say so. Continuing is
-/// bit-identical to never having stopped.
+/// Runs `state` forward until RunBudget::check stops it (a state that
+/// already meets a stop rule runs no generation), checkpointing to
+/// params.checkpoint_path when set. The state's run identity (seed, λ, μ,
+/// total generations) must match `params`, or std::invalid_argument is
+/// thrown, so a state is never continued under a different search
+/// configuration. The parent is re-evaluated, uncounted, and must
+/// reproduce the state's fitness, or robust::IntegrityError is thrown: a
+/// corrupted checkpoint that still passes its CRC never continues.
+/// `resumed` marks a state loaded from a checkpoint file; the result and
+/// the trace say so. Continuing is bit-identical to never having stopped.
 EvolveResult continue_lineage(robust::EvolveCheckpoint state,
                               std::span<const tt::TruthTable> spec,
                               const EvolveParams& params,

@@ -106,9 +106,10 @@ struct OptimizerOptions {
   WindowParams window;
   /// Island-model scale-out for kEvolve (ignored by kAnneal / kWindow).
   island::FleetOptions island;
-  /// Cross-algorithm run limits (deadline, generation / evaluation
-  /// ceilings, stop token), laid over the running loop's own budget with
-  /// robust::overlay: a field set here replaces the algorithm's value.
+  /// Cross-algorithm run limits (deadline, generation / evaluation /
+  /// stagnation ceilings, stop token), laid over the running loop's own
+  /// budget with robust::overlay: a field set here replaces the
+  /// algorithm's value.
   robust::RunBudget limits;
 };
 

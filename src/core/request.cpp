@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -20,33 +19,8 @@ namespace {
 
 // ---- typed member extraction over obs::json::Value ----
 
-/// A non-negative integer no larger than `max`, or std::invalid_argument
-/// naming the key. The range is checked on the double: converting one at
-/// or above 2^64 to an integer is undefined.
-std::uint64_t uint_member(const obs::json::Value& v, std::string_view key,
-                          std::uint64_t max = kMaxRequestInteger) {
-  if (!v.is_number()) {
-    throw std::invalid_argument("key \"" + std::string(key) +
-                                "\" must be a number");
-  }
-  const double d = v.as_number();
-  if (!(d >= 0) || d != std::floor(d)) {
-    throw std::invalid_argument("key \"" + std::string(key) +
-                                "\" must be a non-negative integer");
-  }
-  if (d > static_cast<double>(max)) {
-    throw std::invalid_argument("key \"" + std::string(key) +
-                                "\" must be at most " + std::to_string(max));
-  }
-  return static_cast<std::uint64_t>(d);
-}
-
-/// uint_member for a field narrower than 64 bits.
-template <typename T>
-T narrow_member(const obs::json::Value& v, std::string_view key) {
-  return static_cast<T>(uint_member(
-      v, key, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
-}
+using obs::json::narrow_member;
+using obs::json::uint_member;
 
 double number_member(const obs::json::Value& v, std::string_view key) {
   if (!v.is_number()) {
@@ -389,7 +363,6 @@ OptimizerOptions optimizer_options_for(const SynthesisRequest& r,
     o.evolve.lambda = r.lambda;
   }
   o.evolve.threads = r.threads != 0 ? r.threads : defaults.threads;
-  o.evolve.stagnation_limit = r.stagnation_limit;
   o.anneal.seed = o.evolve.seed;
   if (r.generations != 0) {
     o.anneal.steps = r.generations; // kAnneal counts steps
@@ -405,6 +378,7 @@ OptimizerOptions optimizer_options_for(const SynthesisRequest& r,
   o.limits.deadline_seconds = r.deadline_seconds;
   o.limits.max_generations = r.max_generations;
   o.limits.max_evaluations = r.max_evaluations;
+  o.limits.stagnation_limit = r.stagnation_limit;
   return o;
 }
 

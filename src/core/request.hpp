@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/optimizer.hpp"
+#include "obs/json.hpp"
 #include "rqfp/cost.hpp"
 #include "tt/truth_table.hpp"
 
@@ -25,12 +26,10 @@ namespace rcgp::core {
 /// parses as its schema-2 meaning: N islands with topology "none".
 inline constexpr std::uint64_t kRequestSchemaVersion = 2;
 
-/// Largest integer a request or response field carries. JSON numbers are
-/// doubles, and from 2^53 on neighbouring integers round to one double, so
-/// a larger value could not be read back exactly; parsers reject it, as
-/// they reject values that do not fit the field they fill.
-inline constexpr std::uint64_t kMaxRequestInteger =
-    (std::uint64_t{1} << 53) - 1;
+/// Largest integer a request or response field carries: the largest a
+/// JSON document can carry exactly. Parsers reject a larger one, as they
+/// reject values that do not fit the field they fill.
+inline constexpr std::uint64_t kMaxRequestInteger = obs::json::kMaxExactInteger;
 
 /// How a request interacts with the synthesis result cache (src/cache).
 enum class CachePolicy : std::uint8_t {

@@ -11,25 +11,6 @@
 
 namespace rcgp::core {
 
-namespace {
-
-/// Why a sweep must stop before its next window (kCompleted = it need
-/// not): the stop token, or a sweep deadline, counted by `watch`, that
-/// has passed. Either way the sweep keeps what it spliced so far.
-robust::StopReason sweep_stop(const robust::RunBudget& budget,
-                              const util::Stopwatch& watch) {
-  if (budget.stop_requested()) {
-    return robust::StopReason::kStopRequested;
-  }
-  if (budget.deadline_seconds > 0.0 &&
-      watch.seconds() > budget.deadline_seconds) {
-    return robust::StopReason::kTimeLimit;
-  }
-  return robust::StopReason::kCompleted;
-}
-
-} // namespace
-
 bool extract_window(const rqfp::Netlist& net, std::uint32_t first,
                     std::uint32_t count, unsigned max_inputs, Window& out) {
   if (first + count > net.num_gates()) {
@@ -213,8 +194,8 @@ rqfp::Netlist detail::window_optimize_impl(const rqfp::Netlist& input,
        ++pass) {
     std::uint32_t start = 0;
     while (start < net.num_gates()) {
-      reason = sweep_stop(budget, watch);
-      if (reason != robust::StopReason::kCompleted) {
+      if (const auto stop = budget.interrupted(watch.seconds())) {
+        reason = *stop;
         break;
       }
       Window window;
@@ -254,8 +235,7 @@ rqfp::Netlist detail::window_optimize_impl(const rqfp::Netlist& input,
         net = net.remove_dead_gates();
       }
       start += stride;
-      if (result.stop_reason == robust::StopReason::kStopRequested ||
-          result.stop_reason == robust::StopReason::kTimeLimit) {
+      if (robust::is_interrupt(result.stop_reason)) {
         reason = result.stop_reason; // even when this was the last window
         break;
       }
@@ -283,8 +263,8 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
        ++pass) {
     std::uint32_t start = 0;
     while (start < net.num_gates()) {
-      reason = sweep_stop(params.budget, watch);
-      if (reason != robust::StopReason::kCompleted) {
+      if (const auto stop = params.budget.interrupted(watch.seconds())) {
+        reason = *stop;
         break;
       }
       Window window;

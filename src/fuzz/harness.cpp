@@ -56,13 +56,8 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
     const std::uint64_t last =
         options.only_case ? *options.only_case + 1 : options.cases;
     for (std::uint64_t index = first; index < last; ++index) {
-      if (options.budget.stop_requested()) {
-        summary.stop_reason = robust::StopReason::kStopRequested;
-        break;
-      }
-      if (options.budget.deadline_seconds > 0.0 &&
-          elapsed() >= options.budget.deadline_seconds) {
-        summary.stop_reason = robust::StopReason::kTimeLimit;
+      if (const auto stop = options.budget.interrupted(elapsed())) {
+        summary.stop_reason = *stop;
         break;
       }
 

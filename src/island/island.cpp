@@ -35,30 +35,6 @@ struct IslandPlan {
   std::uint64_t cap = 0;
 };
 
-/// Deterministic "this island can make no further progress" predicate,
-/// computed from the checkpoint state alone so a resumed fleet classifies
-/// its islands exactly as the uninterrupted run did. The order mirrors the
-/// evolve loop's exit order; stagnation must come first because evolve
-/// checks it at the loop bottom — re-running a stagnated state would
-/// execute one extra generation, the only non-idempotent exit.
-std::optional<StopReason> settled_reason(const robust::EvolveCheckpoint& st,
-                                         const IslandPlan& plan,
-                                         const core::EvolveParams& params) {
-  if (params.stagnation_limit != 0 &&
-      st.since_improvement >= params.stagnation_limit) {
-    return StopReason::kStagnation;
-  }
-  if (st.generations_run >= plan.total) return StopReason::kCompleted;
-  if (plan.cap < plan.total && st.generations_run >= plan.cap) {
-    return StopReason::kGenerationBudget;
-  }
-  if (params.budget.max_evaluations != 0 &&
-      st.evaluations + params.lambda > params.budget.max_evaluations) {
-    return StopReason::kEvaluationBudget;
-  }
-  return std::nullopt;
-}
-
 /// fleet.json format version; resume refuses any other.
 constexpr std::uint64_t kManifestSchema = 2;
 
@@ -83,6 +59,17 @@ struct ManifestData {
   Adopted adopted;
 };
 
+[[noreturn]] void manifest_error(const std::string& path,
+                                  const std::string& detail) {
+  throw robust::IntegrityError(robust::IntegrityError::Kind::kFormat,
+                               "island",
+                               "fleet manifest " + path + ": " + detail);
+}
+
+/// Reads fleet.json back. Every count must be an exact integer that fits
+/// its field (a missing one reads as 0); a damaged or hand-edited file
+/// that breaks this raises robust::IntegrityError, as a damaged
+/// checkpoint does.
 ManifestData load_manifest(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -91,43 +78,42 @@ ManifestData load_manifest(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   const std::optional<obs::json::Value> v = obs::json::parse(ss.str());
-  if (!v || !v->is_object()) {
-    throw std::runtime_error("island: malformed fleet manifest " + path);
-  }
+  if (!v || !v->is_object()) manifest_error(path, "malformed JSON");
   if (v->number_or("schema", 0) != kManifestSchema) {
-    throw std::runtime_error("island: fleet manifest " + path +
-                             " is not schema " +
-                             std::to_string(kManifestSchema) +
-                             " and cannot be resumed; rerun the fleet");
+    manifest_error(path, "not schema " + std::to_string(kManifestSchema) +
+                             ", so it cannot be resumed; rerun the fleet");
   }
   ManifestData m;
-  m.seed = static_cast<std::uint64_t>(v->number_or("seed", 0));
-  m.lambda = static_cast<unsigned>(v->number_or("lambda", 0));
-  m.mu = v->number_or("mu", 0.0);
-  m.generations = static_cast<std::uint64_t>(v->number_or("generations", 0));
-  m.islands = static_cast<unsigned>(v->number_or("islands", 0));
-  m.topology = v->string_or("topology", "");
-  m.migration_interval =
-      static_cast<std::uint64_t>(v->number_or("migration_interval", 0));
-  m.migration_size = static_cast<unsigned>(v->number_or("migration_size", 0));
-  m.epoch = static_cast<std::uint64_t>(v->number_or("epoch", 0));
-  m.offered = static_cast<std::uint64_t>(v->number_or("migrations_offered", 0));
-  m.accepted =
-      static_cast<std::uint64_t>(v->number_or("migrations_accepted", 0));
-  m.rejected =
-      static_cast<std::uint64_t>(v->number_or("migrations_rejected", 0));
-  if (const obs::json::Value* arr = v->find("islands_state");
-      arr && arr->is_array()) {
-    for (const obs::json::Value& it : arr->items()) {
-      m.immigrants.push_back(
-          static_cast<std::uint64_t>(it.number_or("immigrants", 0)));
+  try {
+    using obs::json::integer_or;
+    m.seed = integer_or(*v, "seed", m.seed);
+    m.lambda = integer_or(*v, "lambda", m.lambda);
+    m.mu = v->number_or("mu", 0.0);
+    m.generations = integer_or(*v, "generations", m.generations);
+    m.islands = integer_or(*v, "islands", m.islands);
+    m.topology = v->string_or("topology", "");
+    m.migration_interval =
+        integer_or(*v, "migration_interval", m.migration_interval);
+    m.migration_size = integer_or(*v, "migration_size", m.migration_size);
+    m.epoch = integer_or(*v, "epoch", m.epoch);
+    m.offered = integer_or(*v, "migrations_offered", m.offered);
+    m.accepted = integer_or(*v, "migrations_accepted", m.accepted);
+    m.rejected = integer_or(*v, "migrations_rejected", m.rejected);
+    if (const obs::json::Value* arr = v->find("islands_state");
+        arr && arr->is_array()) {
+      for (const obs::json::Value& it : arr->items()) {
+        m.immigrants.push_back(integer_or(it, "immigrants", std::uint64_t{0}));
+      }
     }
-  }
-  if (const obs::json::Value* arr = v->find("adopted"); arr && arr->is_array()) {
-    for (const obs::json::Value& it : arr->items()) {
-      m.adopted.emplace_back(static_cast<unsigned>(it.number_or("island", 0)),
-                             it.string_or("checkpoint", ""));
+    if (const obs::json::Value* arr = v->find("adopted");
+        arr && arr->is_array()) {
+      for (const obs::json::Value& it : arr->items()) {
+        m.adopted.emplace_back(integer_or(it, "island", 0u),
+                               it.string_or("checkpoint", ""));
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    manifest_error(path, e.what());
   }
   return m;
 }
@@ -225,7 +211,7 @@ core::EvolveResult RemoteSliceExecutor::run(
   r.threads = params.threads;
   r.max_generations = params.budget.max_generations;
   r.max_evaluations = params.budget.max_evaluations;
-  r.stagnation_limit = params.stagnation_limit;
+  r.stagnation_limit = params.budget.stagnation_limit;
   r.deadline_seconds = params.budget.deadline_seconds;
   // A cache hit would skip the evolution slice entirely — forbid it.
   r.cache = core::CachePolicy::kOff;
@@ -251,20 +237,11 @@ core::EvolveResult RemoteSliceExecutor::run(
   // Progress guard. Identity proves nothing — this executor wrote the
   // checkpoint itself, so a daemon that never opened it (started without
   // --checkpoint-dir, or pointing at the wrong directory) still reloads
-  // bit-identical. A slice only launches on an unsettled state below its
-  // boundary, so a daemon that really ran it must leave the state at the
-  // slice boundary or a terminal stop, or report an interruption.
-  const bool interrupted = reason == StopReason::kStopRequested ||
-                           reason == StopReason::kTimeLimit;
-  const std::uint64_t boundary = params.budget.max_generations;
-  const bool at_boundary = boundary != 0 && st.generations_run >= boundary;
-  const bool terminal =
-      st.generations_run >= st.generations_total ||
-      (params.stagnation_limit != 0 &&
-       st.since_improvement >= params.stagnation_limit) ||
-      (params.budget.max_evaluations != 0 &&
-       st.evaluations + params.lambda > params.budget.max_evaluations);
-  if (!interrupted && !at_boundary && !terminal) {
+  // bit-identical. A slice only launches on a state its budget does not
+  // settle, so a daemon that really ran it must leave a state the slice's
+  // budget settles (its boundary or a final stop), or report an
+  // interruption.
+  if (!robust::is_interrupt(reason) && !params.budget.settled(st.progress())) {
     throw std::runtime_error(
         "island: daemon at " + address + " did not advance " + r.id +
         " (is its --checkpoint-dir pointing at the fleet state_dir?)");
@@ -459,13 +436,19 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     }
   }
 
-  // Classify islands whose restored state is already terminal.
-  for (unsigned i = 0; i < N; ++i) {
-    if (!state[i]) continue;
-    if (const auto r = settled_reason(*state[i], plan[i], params)) {
+  // An island is done once the rule that stops evolve settles its state
+  // under the fleet's budget. The rule reads only the state, so a resumed
+  // fleet classifies its islands exactly as the uninterrupted run did.
+  const auto settle = [&](unsigned i) {
+    const auto r = params.budget.settled(state[i]->progress());
+    if (r) {
       done[i] = 1;
       reason[i] = *r;
     }
+    return r.has_value();
+  };
+  for (unsigned i = 0; i < N; ++i) {
+    if (state[i]) settle(i);
   }
 
   save_manifest();
@@ -498,10 +481,9 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
   const auto run_slice = [&](unsigned i, SliceLog& log) -> SliceState {
     // No slice starts after a stop or once the fleet's time, counted from
     // the start of this call, is up; whatever `parallelism` queued.
-    const bool stop = params.budget.stop_requested();
-    const double left = params.budget.deadline_seconds - watch.seconds();
-    if (stop || (params.budget.deadline_seconds > 0.0 && left <= 0.0)) {
-      log.reason = stop ? StopReason::kStopRequested : StopReason::kTimeLimit;
+    const double now = watch.seconds();
+    if (const auto stop = params.budget.interrupted(now)) {
+      log.reason = *stop;
       return SliceState::kInterrupted;
     }
     core::EvolveParams p = sp;
@@ -512,22 +494,19 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     // island is indistinguishable from a resumed one — the key to
     // placement-independent bit-identity.
     if (!state[i]) state[i] = core::detail::start_lineage(initial, spec, p);
-    if (const auto r = settled_reason(*state[i], plan[i], params)) {
-      done[i] = 1;
-      reason[i] = *r;
-      return SliceState::kDone;
-    }
+    if (settle(i)) return SliceState::kDone;
     const std::uint64_t b = boundary_for(i);
-    if (state[i]->generations_run >= b) {
+    p.budget.max_generations = b < plan[i].total ? b : user_max;
+    if (p.budget.settled(state[i]->progress())) {
       // Resumed after this slice landed but before its epoch committed.
       return SliceState::kActive;
     }
-    p.budget.max_generations = b < plan[i].total ? b : user_max;
     if (params.budget.deadline_seconds > 0.0) {
       // The island's own deadline spans its resume chain; the slice also
       // ends with the fleet's time.
       p.budget.deadline_seconds =
-          std::min(p.budget.deadline_seconds, state[i]->seconds + left);
+          std::min(p.budget.deadline_seconds,
+                   state[i]->seconds + params.budget.deadline_seconds - now);
     }
     p.checkpoint_path = state_path(i);
     Slice s;
@@ -541,21 +520,14 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     // The slice advanced the lineage; its run identity stays as it was.
     static_cast<core::LineageState&>(*state[i]) = std::move(r);
     log.to = state[i]->generations_run;
-    if (log.reason == StopReason::kStopRequested ||
-        log.reason == StopReason::kTimeLimit) {
+    if (robust::is_interrupt(log.reason)) {
       // A stop or the fleet deadline: a resumable interruption, not a
-      // terminal island state.
+      // final island state.
       return SliceState::kInterrupted;
     }
-    const auto s2 = settled_reason(*state[i], plan[i], params);
-    if (log.reason == StopReason::kGenerationBudget &&
-        state[i]->generations_run >= b && b < plan[i].cap && !s2) {
-      return SliceState::kActive; // parked at the migration boundary
-    }
-    done[i] = 1;
-    reason[i] =
-        (log.reason == StopReason::kGenerationBudget && s2) ? *s2 : log.reason;
-    return SliceState::kDone;
+    // Otherwise the slice's budget settled the state: either the fleet's
+    // budget does too, or the island is parked at the migration boundary.
+    return settle(i) ? SliceState::kDone : SliceState::kActive;
   };
 
   const auto trace_slice = [&](unsigned i, const SliceLog& log) {
@@ -581,13 +553,8 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
       finished_all = true;
       break;
     }
-    if (params.budget.stop_requested()) {
-      fleet_reason = StopReason::kStopRequested;
-      break;
-    }
-    if (params.budget.deadline_seconds > 0.0 &&
-        watch.seconds() >= params.budget.deadline_seconds) {
-      fleet_reason = StopReason::kTimeLimit;
+    if (const auto stop = params.budget.interrupted(watch.seconds())) {
+      fleet_reason = *stop;
       break;
     }
     if (options.max_epochs != 0 && epochs_this_call >= options.max_epochs) {

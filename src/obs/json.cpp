@@ -1,8 +1,10 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace rcgp::obs::json {
 
@@ -497,10 +499,34 @@ double Value::number_or(std::string_view key, double fallback) const {
   return v && v->is_number() ? v->as_number() : fallback;
 }
 
+bool Value::bool_or(std::string_view key, bool fallback) const {
+  const Value* v = find(key);
+  return v && v->kind() == Kind::kBool ? v->as_bool() : fallback;
+}
+
 std::string Value::string_or(std::string_view key,
                              std::string fallback) const {
   const Value* v = find(key);
   return v && v->is_string() ? v->as_string() : fallback;
+}
+
+std::uint64_t uint_member(const Value& v, std::string_view key,
+                          std::uint64_t max) {
+  if (!v.is_number()) {
+    throw std::invalid_argument("key \"" + std::string(key) +
+                                "\" must be a number");
+  }
+  const double d = v.as_number();
+  if (!(d >= 0) || d != std::floor(d)) {
+    throw std::invalid_argument("key \"" + std::string(key) +
+                                "\" must be a non-negative integer");
+  }
+  max = std::min(max, kMaxExactInteger);
+  if (d > static_cast<double>(max)) {
+    throw std::invalid_argument("key \"" + std::string(key) +
+                                "\" must be at most " + std::to_string(max));
+  }
+  return static_cast<std::uint64_t>(d);
 }
 
 std::optional<Value> parse(std::string_view text) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -84,6 +85,7 @@ public:
   const Value* find(std::string_view key) const;
   /// Convenience accessors with defaults for flat records.
   double number_or(std::string_view key, double fallback) const;
+  bool bool_or(std::string_view key, bool fallback) const;
   std::string string_or(std::string_view key, std::string fallback) const;
 
 private:
@@ -101,6 +103,33 @@ private:
 /// Parses exactly one JSON value (nullopt on malformed input). Accepts
 /// the same grammar `validate` accepts.
 std::optional<Value> parse(std::string_view text);
+
+/// Largest integer a document read back may carry. JSON numbers are
+/// doubles, and from 2^53 on neighbouring integers round to one double, so
+/// a larger value could not be read back exactly.
+inline constexpr std::uint64_t kMaxExactInteger = (std::uint64_t{1} << 53) - 1;
+
+/// `v` as an exact integer: a whole number, >= 0 and <= `max` (clamped to
+/// kMaxExactInteger). Anything else throws std::invalid_argument naming
+/// `key`. The range is checked on the double, because converting a
+/// negative or huge one to an integer is undefined.
+std::uint64_t uint_member(const Value& v, std::string_view key,
+                          std::uint64_t max = kMaxExactInteger);
+
+/// uint_member for a field narrower than 64 bits.
+template <typename T>
+T narrow_member(const Value& v, std::string_view key) {
+  return static_cast<T>(uint_member(
+      v, key, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+}
+
+/// Member `key` of `object` read into a T by narrow_member, or `fallback`
+/// when the member is absent.
+template <typename T>
+T integer_or(const Value& object, std::string_view key, T fallback) {
+  const Value* v = object.find(key);
+  return v != nullptr ? narrow_member<T>(*v, key) : fallback;
+}
 
 /// Extracts the first `"key": <number>` pair from a flat scan of a JSON
 /// document. Intended for tests and light trace post-processing; does not

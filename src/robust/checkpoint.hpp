@@ -32,6 +32,15 @@ struct EvolveCheckpoint : core::LineageState {
   unsigned lambda = 0;
   double mu = 0.0;
   std::uint64_t generations_total = 0;
+
+  /// The lineage's progress record for RunBudget's deterministic rule: a
+  /// generation costs λ evaluations, and the run is planned for
+  /// generations_total. Evolve, the fleet and the remote progress guard
+  /// all judge a lineage by this one record.
+  Progress progress() const {
+    return {generations_run, generations_total, evaluations, lambda,
+            since_improvement};
+  }
 };
 
 /// Serializes / parses the checkpoint payload (header + CRC included).

@@ -29,6 +29,35 @@ StopReason parse_stop_reason(const std::string& name) {
   throw std::invalid_argument("unknown stop reason '" + name + "'");
 }
 
+bool is_interrupt(StopReason reason) {
+  return reason == StopReason::kStopRequested ||
+         reason == StopReason::kTimeLimit;
+}
+
+std::optional<StopReason> RunBudget::settled(const Progress& at) const {
+  if (stagnation_limit != 0 && at.since_improvement >= stagnation_limit) {
+    return StopReason::kStagnation;
+  }
+  if (at.generations >= at.planned) return StopReason::kCompleted;
+  if (max_generations != 0 && at.generations >= max_generations) {
+    return StopReason::kGenerationBudget;
+  }
+  if (max_evaluations != 0 &&
+      at.evaluations + at.next_cost > max_evaluations) {
+    return StopReason::kEvaluationBudget;
+  }
+  return std::nullopt;
+}
+
+std::optional<StopReason> RunBudget::interrupted(
+    double elapsed_seconds) const {
+  if (stop_requested()) return StopReason::kStopRequested;
+  if (deadline_seconds > 0.0 && elapsed_seconds > deadline_seconds) {
+    return StopReason::kTimeLimit;
+  }
+  return std::nullopt;
+}
+
 RunBudget overlay(RunBudget own, const RunBudget& limits) {
   if (limits.deadline_seconds > 0.0) {
     own.deadline_seconds = limits.deadline_seconds;
@@ -38,6 +67,9 @@ RunBudget overlay(RunBudget own, const RunBudget& limits) {
   }
   if (limits.max_evaluations != 0) {
     own.max_evaluations = limits.max_evaluations;
+  }
+  if (limits.stagnation_limit != 0) {
+    own.stagnation_limit = limits.stagnation_limit;
   }
   if (limits.stop != nullptr) {
     own.stop = limits.stop;

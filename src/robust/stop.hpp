@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace rcgp::robust {
@@ -25,6 +26,11 @@ std::string to_string(StopReason reason);
 /// throws std::invalid_argument on unknown names.
 StopReason parse_stop_reason(const std::string& name);
 
+/// True for the reasons of RunBudget::interrupted (a stop token, a
+/// deadline): the run was cut short and may be continued. Every other
+/// reason is final.
+bool is_interrupt(StopReason reason);
+
 /// Cooperative cancellation flag. Loops poll `stop_requested()` between
 /// offspring evaluations, so a trip is honored within one evaluation — not
 /// one generation — even for SAT-heavy configs. Lock-free and async-signal
@@ -44,10 +50,24 @@ private:
   std::atomic<bool> stop_{false};
 };
 
+/// Where a loop stands at a generation boundary: everything the
+/// deterministic stop rule reads. A run cut into pieces presents the same
+/// record at the same boundary, so every piece reaches the same verdict.
+struct Progress {
+  std::uint64_t generations = 0; ///< generations (anneal: steps) done
+  std::uint64_t planned = 0;     ///< generations the run is planned for
+  std::uint64_t evaluations = 0; ///< evaluations spent
+  std::uint64_t next_cost = 0;   ///< evaluations the next generation spends
+  /// Generations since the last strict improvement (0 without a clock).
+  std::uint64_t since_improvement = 0;
+};
+
 /// Run budgets threaded through every optimizer loop, combining hard
-/// resource ceilings with a cooperative stop flag. All limits are
-/// best-so-far preserving: tripping any of them exits the loop cleanly
-/// with the current best netlist.
+/// resource ceilings with a cooperative stop flag, and the one place that
+/// decides whether a loop stops early and why. All limits are best-so-far
+/// preserving: tripping any of them exits the loop cleanly with the
+/// current best netlist. Every field left at its default (0, nullptr)
+/// never stops anything.
 struct RunBudget {
   /// Wall-clock ceiling in seconds measured from loop entry (resumed runs
   /// count the checkpointed elapsed time too). 0 = unlimited.
@@ -58,14 +78,35 @@ struct RunBudget {
   /// logical run into resumable chunks.
   std::uint64_t max_generations = 0;
   /// Ceiling on fitness evaluations, cumulative across resumes
-  /// (0 = unlimited).
+  /// (0 = unlimited). A generation runs only if it fits whole.
   std::uint64_t max_evaluations = 0;
+  /// Stop after this many generations without a strict improvement
+  /// (0 = off). Anneal keeps no stagnation clock and never stops on it.
+  std::uint64_t stagnation_limit = 0;
   /// Cooperative stop flag (not owned; nullptr = never stops). The CLI
   /// points this at the process-wide signal token.
   StopToken* stop = nullptr;
 
   bool stop_requested() const {
     return stop != nullptr && stop->stop_requested();
+  }
+
+  /// The deterministic rule: why a loop at `at` may run no further
+  /// generation, or nullopt while it may. Checked in the order
+  /// stagnation, completed, generation cap, evaluation budget. It reads
+  /// only the progress record, so a resumed state gets the verdict the
+  /// uninterrupted run got at the same boundary: every reason it gives is
+  /// idempotent under resume.
+  std::optional<StopReason> settled(const Progress& at) const;
+  /// The interrupt rule over the caller's elapsed seconds: the stop
+  /// token, then the deadline, which stops once strictly exceeded.
+  std::optional<StopReason> interrupted(double elapsed_seconds) const;
+  /// Both rules in order, the deterministic one first — the check at the
+  /// top of every generation.
+  std::optional<StopReason> check(const Progress& at,
+                                  double elapsed_seconds) const {
+    if (const auto reason = settled(at)) return reason;
+    return interrupted(elapsed_seconds);
   }
 };
 

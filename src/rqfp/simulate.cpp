@@ -38,7 +38,8 @@ std::size_t table_words(unsigned nv) {
 /// Words the last exhaustive pass pushed through the gate kernels —
 /// 3 output tables per evaluated gate (docs/SIMD.md digest).
 void count_sim_words(std::uint64_t gates_evaluated, std::size_t words) {
-  obs::registry().counter("sim.words").inc(3 * gates_evaluated * words);
+  static obs::Counter& c_words = obs::registry().counter("sim.words");
+  c_words.inc(3 * gates_evaluated * words);
 }
 
 } // namespace

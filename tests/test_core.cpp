@@ -416,7 +416,7 @@ TEST(Evolve, StagnationStopsEarly) {
   const auto init = init_netlist("4gt10");
   EvolveParams params;
   params.generations = 1000000;
-  params.stagnation_limit = 200;
+  params.budget.stagnation_limit = 200;
   params.seed = 3;
   const auto result = run_evolve(init, b.spec, params);
   EXPECT_LT(result.generations_run, params.generations);
@@ -428,7 +428,7 @@ TEST(Evolve, StagnationCounterResetsOnImprovement) {
   const auto init = init_netlist("decoder_2_4");
   EvolveParams params;
   params.generations = 50000;
-  params.stagnation_limit = 300;
+  params.budget.stagnation_limit = 300;
   params.seed = 21;
   std::vector<std::uint64_t> improvement_gens;
   params.on_improvement = [&](std::uint64_t gen, const Fitness&) {
@@ -440,9 +440,9 @@ TEST(Evolve, StagnationCounterResetsOnImprovement) {
   // The counter reset on every improvement, so the run survived past the
   // naive limit and stopped exactly `stagnation_limit` generations after
   // the last improvement (that generation itself included in the count).
-  EXPECT_GT(r.generations_run, params.stagnation_limit);
+  EXPECT_GT(r.generations_run, params.budget.stagnation_limit);
   EXPECT_EQ(r.generations_run,
-            improvement_gens.back() + params.stagnation_limit + 1);
+            improvement_gens.back() + params.budget.stagnation_limit + 1);
   EXPECT_EQ(static_cast<std::uint64_t>(improvement_gens.size()),
             r.improvements);
 }

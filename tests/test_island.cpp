@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
@@ -411,6 +412,51 @@ TEST(IslandFleet, ResumeRefusesASchemaOneManifest) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
         << e.what();
+  }
+  std::filesystem::remove_all(fleet.state_dir);
+}
+
+TEST(IslandFleet, ResumeRefusesAManifestWhoseCountsAreNotExactIntegers) {
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  const EvolveParams p = small_params(200, 3);
+
+  FleetOptions fleet;
+  fleet.islands = 2;
+  fleet.migration_interval = 50;
+  fleet.state_dir = temp_dir("bad_counts");
+  fleet.max_epochs = 1;
+  (void)island::run_fleet(init, b.spec, p, fleet);
+
+  const std::string manifest = island::fleet_manifest_path(fleet.state_dir);
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // No integer field holds these exactly; converting them would be
+  // undefined behaviour.
+  const std::pair<std::string, std::string> damage[] = {
+      {"\"islands\":2,", "\"islands\":-1,"},
+      {"\"epoch\":1,", "\"epoch\":1e300,"},
+      {"\"migration_size\":1,", "\"migration_size\":2.5,"}};
+  fleet.resume = true;
+  for (const auto& [good, bad] : damage) {
+    SCOPED_TRACE(bad);
+    std::string damaged = text;
+    ASSERT_NE(damaged.find(good), std::string::npos);
+    damaged.replace(damaged.find(good), good.size(), bad);
+    std::ofstream(manifest, std::ios::trunc) << damaged;
+    try {
+      (void)island::run_fleet(init, b.spec, p, fleet);
+      ADD_FAILURE() << "a damaged manifest was resumed";
+    } catch (const robust::IntegrityError& e) {
+      EXPECT_EQ(e.kind(), robust::IntegrityError::Kind::kFormat);
+      const std::string what = e.what();
+      EXPECT_NE(what.find(manifest), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.substr(0, bad.find(':'))), std::string::npos)
+          << what;
+    }
   }
   std::filesystem::remove_all(fleet.state_dir);
 }

@@ -261,6 +261,23 @@ TEST(Request, OptimizerOptionsRequestOverridesWin) {
   EXPECT_EQ(o.limits.max_evaluations, 400u);
 }
 
+TEST(Request, OptimizerOptionsMapEveryCeilingToLimits) {
+  SynthesisRequest r;
+  r.id = "j";
+  r.circuit = "c17";
+  r.deadline_seconds = 2.5;
+  r.max_generations = 90;
+  r.max_evaluations = 400;
+  r.stagnation_limit = 70;
+  const OptimizerOptions o = optimizer_options_for(r);
+  EXPECT_DOUBLE_EQ(o.limits.deadline_seconds, 2.5);
+  EXPECT_EQ(o.limits.max_generations, 90u);
+  EXPECT_EQ(o.limits.max_evaluations, 400u);
+  EXPECT_EQ(o.limits.stagnation_limit, 70u);
+  // Laid over a loop's own budget, the request's ceiling wins.
+  EXPECT_EQ(robust::overlay(o.evolve.budget, o.limits).stagnation_limit, 70u);
+}
+
 // ---------- response JSON round trip ----------
 
 TEST(Response, SuccessRoundTrips) {

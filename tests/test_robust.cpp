@@ -6,6 +6,9 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
+#include <optional>
 #include <string>
 
 #include "benchmarks/benchmarks.hpp"
@@ -129,6 +132,118 @@ TEST(StopReasonNames, AreStable) {
   EXPECT_EQ(to_string(StopReason::kGenerationBudget), "generation-budget");
   EXPECT_EQ(to_string(StopReason::kEvaluationBudget), "evaluation-budget");
   EXPECT_EQ(to_string(StopReason::kStopRequested), "stop-requested");
+}
+
+// ---------- The stop rule (RunBudget::settled, interrupted, check) ----------
+
+/// The reasons in the rule's documented order: the deterministic rule
+/// (stagnation, completed, generation cap, evaluation budget), then the
+/// interrupt rule (stop token, deadline).
+constexpr StopReason kRuleOrder[] = {
+    StopReason::kStagnation,       StopReason::kCompleted,
+    StopReason::kGenerationBudget, StopReason::kEvaluationBudget,
+    StopReason::kStopRequested,    StopReason::kTimeLimit};
+constexpr std::size_t kFirstInterrupt = 4;
+
+/// A boundary where every ceiling is set but none is met, then the
+/// condition behind each reason in `hold` made to hold.
+struct Boundary {
+  StopToken token;
+  robust::RunBudget budget;
+  robust::Progress at{40, 200, 500, 4, 10};
+  double elapsed = 5.0;
+
+  explicit Boundary(std::initializer_list<StopReason> hold) {
+    budget.deadline_seconds = 10.0;
+    budget.max_generations = 100;
+    budget.max_evaluations = 1000;
+    budget.stagnation_limit = 50;
+    budget.stop = &token;
+    for (const StopReason reason : hold) {
+      switch (reason) {
+        case StopReason::kStagnation: at.since_improvement = 50; break;
+        case StopReason::kCompleted: at.planned = 40; break;
+        case StopReason::kGenerationBudget: budget.max_generations = 40; break;
+        case StopReason::kEvaluationBudget: at.evaluations = 997; break;
+        case StopReason::kStopRequested: token.request_stop(); break;
+        case StopReason::kTimeLimit: elapsed = 10.5; break;
+      }
+    }
+  }
+};
+
+TEST(StopRule, EveryPairOfConditionsReportsTheEarlierReason) {
+  const Boundary none({});
+  EXPECT_EQ(none.budget.check(none.at, none.elapsed), std::nullopt);
+  for (std::size_t i = 0; i < std::size(kRuleOrder); ++i) {
+    for (std::size_t j = i; j < std::size(kRuleOrder); ++j) {
+      const StopReason first = kRuleOrder[i];
+      const StopReason second = kRuleOrder[j];
+      SCOPED_TRACE(to_string(first) + " + " + to_string(second));
+      Boundary b({first, second});
+      EXPECT_EQ(b.budget.check(b.at, b.elapsed), first);
+      // The deterministic rule reads only the progress record, the
+      // interrupt rule only the token and the clock.
+      EXPECT_EQ(b.budget.settled(b.at),
+                i < kFirstInterrupt ? std::optional(first) : std::nullopt);
+      EXPECT_EQ(b.budget.interrupted(b.elapsed),
+                i >= kFirstInterrupt   ? std::optional(first)
+                : j >= kFirstInterrupt ? std::optional(second)
+                                       : std::nullopt);
+      EXPECT_EQ(robust::is_interrupt(first), i >= kFirstInterrupt);
+    }
+  }
+}
+
+TEST(StopRule, LimitsStopOnlyOnceReached) {
+  Boundary b({});
+  // A deadline equal to the elapsed time has not passed.
+  EXPECT_EQ(b.budget.interrupted(10.0), std::nullopt);
+  EXPECT_EQ(b.budget.interrupted(10.000001), StopReason::kTimeLimit);
+  // A generation that exactly uses up the evaluation budget still runs.
+  b.at.evaluations = 996;
+  EXPECT_EQ(b.budget.settled(b.at), std::nullopt);
+  b.at.since_improvement = 49;
+  b.at.generations = 99;
+  EXPECT_EQ(b.budget.settled(b.at), std::nullopt);
+  b.at.generations = 100;
+  EXPECT_EQ(b.budget.settled(b.at), StopReason::kGenerationBudget);
+}
+
+TEST(StopRule, UnsetFieldsNeverStop) {
+  // Far past anything a set field could name.
+  const robust::Progress far{1'000'000'000'000, 2'000'000'000'000,
+                             1'000'000'000'000'000, 1'000'000,
+                             1'000'000'000'000};
+  EXPECT_EQ(robust::RunBudget{}.check(far, 1e9), std::nullopt);
+  // A boundary that meets every ceiling: unsetting each field (0, or a
+  // null token) removes its reason and only its reason.
+  Boundary b({StopReason::kStagnation, StopReason::kGenerationBudget,
+              StopReason::kEvaluationBudget, StopReason::kStopRequested,
+              StopReason::kTimeLimit});
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), StopReason::kStagnation);
+  b.budget.stagnation_limit = 0;
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), StopReason::kGenerationBudget);
+  b.budget.max_generations = 0;
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), StopReason::kEvaluationBudget);
+  b.budget.max_evaluations = 0;
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), StopReason::kStopRequested);
+  b.budget.stop = nullptr;
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), StopReason::kTimeLimit);
+  b.budget.deadline_seconds = 0.0;
+  EXPECT_EQ(b.budget.check(b.at, b.elapsed), std::nullopt);
+}
+
+TEST(StopRule, OverlayLaysEveryCeilingOver) {
+  robust::RunBudget own;
+  own.max_generations = 7;
+  own.stagnation_limit = 3;
+  robust::RunBudget limits;
+  limits.stagnation_limit = 40;
+  const robust::RunBudget both = robust::overlay(own, limits);
+  EXPECT_EQ(both.stagnation_limit, 40u);
+  EXPECT_EQ(both.max_generations, 7u);
+  EXPECT_EQ(robust::overlay(own, {}).stagnation_limit, 3u);
 }
 
 TEST(Paranoia, ParsesAllSpellings) {
@@ -454,6 +569,24 @@ TEST(EvolveBudget, PreTrippedTokenReturnsInitialImmediately) {
   EXPECT_TRUE(cec::sim_check(r.best, b.spec).all_match);
 }
 
+TEST(EvolveBudget, DeterministicReasonWinsOverAPendingStop) {
+  // The initial evaluation spends the whole budget, and the token is
+  // already tripped: the run could not go on even if nobody had asked it
+  // to stop, so the reason is final, not a resumable interruption.
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  StopToken token;
+  token.request_stop();
+  EvolveParams params;
+  params.generations = 100000;
+  params.budget.stop = &token;
+  params.budget.max_evaluations = 1;
+  const auto r = run_evolve(init, b.spec, params);
+  EXPECT_EQ(r.stop_reason, StopReason::kEvaluationBudget);
+  EXPECT_EQ(r.generations_run, 0u);
+  EXPECT_EQ(r.evaluations, 1u);
+}
+
 TEST(EvolveBudget, DeadlineStopsPromptly) {
   const auto b = benchmarks::get("graycode4");
   const auto init = init_netlist("graycode4");
@@ -609,6 +742,31 @@ TEST(Resume, ChainOfInterruptionsStillMatches) {
   EXPECT_EQ(fin.generations_run, ref.generations_run);
   EXPECT_EQ(fin.evaluations, ref.evaluations);
   EXPECT_EQ(io::write_rqfp_string(fin.best), io::write_rqfp_string(ref.best));
+  std::remove(path.c_str());
+}
+
+TEST(Resume, StagnatedStateRunsNoFurtherGeneration) {
+  const auto b = benchmarks::get("decoder_2_4");
+  const auto init = init_netlist("decoder_2_4");
+  const std::string path = temp_path("stagnated.ckpt");
+  EvolveParams params;
+  params.generations = 50000;
+  params.seed = 21;
+  params.budget.stagnation_limit = 300;
+  params.checkpoint_path = path;
+  const auto first = run_evolve(init, b.spec, params);
+  ASSERT_EQ(first.stop_reason, StopReason::kStagnation);
+  ASSERT_LT(first.generations_run, params.generations);
+
+  // Stagnation is decided before a generation, not after one, so
+  // continuing the stagnated state is idempotent like every other stop.
+  const auto again = resume_evolve(path, b.spec, params);
+  EXPECT_EQ(again.stop_reason, StopReason::kStagnation);
+  EXPECT_EQ(again.generations_run, first.generations_run);
+  EXPECT_EQ(again.evaluations, first.evaluations);
+  EXPECT_EQ(again.since_improvement, first.since_improvement);
+  EXPECT_EQ(io::write_rqfp_string(again.best),
+            io::write_rqfp_string(first.best));
   std::remove(path.c_str());
 }
 
