@@ -58,12 +58,11 @@ struct EvalJob {
 /// block to claim, and at the paper's λ = 4 every run takes the inline
 /// threads == 1 path with no hand-off at all. Each generation is cut into
 /// blocks of ⌈λ / threads⌉ offspring so the workers finish together, and
-/// each block is evaluated through the λ-batched dirty-cone path
-/// (core::evaluate_delta_batch): one gate-major simulation pass over the
-/// whole block against the worker's read-only base SimCache. Per-offspring
-/// cost still scales with the mutated cone, but the base port tables are
-/// walked once per gate for the block instead of once per offspring, and
-/// there is no per-sibling undo/restore. Block partitioning cannot affect
+/// each block is evaluated through the cone-only delta path
+/// (core::evaluate_delta_batch) against the worker's read-only base
+/// SimCache: each offspring pays for a gate diff plus its own cone, read
+/// from the shared base rows and private overlay rows, with no
+/// per-sibling undo/restore. Block partitioning cannot affect
 /// results — each offspring is a pure function of (seed, g, k, parent) and
 /// the batched simulation is bit-identical to a from-scratch one — so any
 /// thread count, block size, and claim order produce the same generation.

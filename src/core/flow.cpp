@@ -138,6 +138,11 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
     result.optimized = result.optimization.best;
   } else {
     result.optimized = result.initial;
+    if (options.run_cgp) {
+      // A stop skipped the requested optimizer: report it, so a batch
+      // keeps the job for --resume instead of settling on the baseline.
+      result.optimization.stop_reason = robust::StopReason::kStopRequested;
+    }
   }
   if (options.run_exact_polish && !stopped()) {
     obs::PhaseSpan timer("exact-polish");

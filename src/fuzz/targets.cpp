@@ -477,8 +477,9 @@ void run_manifest_corruption(CaseContext& ctx, std::vector<Finding>& out) {
 void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
   util::Rng rng = case_rng(ctx, Target::kOptimizerDiff, 0);
 
+  // Up to 10 PIs: rows of 1 to 16 words, through update_sim_cache too.
   NetlistShape shape;
-  shape.max_pis = 4;
+  shape.max_pis = 10;
   shape.max_gates = 16;
   rqfp::Netlist base = random_netlist(rng, shape);
   const std::vector<tt::TruthTable> spec = rqfp::simulate(base);
@@ -885,8 +886,10 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
   // reproduce the scalar tier bit-for-bit — exhaustive tables, the
   // λ-batched delta path against scalar simulate, and pattern sweeps.
   util::Rng net_rng = case_rng(ctx, Target::kSimdDifferential, 1);
+  // Up to 10 PIs: rows of 1 to 16 words, so the delta path runs its
+  // fixed-width short rows and each tier's kernel on the wide ones.
   NetlistShape shape;
-  shape.max_pis = 5;
+  shape.max_pis = 10;
   shape.max_gates = 16;
   const rqfp::Netlist base = random_netlist(net_rng, shape);
   std::vector<rqfp::Netlist> children;

@@ -48,6 +48,7 @@ public:
 
   const Gate& gate(std::uint32_t g) const { return gates_[g]; }
   Gate& gate(std::uint32_t g) { return gates_[g]; }
+  std::span<const Gate> gates() const { return gates_; }
   Port po_at(std::uint32_t i) const { return pos_[i]; }
   const std::string& po_name(std::uint32_t i) const { return po_names_[i]; }
   void set_pi_names(std::vector<std::string> names) {

@@ -29,7 +29,9 @@ ReversibilityReport analyze_reversibility(const Netlist& input) {
 
   SimCache cache;
   build_sim_cache(net, cache);
-  const std::vector<tt::TruthTable>& ports = cache.ports;
+  const auto bit = [&](Port p, std::uint64_t x) {
+    return (cache.row(p)[x >> 6] >> (x & 63)) & 1;
+  };
   const std::uint64_t n = std::uint64_t{1} << net.num_pis();
   std::unordered_map<std::uint64_t, std::uint64_t> image; // key -> first x
   report.information_preserving = true;
@@ -39,7 +41,7 @@ ReversibilityReport analyze_reversibility(const Netlist& input) {
     // analyzed exhaustively; beyond that, fold with a mixing hash.
     std::uint64_t key = 0xcbf29ce484222325ULL;
     for (const Port p : boundary) {
-      key = (key ^ (ports[p].bit(x) ? 0x9E37ULL : 0x79B9ULL)) *
+      key = (key ^ (bit(p, x) ? 0x9E37ULL : 0x79B9ULL)) *
             0x100000001B3ULL;
     }
     const auto [it, inserted] = image.emplace(key, x);
@@ -47,7 +49,7 @@ ReversibilityReport analyze_reversibility(const Netlist& input) {
       // Confirm the collision bit-by-bit (hash collisions are possible).
       bool same = true;
       for (const Port p : boundary) {
-        if (ports[p].bit(x) != ports[p].bit(it->second)) {
+        if (bit(p, x) != bit(p, it->second)) {
           same = false;
           break;
         }

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,74 +13,90 @@ namespace rcgp::rqfp {
 /// Exhaustive simulation of the primary outputs: one truth table per PO
 /// over the PIs. Only the live cone feeding the POs is evaluated (dead
 /// gates cannot affect them). Requires num_pis() <= TruthTable::kMaxVars;
-/// build_sim_cache gives the table of every port instead.
+/// build_sim_cache gives the row of every port instead.
 std::vector<tt::TruthTable> simulate(const Netlist& net);
 
-/// Reusable exhaustive-simulation state for the dirty-cone incremental
-/// fast path. `ports` holds the truth table of every port of a base
-/// netlist, indexed by port number — dead gates included, so PO moves onto
-/// currently-dead cones still read correct values; the other members are
-/// scratch reused across update_sim_cache calls. simulate_delta_batch only
-/// reads the cache, so one cache serves every offspring of a generation
-/// and only the cone downstream of changed genes is ever re-simulated.
-struct SimCache {
-  std::vector<tt::TruthTable> ports;
-  unsigned num_pis = 0;
-  std::uint32_t num_gates = 0;
-
-  // --- scratch internals (managed by the simulate_* functions) ---
-  struct UndoEntry {
-    Port port = 0;
-    tt::TruthTable value;
+/// Reusable scratch of the cone walk, for simulate_delta_batch (and, as
+/// SimCache::update_scratch, for update_sim_cache). Its members are
+/// managed by those functions and carry their allocations across calls;
+/// `po` of child c holds its PO tables after a simulate_delta_batch call.
+struct DeltaBatch {
+  /// Slot flag: the rest of the slot is an overlay row, not a base port.
+  static constexpr std::uint32_t kOverlay = std::uint32_t{1} << 31;
+  struct Child {
+    std::vector<tt::TruthTable> po;
   };
-  std::vector<std::uint8_t> dirty;
-  std::vector<UndoEntry> undo;
-  std::size_t undo_size = 0;
-  std::array<tt::TruthTable, 3> gate_scratch;
+  std::vector<Child> children;
+
+  // --- scratch internals, shared by the children of a call ---
+  std::vector<std::uint64_t> mark;    // gate bitset: the cone worklist
+  std::vector<std::uint32_t> slot;    // per port: p, or kOverlay | row
+  std::vector<std::uint64_t> overlay; // cone rows, 3 per gate evaluated
+  std::vector<Port> touched;          // first output port of each of them
 };
 
-/// Fully simulates `net` into `cache` (capacity-reusing). Afterwards
-/// cache.ports[p] is the table of port p and the cache can serve
-/// update_sim_cache / simulate_delta_batch calls for same-shaped netlists.
+/// Exhaustive per-port simulation state of a base netlist for the
+/// cone-only delta path; simulate_delta_batch only reads it, so one cache
+/// serves every offspring of a generation.
+///
+/// `rows` holds one row of `words` 64-bit words per port, row p = port p
+/// at rows[p * words], dead gates included (PO moves onto currently-dead
+/// cones still read correct values). A row is the port's function over
+/// the assignments 0 .. 64 * words - 1: with fewer than 6 PIs it repeats
+/// the 2^n-bit table across the word (the constant row is all ones), so
+/// equal rows are equal tables, and table() masks the copy.
+///
+/// `consumer_start`/`consumer_gate` index the gates reading each gate
+/// output port p, ascending, at consumer_gate[consumer_start[p] ..
+/// consumer_start[p + 1]); consumer_gate ends with one pad entry. A port
+/// may feed several gate inputs (strict_po_swap = false mutations produce
+/// that). Constant and PI rows never change, so they list no consumers.
+struct SimCache {
+  std::vector<std::uint64_t> rows;
+  std::size_t words = 0;
+  unsigned num_pis = 0;
+  std::uint32_t num_gates = 0;
+  std::vector<std::uint32_t> consumer_start;
+  std::vector<std::uint32_t> consumer_gate;
+
+  const std::uint64_t* row(Port p) const { return rows.data() + p * words; }
+  /// The truth table of port p over num_pis variables.
+  tt::TruthTable table(Port p) const;
+
+  /// update_sim_cache's scratch, kept warm across commits and bounded by
+  /// the rows it updates.
+  DeltaBatch update_scratch;
+};
+
+/// Fully simulates `net` into `cache` (capacity-reusing) and indexes its
+/// consumers. Afterwards cache.row(p) is the row of port p and the cache
+/// can serve update_sim_cache / simulate_delta_batch calls for
+/// same-shaped netlists. Throws std::invalid_argument above
+/// TruthTable::kMaxVars PIs.
 void build_sim_cache(const Netlist& net, SimCache& cache);
 
-/// Re-simulates the dirty cone of `to` relative to `from` — whose port
-/// values the cache currently holds — and commits: the cache then holds
-/// `to`'s values. `from` and `to` must agree on PI and gate counts
-/// (CGP mutation preserves both); throws std::invalid_argument otherwise.
+/// Re-simulates the cone of `to` relative to `from` — whose port values
+/// the cache currently holds — with the simulate_delta_batch engine and
+/// commits: the cache then holds `to`'s rows and consumers. `from` and
+/// `to` must agree on PI and gate counts (CGP mutation preserves both);
+/// throws std::invalid_argument otherwise.
 void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache);
 
-/// Reusable scratch for simulate_delta_batch: one overlay per offspring of
-/// a λ-block. All members are managed by simulate_delta_batch and carry
-/// their allocations across generations; `po` of child c holds its PO
-/// tables after the call.
-struct DeltaBatch {
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  struct Child {
-    std::vector<tt::TruthTable> po;
-    // --- scratch internals ---
-    std::vector<std::uint8_t> dirty;    // per-port: overlay holds this port
-    std::vector<std::uint32_t> slot;    // per-port index into values
-    std::vector<tt::TruthTable> values; // overlay pool (used prefix live)
-    std::size_t used = 0;
-    std::vector<Port> touched;
-  };
-  std::vector<Child> children;
-};
-
-/// λ-batched dirty-cone simulation: evaluates every child of one
-/// generation in a single gate-major pass against a read-only base cache.
-/// For each gate, each child whose genes changed there — or whose cone is
-/// already dirty — re-evaluates it into a private sparse overlay; all
-/// other reads hit the shared base port tables, which are never written,
-/// so there is no per-sibling undo/restore churn and each gate's base rows
-/// stay cache-hot across the whole block. Only gates whose genes changed,
-/// or whose cone inputs did, are re-evaluated; a recomputed value equal to
-/// the base one stops the cone early. The PO tables (batch.children[c].po)
-/// are bit-identical to simulate(*children[c]). The cache must currently
-/// hold `base`'s values; shape requirements are as in update_sim_cache,
-/// checked per child.
+/// Cone-only delta simulation of every child of a block against a
+/// read-only base cache. Per child, a branch-free compare of its gates
+/// with the base's seeds a gate bitset with the changed genes; the bitset
+/// is popped in ascending order (a consumer always follows its producer),
+/// each popped gate is evaluated into overlay rows, and an output equal
+/// to its base row stops the cone there, otherwise the port's consumers
+/// are marked. So a gate is evaluated iff its gene differs from the base
+/// or one of its inputs' values does, and a child costs its diff plus
+/// its cone; all other reads hit the shared base rows, which are never
+/// written. 1-, 2- and 4-word rows run fixed-width inline code, wider
+/// ones the active SIMD tier's gate3. The PO tables
+/// (batch.children[c].po) are bit-identical to simulate(*children[c]).
+/// The cache must currently hold `base`'s rows and consumers; shape
+/// requirements are as in update_sim_cache, checked per child.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch);

@@ -490,6 +490,47 @@ void expect_same_results(const BatchSummary& a, const BatchSummary& b) {
   }
 }
 
+TEST(Runner, StopBeforeTheOptimizerLeavesTheJobForResume) {
+  // The token trips after the job is claimed but before its flow starts:
+  // the flow skips CGP, so the record is a non-final stop-requested one,
+  // not a completed job holding the unoptimized baseline.
+  const Manifest m = parse_manifest_string(
+      "{\"id\":\"fa\",\"circuit\":\"full_adder\",\"generations\":400,"
+      "\"seed\":7}\n");
+  const std::string dir = temp_dir("stopbeforecgp");
+  BatchOptions first;
+  first.out_dir = dir;
+  first.workers = 1;
+  first.executor = [&first](const Job& job, const JobContext& ctx) {
+    ctx.stop->request_stop();
+    return execute_request(job, ctx, first.execute);
+  };
+  const BatchSummary s1 = run_batch(m, first);
+  EXPECT_EQ(s1.done, 0u);
+  EXPECT_EQ(s1.unrun, 1u);
+  const auto stored = ResultsStore::load(dir + "/results.jsonl");
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_FALSE(stored[0].final_record);
+  EXPECT_FALSE(stored[0].ok);
+  EXPECT_EQ(stored[0].stop_reason, "stop-requested");
+
+  BatchOptions second;
+  second.out_dir = dir;
+  second.workers = 1;
+  second.resume = true;
+  const BatchSummary s2 = run_batch(m, second);
+  EXPECT_EQ(s2.done, 1u);
+  EXPECT_EQ(s2.skipped, 0u);
+  ASSERT_EQ(s2.records.size(), 1u);
+  EXPECT_TRUE(s2.records[0].ok);
+  EXPECT_EQ(s2.records[0].stop_reason, "completed");
+
+  BatchOptions uninterrupted;
+  uninterrupted.out_dir = temp_dir("stopbeforecgp_ref");
+  uninterrupted.workers = 1;
+  expect_same_results(run_batch(m, uninterrupted), s2);
+}
+
 TEST(Runner, ResultsAreBitIdenticalForAnyWorkerCount) {
   const Manifest m = parse_manifest_string(kRealManifest);
   BatchOptions one;

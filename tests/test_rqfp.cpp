@@ -5,8 +5,12 @@
 
 #include "aig/aig_simulate.hpp"
 #include "benchmarks/benchmarks.hpp"
+#include "core/fitness.hpp"
 #include "core/flow.hpp"
+#include "core/mutation.hpp"
+#include "fuzz/generator.hpp"
 #include "mig/mig_from_aig.hpp"
+#include "obs/metrics.hpp"
 #include "rqfp/buffer.hpp"
 #include "rqfp/catalog.hpp"
 #include "rqfp/cost.hpp"
@@ -232,7 +236,7 @@ TEST(Simulate, SkippingDeadGatesMatchesEveryPortSimulation) {
   build_sim_cache(net, all_ports);
   const auto po = simulate(net);
   ASSERT_EQ(po.size(), 1u);
-  EXPECT_EQ(po[0], all_ports.ports[net.po_at(0)]);
+  EXPECT_EQ(po[0], all_ports.table(net.po_at(0)));
   EXPECT_EQ(po, simulate(net.remove_dead_gates()));
 }
 
@@ -261,6 +265,55 @@ TEST(Simulate, BatchValidatesPiCountWithContext) {
   }
 }
 
+struct TierGuard {
+  simd::Tier saved = simd::active_tier();
+  ~TierGuard() { simd::force_tier(saved); }
+};
+
+/// Every port's table, simulated gate by gate with eval_gate_tables: the
+/// reference for the row engine of SimCache and simulate_delta_batch.
+std::vector<tt::TruthTable> reference_ports(const Netlist& net) {
+  const unsigned nv = net.num_pis();
+  std::vector<tt::TruthTable> port(net.first_free_port(),
+                                   tt::TruthTable(nv));
+  port[kConstPort] = tt::TruthTable::constant(nv, true);
+  for (unsigned i = 0; i < nv; ++i) {
+    port[1 + i] = tt::TruthTable::projection(nv, i);
+  }
+  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
+    const auto& gate = net.gate(g);
+    const auto out = eval_gate_tables(gate.config, port[gate.in[0]],
+                                      port[gate.in[1]], port[gate.in[2]]);
+    for (unsigned k = 0; k < 3; ++k) {
+      port[net.port_of(g, k)] = out[k];
+    }
+  }
+  return port;
+}
+
+/// The sim.words a delta evaluation of `child` against `base` counts: 3
+/// rows for every gate whose gene differs from the base's, or whose
+/// input ports carry a value in the child that differs from the base's.
+std::uint64_t reference_cone_words(const Netlist& base,
+                                   const Netlist& child) {
+  const auto b = reference_ports(base);
+  const auto c = reference_ports(child);
+  std::uint64_t gates = 0;
+  for (std::uint32_t g = 0; g < child.num_gates(); ++g) {
+    const auto& gate = child.gate(g);
+    bool evaluated = !(gate == base.gate(g));
+    for (const Port p : gate.in) {
+      evaluated = evaluated || !(c[p] == b[p]);
+    }
+    gates += evaluated ? 1 : 0;
+  }
+  return 3 * gates * b[kConstPort].num_words();
+}
+
+std::uint64_t sim_words() {
+  return obs::registry().counter("sim.words").value();
+}
+
 TEST(Simulate, DeltaMatchesFullSimulation) {
   // Mutate one gate's config and check the dirty-cone path reproduces the
   // full re-simulation bit-for-bit without touching the cache.
@@ -273,7 +326,7 @@ TEST(Simulate, DeltaMatchesFullSimulation) {
 
   SimCache cache;
   build_sim_cache(base, cache);
-  const auto cached_ports = cache.ports;
+  const auto cached_rows = cache.rows;
 
   Netlist child = base;
   child.gate(0).config = InvConfig(0x155);
@@ -281,13 +334,182 @@ TEST(Simulate, DeltaMatchesFullSimulation) {
   simulate_delta_batch(base, {&child}, cache, batch);
   EXPECT_EQ(batch.children[0].po, simulate(child));
   // Read-only evaluation: the cache still describes `base` afterwards.
-  EXPECT_EQ(cache.ports, cached_ports);
+  EXPECT_EQ(cache.rows, cached_rows);
 
   // Committing the drift re-bases the cache onto the child.
   update_sim_cache(base, child, cache);
   SimCache fresh;
   build_sim_cache(child, fresh);
-  EXPECT_EQ(cache.ports, fresh.ports);
+  EXPECT_EQ(cache.rows, fresh.rows);
+}
+
+TEST(Simulate, DeltaBatchMatchesFullSimulationAtEveryWidth) {
+  // 3..10 PIs give rows of 1, 2, 4, 8 and 16 words; every SIMD tier runs
+  // them; whole, one-child and ragged blocks each hold the unmutated
+  // child 0. One DeltaBatch serves every base, whose PI and gate counts
+  // differ, so a slot left stale by an earlier call would show.
+  TierGuard guard;
+  util::Rng rng(2026);
+  DeltaBatch batch;
+  const std::vector<std::vector<unsigned>> blocks = {
+      {0, 1, 2, 3, 4}, {0}, {3, 0}, {1, 0, 4}, {4, 2, 0, 1}};
+  for (const simd::Tier tier : simd::available_tiers()) {
+    simd::force_tier(tier);
+    for (unsigned nv = 3; nv <= 10; ++nv) {
+      fuzz::NetlistShape shape;
+      shape.min_pis = nv;
+      shape.max_pis = nv;
+      shape.min_gates = 4;
+      shape.max_gates = 40;
+      const Netlist base = fuzz::random_netlist(rng, shape);
+      std::vector<Netlist> children(5, base);
+      for (std::size_t k = 1; k < children.size(); ++k) {
+        core::MutationParams mp;
+        mp.mu = k % 2 == 0 ? 1.0 : 0.05;
+        core::mutate(children[k], rng, mp);
+      }
+      SimCache cache;
+      build_sim_cache(base, cache);
+      const auto rows = cache.rows;
+      for (const auto& block : blocks) {
+        std::vector<const Netlist*> ptrs;
+        std::uint64_t want_words = 0;
+        for (const unsigned k : block) {
+          ptrs.push_back(&children[k]);
+          want_words += reference_cone_words(base, children[k]);
+        }
+        const std::uint64_t before = sim_words();
+        simulate_delta_batch(base, ptrs, cache, batch);
+        const std::string what = std::string(simd::to_string(tier)) + ", " +
+                                 std::to_string(nv) + " PIs, block of " +
+                                 std::to_string(block.size());
+        EXPECT_EQ(sim_words() - before, want_words) << what;
+        for (std::size_t j = 0; j < block.size(); ++j) {
+          EXPECT_EQ(batch.children[j].po, simulate(children[block[j]]))
+              << what << ", child " << block[j];
+        }
+      }
+      EXPECT_EQ(cache.rows, rows) << nv << " PIs: the base cache is read-only";
+
+      // Committing a child costs its cone too and leaves the rows and the
+      // consumers a fresh build would have.
+      const std::uint64_t before = sim_words();
+      update_sim_cache(base, children[1], cache);
+      EXPECT_EQ(sim_words() - before, reference_cone_words(base, children[1]))
+          << nv << " PIs";
+      SimCache fresh;
+      build_sim_cache(children[1], fresh);
+      EXPECT_EQ(cache.rows, fresh.rows) << nv << " PIs";
+      EXPECT_EQ(cache.consumer_start, fresh.consumer_start) << nv << " PIs";
+      EXPECT_EQ(cache.consumer_gate, fresh.consumer_gate) << nv << " PIs";
+      const auto ports = reference_ports(children[1]);
+      for (Port p = 0; p < children[1].first_free_port(); ++p) {
+        ASSERT_EQ(cache.table(p), ports[p]) << nv << " PIs, port " << p;
+      }
+    }
+  }
+}
+
+TEST(Simulate, DeltaReachesEveryConsumerOfASharedPort) {
+  // One gate output feeding two gate inputs (add_gate does not check
+  // fan-out, and strict_po_swap = false mutations leave such netlists
+  // behind): changing its producer re-simulates both consumers' cones.
+  Netlist base(3);
+  const auto g0 = base.add_gate({1, 2, 3}, InvConfig::reversible());
+  const Port shared = base.port_of(g0, 0);
+  const auto g1 = base.add_gate({shared, kConstPort, base.port_of(g0, 1)},
+                                InvConfig::reversible());
+  const auto g2 = base.add_gate({kConstPort, shared, base.port_of(g0, 2)},
+                                InvConfig::reversible());
+  base.add_po(base.port_of(g1, 0));
+  base.add_po(base.port_of(g2, 1));
+  ASSERT_EQ(base.port_fanout()[shared], 2u);
+
+  Netlist child = base;
+  child.gate(g0).config = InvConfig::from_rows(0, 2, 4);
+  const auto base_ports = reference_ports(base);
+  const auto child_ports = reference_ports(child);
+  ASSERT_NE(child_ports[shared], base_ports[shared]);
+  ASSERT_NE(child_ports[base.port_of(g1, 0)], base_ports[base.port_of(g1, 0)]);
+  ASSERT_NE(child_ports[base.port_of(g2, 1)], base_ports[base.port_of(g2, 1)]);
+
+  SimCache cache;
+  build_sim_cache(base, cache);
+  DeltaBatch batch;
+  const std::uint64_t before = sim_words();
+  simulate_delta_batch(base, {&child}, cache, batch);
+  EXPECT_EQ(sim_words() - before, 3u * 3u); // g0, g1 and g2, one word each
+  EXPECT_EQ(batch.children[0].po, simulate(child));
+
+  // The commit keeps both consumers indexed: going back is exact too.
+  update_sim_cache(base, child, cache);
+  SimCache fresh;
+  build_sim_cache(child, fresh);
+  EXPECT_EQ(cache.rows, fresh.rows);
+  simulate_delta_batch(child, {&base}, cache, batch);
+  EXPECT_EQ(batch.children[0].po, simulate(base));
+}
+
+TEST(Simulate, DeltaMatchesEvaluateAlongAPermissivePoSwapWalk) {
+  // strict_po_swap = false lets a PO move onto a port a gate reads; a
+  // later input swap with that PO leaves the port feeding two gates.
+  // Every child scores through evaluate_delta_batch exactly as evaluate
+  // scores it, and every commit goes through update_sim_cache. The spec
+  // is random, so children stay equally wrong and the walk drifts.
+  util::Rng rng(7);
+  fuzz::NetlistShape shape;
+  shape.min_pis = 4;
+  shape.max_pis = 8;
+  shape.min_gates = 10;
+  shape.max_gates = 30;
+  shape.min_pos = 3;
+  shape.max_pos = 6;
+  Netlist base = fuzz::random_netlist(rng, shape);
+  const auto spec =
+      fuzz::random_tables(rng, base.num_pis(), base.num_pos());
+  core::MutationParams mp;
+  mp.strict_po_swap = false;
+  const core::FitnessOptions fo;
+  SimCache sim;
+  build_sim_cache(base, sim);
+  CostCache cost;
+  build_cost_cache(base, fo.schedule, cost);
+  DeltaBatch batch;
+  core::Fitness base_fit = core::evaluate(base, spec, fo);
+  unsigned shared_commits = 0;
+  for (int step = 0; step < 300; ++step) {
+    Netlist child = base;
+    core::mutate(child, rng, mp);
+    const core::Fitness full = core::evaluate(child, spec, fo);
+    core::Fitness delta;
+    core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fo, batch,
+                               {&delta, 1});
+    ASSERT_EQ(delta.success_rate, full.success_rate) << "step " << step;
+    ASSERT_EQ(batch.children[0].po, simulate(child)) << "step " << step;
+    if (!full.better_or_equal(base_fit)) {
+      continue;
+    }
+    update_sim_cache(base, child, sim);
+    update_cost_cache(base, child, cost);
+    base = std::move(child);
+    base_fit = full;
+    SimCache fresh;
+    build_sim_cache(base, fresh);
+    ASSERT_EQ(sim.rows, fresh.rows) << "step " << step;
+    std::vector<unsigned> reads(base.first_free_port(), 0);
+    for (std::uint32_t g = 0; g < base.num_gates(); ++g) {
+      for (const Port p : base.gate(g).in) {
+        ++reads[p];
+      }
+    }
+    for (Port p = base.num_pis() + 1; p < base.first_free_port(); ++p) {
+      if (reads[p] > 1) {
+        ++shared_commits;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(shared_commits, 0u) << "the walk never committed a shared port";
 }
 
 class RandomNetlistProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -717,11 +939,6 @@ TEST(MapFromMig, PassThroughAndInvertedPo) {
 // bits of the top word stay zero) even for inverting configurations.
 
 /// Restores whatever tier was active when the test started.
-struct TierGuard {
-  simd::Tier saved = simd::active_tier();
-  ~TierGuard() { simd::force_tier(saved); }
-};
-
 TEST(Simd, EveryTierMatchesEvalGateWords) {
   util::Rng rng(2026);
   for (const simd::Tier tier : simd::available_tiers()) {
