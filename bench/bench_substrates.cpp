@@ -3,7 +3,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "aig/balance.hpp"
+#include "aig/cuts.hpp"
+#include "aig/refactor.hpp"
 #include "aig/resyn.hpp"
+#include "aig/rewrite.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sat_cec.hpp"
 #include "cec/sim_cec.hpp"
@@ -64,7 +72,7 @@ void BM_Isop(benchmark::State& state) {
     benchmark::DoNotOptimize(tt::isop(f));
   }
 }
-BENCHMARK(BM_Isop)->Arg(4)->Arg(8);
+BENCHMARK(BM_Isop)->Arg(4)->Arg(8)->Arg(10)->Arg(14);
 
 void BM_SatPigeonhole(benchmark::State& state) {
   const int holes = static_cast<int>(state.range(0));
@@ -93,14 +101,74 @@ void BM_SatPigeonhole(benchmark::State& state) {
 }
 BENCHMARK(BM_SatPigeonhole)->Arg(5)->Arg(7);
 
-void BM_Resyn2(benchmark::State& state) {
-  const auto b = benchmarks::get("intdiv6");
+/// The cut functions of hwb8's factored spec (the AIG resyn2 starts from):
+/// every enumerated 2-4-leaf cut of every AND node at Arg 4, one
+/// reconvergent cut of up to 10 leaves per AND node at Arg 10.
+void BM_CutFunction(benchmark::State& state) {
+  const auto leaves = static_cast<unsigned>(state.range(0));
+  const auto net = core::aig_from_tables(benchmarks::get("hwb8").spec);
+  std::vector<std::pair<std::uint32_t, aig::Cut>> cuts;
+  const auto enumerated = aig::enumerate_cuts(net, {});
+  for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
+    if (!net.is_and(n)) {
+      continue;
+    }
+    if (leaves == 4) {
+      for (const auto& cut : enumerated[n]) {
+        if (cut.leaves.size() >= 2) {
+          cuts.emplace_back(n, cut);
+        }
+      }
+    } else {
+      cuts.emplace_back(n, aig::reconvergent_cut(net, n, leaves));
+    }
+  }
+  aig::CutFunctions functions;
+  for (auto _ : state) {
+    for (const auto& [root, cut] : cuts) {
+      benchmark::DoNotOptimize(
+          functions.compute(net, root, cut.leaves, aig::kMaxCutCone));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cuts.size()));
+}
+BENCHMARK(BM_CutFunction)->Arg(4)->Arg(10);
+
+/// One pass over hwb8's factored spec, as resyn2's first rewrite and
+/// refactor see it (the copy is outside the timed region).
+template <typename Pass>
+void run_pass_on_hwb8(benchmark::State& state, Pass pass) {
+  const auto net =
+      aig::balance(core::aig_from_tables(benchmarks::get("hwb8").spec));
+  for (auto _ : state) {
+    state.PauseTiming();
+    aig::Aig copy = net;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(pass(copy));
+  }
+}
+
+void BM_RewritePass(benchmark::State& state) {
+  run_pass_on_hwb8(state, [](aig::Aig& a) { return aig::rewrite_pass(a); });
+}
+BENCHMARK(BM_RewritePass)->Unit(benchmark::kMillisecond);
+
+void BM_RefactorPass(benchmark::State& state) {
+  run_pass_on_hwb8(state, [](aig::Aig& a) { return aig::refactor_pass(a); });
+}
+BENCHMARK(BM_RefactorPass)->Unit(benchmark::kMillisecond);
+
+void BM_Resyn2(benchmark::State& state, const char* row) {
+  const auto b = benchmarks::get(row);
   const auto net = core::aig_from_tables(b.spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(aig::resyn2(net));
   }
 }
-BENCHMARK(BM_Resyn2);
+BENCHMARK_CAPTURE(BM_Resyn2, intdiv6, "intdiv6")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Resyn2, hwb8, "hwb8")->Unit(benchmark::kMillisecond);
 
 void BM_RqfpSimulate(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");

@@ -16,11 +16,13 @@ std::uint64_t strash_key(Signal a, Signal b) {
 
 Aig::Aig() {
   nodes_.push_back(Node{Signal(), Signal(), kConst});
+  repl_.push_back(Signal(0, false));
 }
 
 Signal Aig::create_pi(const std::string& name) {
   const auto n = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{Signal(), Signal(), kPi});
+  repl_.push_back(Signal(n, false));
   pi_index_[n] = static_cast<std::uint32_t>(pis_.size());
   pis_.push_back(n);
   pi_names_.push_back(name.empty() ? "x" + std::to_string(pis_.size() - 1)
@@ -55,6 +57,7 @@ Signal Aig::strash_lookup_or_create(Signal a, Signal b) {
   }
   const auto n = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{a, b, kAnd});
+  repl_.push_back(Signal(n, false));
   strash_[key] = n;
   return Signal(n, false);
 }
@@ -82,16 +85,6 @@ std::uint32_t Aig::add_po(Signal s, const std::string& name) {
   return idx;
 }
 
-Signal Aig::resolve(Signal s) const {
-  for (;;) {
-    const auto it = repl_.find(s.node());
-    if (it == repl_.end()) {
-      return s;
-    }
-    s = it->second ^ s.complemented();
-  }
-}
-
 void Aig::replace(std::uint32_t n, Signal s) {
   if (!is_and(n)) {
     throw std::invalid_argument("Aig::replace: only AND nodes replaceable");
@@ -100,6 +93,7 @@ void Aig::replace(std::uint32_t n, Signal s) {
   if (s.node() == n) {
     return;
   }
+  num_replaced_ += is_replaced(n) ? 0 : 1;
   repl_[n] = s;
 }
 
@@ -231,7 +225,8 @@ void Aig::pop_nodes_to(std::uint32_t first_kept) {
     if (it != strash_.end() && it->second == n) {
       strash_.erase(it);
     }
-    repl_.erase(n);
+    num_replaced_ -= is_replaced(n) ? 1 : 0;
+    repl_.pop_back();
     nodes_.pop_back();
   }
 }

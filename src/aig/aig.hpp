@@ -101,12 +101,22 @@ public:
   void set_po_name(std::uint32_t i, const std::string& n) { po_names_[i] = n; }
 
   /// Follows replacement chains to the current representative signal.
-  Signal resolve(Signal s) const;
+  Signal resolve(Signal s) const {
+    for (;;) {
+      const Signal r = repl_[s.node()];
+      if (r.node() == s.node()) {
+        return s;
+      }
+      s = r ^ s.complemented();
+    }
+  }
 
   /// Redirects `n` (an AND node) to `s`; future resolutions see `s`.
   void replace(std::uint32_t n, Signal s);
-  bool is_replaced(std::uint32_t n) const { return repl_.count(n) != 0; }
-  bool has_replacements() const { return !repl_.empty(); }
+  bool is_replaced(std::uint32_t n) const {
+    return n < repl_.size() && repl_[n].node() != n;
+  }
+  bool has_replacements() const { return num_replaced_ != 0; }
 
   /// Compact copy: applies replacements, drops unreachable nodes, rebuilds
   /// the structural-hash table. PI/PO order and names are preserved.
@@ -134,7 +144,10 @@ private:
   std::vector<std::string> po_names_;
   std::unordered_map<std::uint32_t, std::uint32_t> pi_index_;
   std::unordered_map<std::uint64_t, std::uint32_t> strash_;
-  std::unordered_map<std::uint32_t, Signal> repl_;
+  /// Replacement of each node, indexed by node id; a node that is not
+  /// replaced holds its own signal. pop_nodes_to truncates it.
+  std::vector<Signal> repl_;
+  std::uint32_t num_replaced_ = 0;
 };
 
 } // namespace rcgp::aig

@@ -1,18 +1,18 @@
 #include "aig/cuts.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace rcgp::aig {
 
-bool Cut::dominates(const Cut& other) const {
-  // `this` dominates `other` if this->leaves ⊆ other.leaves.
-  return std::includes(other.leaves.begin(), other.leaves.end(),
-                       leaves.begin(), leaves.end());
-}
-
 namespace {
+
+/// True if the sorted leaf set `a` is a subset of `b`.
+bool subset_of(const std::vector<std::uint32_t>& a,
+               const std::vector<std::uint32_t>& b) {
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
 
 /// Merge two sorted leaf sets; returns false if the union exceeds `limit`.
 bool merge_leaves(const std::vector<std::uint32_t>& a,
@@ -41,22 +41,31 @@ bool merge_leaves(const std::vector<std::uint32_t>& a,
   return true;
 }
 
-void add_cut_filtered(std::vector<Cut>& cuts, Cut cut, unsigned max_cuts) {
-  // Drop if dominated by an existing cut; remove cuts it dominates.
+/// Adds the cut with `leaves` unless an existing cut dominates it, after
+/// removing the cuts it dominates. A Cut is built only when one is kept.
+void add_cut_filtered(std::vector<Cut>& cuts,
+                      const std::vector<std::uint32_t>& leaves,
+                      unsigned max_cuts) {
   for (const auto& c : cuts) {
-    if (c.dominates(cut)) {
+    if (subset_of(c.leaves, leaves)) {
       return;
     }
   }
-  cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
-                            [&](const Cut& c) { return cut.dominates(c); }),
+  cuts.erase(std::remove_if(
+                 cuts.begin(), cuts.end(),
+                 [&](const Cut& c) { return subset_of(leaves, c.leaves); }),
              cuts.end());
   if (cuts.size() < max_cuts) {
-    cuts.push_back(std::move(cut));
+    cuts.push_back(Cut{leaves});
   }
 }
 
 } // namespace
+
+bool Cut::dominates(const Cut& other) const {
+  // `this` dominates `other` if this->leaves ⊆ other.leaves.
+  return subset_of(leaves, other.leaves);
+}
 
 std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
                                              const CutParams& params) {
@@ -78,7 +87,7 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
         if (!merge_leaves(ca.leaves, cb.leaves, params.max_leaves, merged)) {
           continue;
         }
-        add_cut_filtered(mine, Cut{merged}, params.max_cuts_per_node);
+        add_cut_filtered(mine, merged, params.max_cuts_per_node);
       }
     }
     // Trivial cut last, always present.
@@ -87,54 +96,99 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
   return cuts;
 }
 
-tt::TruthTable cut_function(const Aig& aig, std::uint32_t root,
-                            const Cut& cut) {
-  const auto k = static_cast<unsigned>(cut.leaves.size());
-  std::unordered_map<std::uint32_t, tt::TruthTable> memo;
-  for (unsigned i = 0; i < k; ++i) {
-    memo[cut.leaves[i]] = tt::TruthTable::projection(k, i);
+std::uint64_t* CutFunctions::assign(std::uint32_t n) {
+  slot_[n] = used_;
+  const std::size_t end = (std::size_t{used_} + 1) * width_;
+  if (words_.size() < end) {
+    words_.resize(std::max(end, 2 * words_.size()));
   }
-  // The constant node may appear as a leaf only in degenerate cones; give
-  // it its semantics if not already a leaf.
-  if (!memo.count(0)) {
-    memo[0] = tt::TruthTable::constant(k, false);
+  return words_.data() + std::size_t{used_++} * width_;
+}
+
+const std::uint64_t* CutFunctions::compute(
+    const Aig& aig, std::uint32_t root, std::span<const std::uint32_t> leaves,
+    std::size_t max_cone) {
+  const auto k = static_cast<unsigned>(leaves.size());
+  width_ = cut_table_words(k);
+  used_ = 0;
+  if (stamp_.size() < aig.num_nodes()) {
+    stamp_.resize(aig.num_nodes(), 0);
+    slot_.resize(aig.num_nodes(), 0);
+  }
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
   }
 
-  // Iterative post-order evaluation.
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    if (memo.count(n)) {
-      stack.pop_back();
-      continue;
+  for (unsigned i = 0; i < k; ++i) {
+    stamp_[leaves[i]] = epoch_;
+    std::uint64_t* w = assign(leaves[i]);
+    for (std::size_t j = 0; j < width_; ++j) {
+      w[j] = i < 6 ? tt::kProjection[i]
+                   : ((j >> (i - 6)) & 1) ? ~std::uint64_t{0} : 0;
     }
-    if (!aig.is_and(n)) {
-      throw std::invalid_argument("cut_function: cone escapes the cut");
-    }
-    const std::uint32_t a = aig.fanin0(n).node();
-    const std::uint32_t b = aig.fanin1(n).node();
-    bool ready = true;
-    if (!memo.count(a)) {
-      stack.push_back(a);
-      ready = false;
-    }
-    if (!memo.count(b)) {
-      stack.push_back(b);
-      ready = false;
-    }
-    if (!ready) {
-      continue;
-    }
-    stack.pop_back();
-    const Signal sa = aig.fanin0(n);
-    const Signal sb = aig.fanin1(n);
-    const tt::TruthTable ta =
-        sa.complemented() ? ~memo[sa.node()] : memo[sa.node()];
-    const tt::TruthTable tb =
-        sb.complemented() ? ~memo[sb.node()] : memo[sb.node()];
-    memo[n] = ta & tb;
   }
-  return memo[root];
+  // The constant node may appear in degenerate cones; give it its
+  // semantics if not already a leaf.
+  if (stamp_[0] != epoch_) {
+    stamp_[0] = epoch_;
+    std::fill_n(assign(0), width_, 0);
+  }
+
+  // Depth-first post-order: a node is counted (and checked) when first
+  // reached, and evaluated when the walk comes back to it.
+  std::size_t cone = 0;
+  stack_.assign(1, root);
+  while (!stack_.empty()) {
+    const std::uint32_t n = stack_.back();
+    if (stamp_[n] != epoch_) {
+      if (!aig.is_and(n) || ++cone > max_cone) {
+        return nullptr;
+      }
+      stamp_[n] = epoch_;
+      slot_[n] = kPending;
+      for (const Signal f : {aig.fanin0(n), aig.fanin1(n)}) {
+        if (stamp_[f.node()] != epoch_) {
+          stack_.push_back(f.node());
+        }
+      }
+      continue;
+    }
+    stack_.pop_back();
+    if (slot_[n] != kPending) {
+      continue; // a leaf, the constant, or evaluated on another path
+    }
+    const Signal a = aig.fanin0(n);
+    const Signal b = aig.fanin1(n);
+    std::uint64_t* w = assign(n);
+    const std::uint64_t* wa = words_.data() + slot_[a.node()] * width_;
+    const std::uint64_t* wb = words_.data() + slot_[b.node()] * width_;
+    const std::uint64_t ca = a.complemented() ? ~std::uint64_t{0} : 0;
+    const std::uint64_t cb = b.complemented() ? ~std::uint64_t{0} : 0;
+    for (std::size_t j = 0; j < width_; ++j) {
+      w[j] = (wa[j] ^ ca) & (wb[j] ^ cb);
+    }
+  }
+  return words_.data() + slot_[root] * width_;
+}
+
+tt::TruthTable cut_table(const std::uint64_t* words, unsigned leaves) {
+  tt::TruthTable t(leaves);
+  for (std::size_t j = 0; j < t.num_words(); ++j) {
+    t.set_word(j, words[j]);
+  }
+  return t;
+}
+
+tt::TruthTable cut_function(const Aig& aig, std::uint32_t root,
+                            const Cut& cut) {
+  CutFunctions functions;
+  const std::uint64_t* words =
+      functions.compute(aig, root, cut.leaves, SIZE_MAX);
+  if (!words) {
+    throw std::invalid_argument("cut_function: cone escapes the cut");
+  }
+  return cut_table(words, static_cast<unsigned>(cut.leaves.size()));
 }
 
 Cut reconvergent_cut(const Aig& aig, std::uint32_t root, unsigned max_leaves) {

@@ -5,6 +5,7 @@ namespace rcgp::aig {
 PassStats refactor_pass(Aig& aig, const RefactorParams& params) {
   PassStats stats;
   GainManager gm(aig);
+  detail::Resynthesis resynthesis;
   const std::uint32_t original_count = aig.num_nodes();
 
   for (std::uint32_t n = 0; n < original_count; ++n) {
@@ -15,41 +16,8 @@ PassStats refactor_pass(Aig& aig, const RefactorParams& params) {
     if (cut.leaves.size() < 2 || cut.leaves.size() > params.max_leaves) {
       continue;
     }
-    const auto func = try_cut_function(aig, n, cut);
-    if (!func) {
-      continue;
-    }
-    ++stats.attempts;
-
-    const std::uint32_t saved = gm.deref_mffc(n);
-    std::vector<Signal> leaf_sigs;
-    leaf_sigs.reserve(cut.leaves.size());
-    for (const auto leaf : cut.leaves) {
-      leaf_sigs.push_back(Signal(leaf, false));
-    }
-    const std::uint32_t first_new = aig.num_nodes();
-    const Signal cand = build_factored(aig, *func, leaf_sigs);
-    if (cand.node() == n) {
-      aig.pop_nodes_to(first_new);
-      gm.ref_mffc(n);
-      continue;
-    }
-    const std::uint32_t cost = gm.ref_candidate(cand);
-    const auto gain =
-        static_cast<std::int64_t>(saved) - static_cast<std::int64_t>(cost);
-    const bool accept = gain > 0 || (gain == 0 && params.allow_zero_gain &&
-                                     cand.node() < first_new);
-    if (accept) {
-      gm.commit(n, cand);
-      stats.total_gain += gain;
-      ++stats.commits;
-      continue;
-    }
-    gm.unref_candidate(cand);
-    gm.ref_mffc(n);
-    if (aig.num_nodes() > first_new) {
-      aig.pop_nodes_to(first_new);
-    }
+    resynthesis.attempt(aig, gm, n, cut.leaves, params.allow_zero_gain,
+                        stats);
   }
   return stats;
 }

@@ -1,6 +1,7 @@
 #include "aig/rewrite.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "tt/isop.hpp"
 
@@ -76,30 +77,13 @@ void GainManager::commit(std::uint32_t root, Signal candidate) {
 std::optional<tt::TruthTable> try_cut_function(const Aig& aig,
                                                std::uint32_t root,
                                                const Cut& cut) {
-  // Validate the cone does not escape before computing.
-  std::vector<std::uint32_t> stack{root};
-  std::vector<std::uint32_t> seen;
-  auto is_leaf = [&](std::uint32_t n) {
-    return std::binary_search(cut.leaves.begin(), cut.leaves.end(), n);
-  };
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    stack.pop_back();
-    if (is_leaf(n) || n == 0 ||
-        std::find(seen.begin(), seen.end(), n) != seen.end()) {
-      continue;
-    }
-    if (!aig.is_and(n)) {
-      return std::nullopt; // hit a PI that is not a leaf
-    }
-    seen.push_back(n);
-    if (seen.size() > 256) {
-      return std::nullopt; // degenerate / stale cut
-    }
-    stack.push_back(aig.fanin0(n).node());
-    stack.push_back(aig.fanin1(n).node());
+  CutFunctions functions;
+  const std::uint64_t* words =
+      functions.compute(aig, root, cut.leaves, kMaxCutCone);
+  if (!words) {
+    return std::nullopt;
   }
-  return cut_function(aig, root, cut);
+  return cut_table(words, static_cast<unsigned>(cut.leaves.size()));
 }
 
 namespace {
@@ -188,15 +172,79 @@ Signal build_cover(Aig& aig, std::vector<tt::Cube> cubes,
 
 } // namespace
 
+Signal build_factored(Aig& aig, const std::uint64_t* function,
+                      const std::uint64_t* complement,
+                      std::span<const Signal> leaf_signals) {
+  const auto num_vars = static_cast<unsigned>(leaf_signals.size());
+  std::vector<tt::Cube> pos_cubes;
+  std::vector<tt::Cube> neg_cubes;
+  tt::isop(function, function, num_vars, pos_cubes);
+  tt::isop(complement, complement, num_vars, neg_cubes);
+  if (factored_cost(neg_cubes) < factored_cost(pos_cubes)) {
+    return !build_cover(aig, std::move(neg_cubes), leaf_signals);
+  }
+  return build_cover(aig, std::move(pos_cubes), leaf_signals);
+}
+
 Signal build_factored(Aig& aig, const tt::TruthTable& function,
                       std::span<const Signal> leaf_signals) {
-  const auto pos_cubes = tt::isop(function);
-  const auto neg_cubes = tt::isop(~function);
-  if (factored_cost(neg_cubes) < factored_cost(pos_cubes)) {
-    return !build_cover(aig, neg_cubes, leaf_signals);
+  if (function.num_vars() != leaf_signals.size()) {
+    throw std::invalid_argument("build_factored: arity mismatch");
   }
-  return build_cover(aig, pos_cubes, leaf_signals);
+  return build_factored(aig, function.data(), (~function).data(),
+                        leaf_signals);
 }
+
+namespace detail {
+
+bool Resynthesis::attempt(Aig& aig, GainManager& gm, std::uint32_t root,
+                          std::span<const std::uint32_t> leaves,
+                          bool allow_zero_gain, PassStats& stats) {
+  const std::uint64_t* function =
+      functions.compute(aig, root, leaves, kMaxCutCone);
+  if (!function) {
+    return false;
+  }
+  ++stats.attempts;
+
+  const std::uint32_t saved = gm.deref_mffc(root);
+  leaf_signals.clear();
+  for (const auto leaf : leaves) {
+    leaf_signals.push_back(Signal(leaf, false));
+  }
+  complement.resize(cut_table_words(leaves.size()));
+  for (std::size_t j = 0; j < complement.size(); ++j) {
+    complement[j] = ~function[j];
+  }
+  const std::uint32_t first_new = aig.num_nodes();
+  const Signal cand =
+      build_factored(aig, function, complement.data(), leaf_signals);
+  if (cand.node() == root) {
+    // Factoring reproduced the same root: undo and move on.
+    aig.pop_nodes_to(first_new);
+    gm.ref_mffc(root);
+    return false;
+  }
+  const std::uint32_t cost = gm.ref_candidate(cand);
+  const auto gain =
+      static_cast<std::int64_t>(saved) - static_cast<std::int64_t>(cost);
+  const bool accept = gain > 0 || (gain == 0 && allow_zero_gain &&
+                                   cand.node() < first_new);
+  if (accept) {
+    gm.commit(root, cand);
+    stats.total_gain += gain;
+    ++stats.commits;
+    return true;
+  }
+  gm.unref_candidate(cand);
+  gm.ref_mffc(root);
+  if (aig.num_nodes() > first_new) {
+    aig.pop_nodes_to(first_new);
+  }
+  return false;
+}
+
+} // namespace detail
 
 PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
   PassStats stats;
@@ -205,6 +253,7 @@ PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
   cp.max_cuts_per_node = params.max_cuts_per_node;
   const auto cuts = enumerate_cuts(aig, cp);
   GainManager gm(aig);
+  detail::Resynthesis resynthesis;
   const std::uint32_t original_count = aig.num_nodes();
 
   for (std::uint32_t n = 0; n < original_count; ++n) {
@@ -227,41 +276,9 @@ PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
       if (stale) {
         continue;
       }
-      const auto func = try_cut_function(aig, n, cut);
-      if (!func) {
-        continue;
-      }
-      ++stats.attempts;
-
-      const std::uint32_t saved = gm.deref_mffc(n);
-      std::vector<Signal> leaf_sigs;
-      leaf_sigs.reserve(cut.leaves.size());
-      for (const auto leaf : cut.leaves) {
-        leaf_sigs.push_back(Signal(leaf, false));
-      }
-      const std::uint32_t first_new = aig.num_nodes();
-      const Signal cand = build_factored(aig, *func, leaf_sigs);
-      if (cand.node() == n) {
-        // Factoring reproduced the same root: undo and move on.
-        aig.pop_nodes_to(first_new);
-        gm.ref_mffc(n);
-        continue;
-      }
-      const std::uint32_t cost = gm.ref_candidate(cand);
-      const auto gain =
-          static_cast<std::int64_t>(saved) - static_cast<std::int64_t>(cost);
-      const bool accept = gain > 0 || (gain == 0 && params.allow_zero_gain &&
-                                       cand.node() < first_new);
-      if (accept) {
-        gm.commit(n, cand);
-        stats.total_gain += gain;
-        ++stats.commits;
+      if (resynthesis.attempt(aig, gm, n, cut.leaves, params.allow_zero_gain,
+                              stats)) {
         break; // node replaced; remaining cuts are stale
-      }
-      gm.unref_candidate(cand);
-      gm.ref_mffc(n);
-      if (aig.num_nodes() > first_new) {
-        aig.pop_nodes_to(first_new);
       }
     }
   }

@@ -61,16 +61,47 @@ private:
   std::vector<std::uint32_t> refs_;
 };
 
+/// Largest cone, in AND nodes, that rewrite and refactor re-synthesize.
+inline constexpr std::size_t kMaxCutCone = 256;
+
 /// Cut function that returns nullopt when the cone escapes the cut (can
-/// happen when precomputed cuts go stale after replacements).
+/// happen when precomputed cuts go stale after replacements) or holds more
+/// than kMaxCutCone AND nodes.
 std::optional<tt::TruthTable> try_cut_function(const Aig& aig,
                                                std::uint32_t root,
                                                const Cut& cut);
 
-/// Builds an AIG for `function` over `leaf_signals` using ISOP-based
-/// algebraic factoring (better polarity chosen automatically).
+/// Builds an AIG for a function over `leaf_signals` using ISOP-based
+/// algebraic factoring (better polarity chosen automatically). `function`
+/// and `complement` are the table's words and its complement's, in the
+/// layout of tt::isop, over leaf_signals.size() variables.
+Signal build_factored(Aig& aig, const std::uint64_t* function,
+                      const std::uint64_t* complement,
+                      std::span<const Signal> leaf_signals);
+
 Signal build_factored(Aig& aig, const tt::TruthTable& function,
                       std::span<const Signal> leaf_signals);
+
+namespace detail {
+
+/// What one rewrite or refactor pass reuses across its attempts: the cut
+/// function scratch and the buffers of one candidate.
+struct Resynthesis {
+  CutFunctions functions;
+  std::vector<std::uint64_t> complement;
+  std::vector<Signal> leaf_signals;
+
+  /// One attempt at `root` over `leaves`: computes the cone's function
+  /// (no attempt when the cone escapes or exceeds kMaxCutCone), builds its
+  /// factored form and commits it when the live node count drops, or
+  /// stays with `allow_zero_gain` for a candidate of existing nodes.
+  /// Returns true on commit; a rejected candidate's new nodes are popped.
+  bool attempt(Aig& aig, GainManager& gm, std::uint32_t root,
+               std::span<const std::uint32_t> leaves, bool allow_zero_gain,
+               PassStats& stats);
+};
+
+} // namespace detail
 
 /// DAG-aware cut rewriting (ABC `rewrite`-style): for every live AND node,
 /// tries to re-express each enumerated cut with a factored form and commits

@@ -4,10 +4,16 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "aig/aig_simulate.hpp"
+#include "aig/balance.hpp"
+#include "aig/cuts.hpp"
+#include "aig/refactor.hpp"
+#include "aig/resyn.hpp"
+#include "aig/rewrite.hpp"
 #include "batch/manifest.hpp"
 #include "cache/store.hpp"
 #include "cec/bdd_cec.hpp"
@@ -34,6 +40,7 @@
 #include "robust/integrity.hpp"
 #include "rqfp/cost.hpp"
 #include "rqfp/simulate.hpp"
+#include "tt/isop.hpp"
 #include "util/rng.hpp"
 
 namespace rcgp::fuzz {
@@ -958,6 +965,172 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------
+// front-end-differential
+// ---------------------------------------------------------------------
+
+/// Value of node `n` under one assignment of the cut (memoized in `value`:
+/// -1 unknown), or -1 when the cone escapes the cut: the per-bit reference
+/// the word-level cut function is checked against.
+int eval_cone_node(const aig::Aig& net, std::uint32_t n,
+                   std::vector<int>& value) {
+  if (value[n] >= 0) {
+    return value[n];
+  }
+  if (!net.is_and(n)) {
+    return -1;
+  }
+  const aig::Signal a = net.fanin0(n);
+  const aig::Signal b = net.fanin1(n);
+  const int va = eval_cone_node(net, a.node(), value);
+  const int vb = va < 0 ? -1 : eval_cone_node(net, b.node(), value);
+  if (vb < 0) {
+    return -1;
+  }
+  value[n] = (va ^ static_cast<int>(a.complemented())) &
+             (vb ^ static_cast<int>(b.complemented()));
+  return value[n];
+}
+
+/// `root`'s function over `cut` by evaluating the cone once per leaf
+/// assignment; nullopt when the cone escapes the cut.
+std::optional<tt::TruthTable> exhaustive_cut_function(const aig::Aig& net,
+                                                      std::uint32_t root,
+                                                      const aig::Cut& cut) {
+  const auto k = static_cast<unsigned>(cut.leaves.size());
+  tt::TruthTable t(k);
+  std::vector<int> value(net.num_nodes());
+  for (std::uint64_t assignment = 0; assignment < t.num_bits();
+       ++assignment) {
+    std::fill(value.begin(), value.end(), -1);
+    value[0] = 0;
+    for (unsigned i = 0; i < k; ++i) {
+      value[cut.leaves[i]] = static_cast<int>((assignment >> i) & 1);
+    }
+    const int v = eval_cone_node(net, root, value);
+    if (v < 0) {
+      return std::nullopt;
+    }
+    t.set_bit(assignment, v != 0);
+  }
+  return t;
+}
+
+void check_isop_intervals(CaseContext& ctx, std::vector<Finding>& out) {
+  util::Rng rng = case_rng(ctx, Target::kFrontEndDiff, 0);
+  for (int i = 0; i < 4; ++i) {
+    const auto nv = static_cast<unsigned>(rng.below(11));
+    const auto tables = random_tables(rng, nv, 3);
+    // A dense onset or a sparse one, and don't-cares outside it.
+    const tt::TruthTable onset =
+        rng.chance(0.5) ? tables[0] : tables[0] & tables[1];
+    const tt::TruthTable dc =
+        rng.chance(0.3) ? tt::TruthTable(nv) : tables[2] & ~onset;
+    const tt::TruthTable cover = tt::cover_to_table(tt::isop(onset, dc), nv);
+    if (!(onset & ~cover).is_constant0() ||
+        !(cover & ~(onset | dc)).is_constant0()) {
+      Finding f = make_finding(ctx, Target::kFrontEndDiff, "isop-interval",
+                               "cover_to_table(isop(onset, dc)) leaves the "
+                               "interval [onset, onset | dc]");
+      f.reproducer = std::to_string(nv) + " " + onset.to_hex() + " " +
+                     dc.to_hex() + "\n";
+      f.reproducer_ext = ".txt";
+      out.push_back(std::move(f));
+      return;
+    }
+  }
+}
+
+void check_front_end_aig(CaseContext& ctx, std::vector<Finding>& out) {
+  util::Rng rng = case_rng(ctx, Target::kFrontEndDiff, 1);
+  AigShape shape;
+  shape.max_pis = 10;
+  shape.max_ands = 60;
+  const aig::Aig net = random_aig(rng, shape);
+  const auto report = [&](const std::string& kind, const std::string& detail) {
+    Finding f = make_finding(ctx, Target::kFrontEndDiff, kind, detail);
+    f.reproducer = io::write_aiger_string(net);
+    f.reproducer_ext = ".aag";
+    out.push_back(std::move(f));
+  };
+
+  // Cut functions: enumerated 2-4-leaf cuts and reconvergent cuts of up
+  // to 10 leaves against the per-assignment evaluation.
+  const auto cuts = aig::enumerate_cuts(net, {});
+  std::vector<std::uint32_t> ands;
+  for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
+    if (net.is_and(n)) {
+      ands.push_back(n);
+    }
+  }
+  for (int i = 0; i < 12 && !ands.empty(); ++i) {
+    const std::uint32_t root = ands[rng.below(ands.size())];
+    const aig::Cut cut =
+        i % 3 == 2 ? aig::reconvergent_cut(
+                         net, root, static_cast<unsigned>(rng.between(4, 10)))
+                   : cuts[root][rng.below(cuts[root].size())];
+    const auto want = exhaustive_cut_function(net, root, cut);
+    std::optional<tt::TruthTable> got;
+    try {
+      got = aig::cut_function(net, root, cut);
+    } catch (const std::invalid_argument&) {
+    }
+    if (got != want) {
+      report("cut-function", "aig::cut_function of node " +
+                                 std::to_string(root) + " over " +
+                                 std::to_string(cut.leaves.size()) +
+                                 " leaves differs from the evaluated cone");
+      return;
+    }
+  }
+
+  // Every pass of the front end keeps every output's table.
+  const auto reference = aig::simulate(net);
+  const bool zero_gain = rng.chance(0.5);
+  struct Pass {
+    const char* name;
+    std::function<aig::Aig(const aig::Aig&)> run;
+  };
+  const Pass passes[] = {
+      {"balance", [](const aig::Aig& a) { return aig::balance(a); }},
+      {"rewrite",
+       [&](const aig::Aig& a) {
+         aig::Aig copy = a;
+         aig::RewriteParams params;
+         params.allow_zero_gain = zero_gain;
+         aig::rewrite_pass(copy, params);
+         return copy;
+       }},
+      {"refactor",
+       [&](const aig::Aig& a) {
+         aig::Aig copy = a;
+         aig::RefactorParams params;
+         params.allow_zero_gain = zero_gain;
+         aig::refactor_pass(copy, params);
+         return copy;
+       }},
+      {"resyn2", [](const aig::Aig& a) { return aig::resyn2(a); }},
+  };
+  for (const Pass& pass : passes) {
+    try {
+      if (aig::simulate(pass.run(net)) != reference) {
+        report(std::string("pass-") + pass.name,
+               std::string(pass.name) + " changed a PO function");
+        return;
+      }
+    } catch (const std::exception& e) {
+      report(std::string("pass-") + pass.name,
+             std::string(pass.name) + " threw: " + e.what());
+      return;
+    }
+  }
+}
+
+void run_front_end_diff(CaseContext& ctx, std::vector<Finding>& out) {
+  check_isop_intervals(ctx, out);
+  check_front_end_aig(ctx, out);
+}
+
+// ---------------------------------------------------------------------
 // selftest
 // ---------------------------------------------------------------------
 
@@ -992,6 +1165,7 @@ std::string_view to_string(Target target) {
     case Target::kCecCross: return "cec-cross";
     case Target::kSimdDifferential: return "simd-differential";
     case Target::kSelftest: return "selftest";
+    case Target::kFrontEndDiff: return "front-end-differential";
   }
   return "unknown";
 }
@@ -1004,16 +1178,19 @@ Target parse_target(std::string_view name) {
   if (name == "cec-cross") return Target::kCecCross;
   if (name == "simd-differential") return Target::kSimdDifferential;
   if (name == "selftest") return Target::kSelftest;
+  if (name == "front-end-differential") return Target::kFrontEndDiff;
   throw std::invalid_argument("fuzz: unknown target '" + std::string(name) +
                               "' (expected io-roundtrip, parser-corruption, "
                               "manifest-corruption, optimizer-differential, "
-                              "cec-cross, simd-differential, or selftest)");
+                              "cec-cross, simd-differential, "
+                              "front-end-differential, or selftest)");
 }
 
 std::vector<Target> default_targets() {
   return {Target::kIoRoundtrip, Target::kParserCorruption,
           Target::kManifestCorruption, Target::kOptimizerDiff,
-          Target::kCecCross, Target::kSimdDifferential};
+          Target::kCecCross, Target::kSimdDifferential,
+          Target::kFrontEndDiff};
 }
 
 void run_case(Target target, CaseContext& ctx, std::vector<Finding>& out) {
@@ -1027,6 +1204,7 @@ void run_case(Target target, CaseContext& ctx, std::vector<Finding>& out) {
     case Target::kCecCross: run_cec_cross(ctx, out); break;
     case Target::kSimdDifferential: run_simd_differential(ctx, out); break;
     case Target::kSelftest: run_selftest(ctx, out); break;
+    case Target::kFrontEndDiff: run_front_end_diff(ctx, out); break;
   }
 }
 

@@ -23,16 +23,19 @@ enum class Target : std::uint8_t {
   kCecCross,            ///< sim/BDD/SAT engine agreement vs ground truth
   kSimdDifferential,    ///< every SIMD tier vs scalar, kernels + end-to-end
   kSelftest,            ///< always-failing target exercising the pipeline
+  /// ISOP covers, cut functions and the AIG passes vs exhaustive tables.
+  /// (Values salt the case streams, so new targets go last.)
+  kFrontEndDiff,
 };
 
 /// Stable kebab-case name ("io-roundtrip", "parser-corruption",
 /// "manifest-corruption", "optimizer-differential", "cec-cross",
-/// "simd-differential", "selftest").
+/// "simd-differential", "selftest", "front-end-differential").
 std::string_view to_string(Target target);
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 Target parse_target(std::string_view name);
 
-/// The six production targets (selftest excluded — it always "fails").
+/// The seven production targets (selftest excluded — it always "fails").
 std::vector<Target> default_targets();
 
 /// Per-case state handed to a target by the harness.

@@ -1,7 +1,9 @@
 #include "mig/mig_from_aig.hpp"
 
 #include <array>
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 #include "aig/cuts.hpp"
 
@@ -9,21 +11,18 @@ namespace rcgp::mig {
 
 namespace {
 
-/// If `f` (a 3-var table) is MAJ with some input/output complementations,
-/// returns the 4-bit phase word: bits 0..2 complement inputs, bit 3 the
-/// output.
-std::optional<unsigned> match_majority(const tt::TruthTable& f) {
-  if (f.num_vars() != 3) {
-    return std::nullopt;
-  }
-  const auto a = tt::TruthTable::projection(3, 0);
-  const auto b = tt::TruthTable::projection(3, 1);
-  const auto c = tt::TruthTable::projection(3, 2);
+// A 3-leaf cut word repeats its eight table bits across the word, as the
+// projections do, so the matchers compare whole words.
+
+/// If `f` (a 3-leaf cut word) is MAJ with some input/output
+/// complementations, returns the 4-bit phase word: bits 0..2 complement
+/// inputs, bit 3 the output.
+std::optional<unsigned> match_majority(std::uint64_t f) {
   for (unsigned phase = 0; phase < 16; ++phase) {
-    const auto pa = (phase & 1) ? ~a : a;
-    const auto pb = (phase & 2) ? ~b : b;
-    const auto pc = (phase & 4) ? ~c : c;
-    auto m = tt::TruthTable::majority(pa, pb, pc);
+    const std::uint64_t a = tt::kProjection[0] ^ ((phase & 1) ? ~0ULL : 0);
+    const std::uint64_t b = tt::kProjection[1] ^ ((phase & 2) ? ~0ULL : 0);
+    const std::uint64_t c = tt::kProjection[2] ^ ((phase & 4) ? ~0ULL : 0);
+    std::uint64_t m = (a & b) | (a & c) | (b & c);
     if (phase & 8) {
       m = ~m;
     }
@@ -34,15 +33,12 @@ std::optional<unsigned> match_majority(const tt::TruthTable& f) {
   return std::nullopt;
 }
 
-/// True if `f` is the 3-input parity (possibly complemented); returns the
-/// output complement flag. Input complements fold into the same class.
-std::optional<bool> match_parity3(const tt::TruthTable& f) {
-  if (f.num_vars() != 3) {
-    return std::nullopt;
-  }
-  const auto parity = tt::TruthTable::projection(3, 0) ^
-                      tt::TruthTable::projection(3, 1) ^
-                      tt::TruthTable::projection(3, 2);
+/// True if `f` (a 3-leaf cut word) is the 3-input parity (possibly
+/// complemented); returns the output complement flag. Input complements
+/// fold into the same class.
+std::optional<bool> match_parity3(std::uint64_t f) {
+  const std::uint64_t parity =
+      tt::kProjection[0] ^ tt::kProjection[1] ^ tt::kProjection[2];
   if (f == parity) {
     return false;
   }
@@ -50,6 +46,19 @@ std::optional<bool> match_parity3(const tt::TruthTable& f) {
     return true;
   }
   return std::nullopt;
+}
+
+/// The 3-leaf cut function of `root` (cones of a clean AIG's enumerated
+/// cuts never escape).
+std::uint64_t three_leaf_function(aig::CutFunctions& functions,
+                                  const aig::Aig& net, std::uint32_t root,
+                                  const aig::Cut& cut) {
+  const std::uint64_t* words =
+      functions.compute(net, root, cut.leaves, SIZE_MAX);
+  if (!words) {
+    throw std::invalid_argument("cut_function: cone escapes the cut");
+  }
+  return words[0];
 }
 
 } // namespace
@@ -63,6 +72,7 @@ Mig mig_from_aig(const aig::Aig& input, FromAigStats* stats) {
   cp.max_cuts_per_node = 8;
   const auto cuts = aig::enumerate_cuts(net, cp);
   const auto refs = net.compute_refs();
+  aig::CutFunctions functions;
 
   Mig out;
   std::vector<Signal> map(net.num_nodes(), Signal());
@@ -86,8 +96,8 @@ Mig mig_from_aig(const aig::Aig& input, FromAigStats* stats) {
       if (cut.leaves.size() != 3) {
         continue;
       }
-      const auto func = aig::cut_function(net, n, cut);
-      const auto phase = match_majority(func);
+      const auto phase =
+          match_majority(three_leaf_function(functions, net, n, cut));
       if (!phase) {
         continue;
       }
@@ -114,8 +124,8 @@ Mig mig_from_aig(const aig::Aig& input, FromAigStats* stats) {
         if (cut.leaves.size() != 3) {
           continue;
         }
-        const auto func = aig::cut_function(net, n, cut);
-        const auto out_compl = match_parity3(func);
+        const auto out_compl =
+            match_parity3(three_leaf_function(functions, net, n, cut));
         if (!out_compl) {
           continue;
         }

@@ -702,8 +702,9 @@ int cmd_fuzz(const std::vector<std::string>& args) {
                  "[--profile-out=p.json] [--prom-out=m.prom]\n"
                  "  targets: io-roundtrip parser-corruption "
                  "manifest-corruption optimizer-differential\n"
-                 "           cec-cross simd-differential selftest "
-                 "(default: all but selftest)\n"
+                 "           cec-cross simd-differential "
+                 "front-end-differential selftest\n"
+                 "           (default: all but selftest)\n"
                  "  Every case is reproducible from (--seed, --case) alone; "
                  "findings print their exact\n"
                  "  repro command and ship a minimized reproducer under "

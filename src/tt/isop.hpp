@@ -24,8 +24,18 @@ struct Cube {
 };
 
 /// Irredundant sum-of-products via the Minato–Morreale recursion on the
-/// interval [onset, onset | dc]. With dc = 0 this computes an ISOP of the
-/// exact function. Result cubes are irredundant but not globally minimal.
+/// interval [lower, upper] (lower ⊆ upper), on raw table words: one word
+/// for up to 6 variables (bits at and above 2^num_vars are ignored),
+/// 2^(num_vars-6) words above. The recursion splits on the highest
+/// variable either bound depends on and appends its cubes to `out` in the
+/// order negative literal, positive literal, remainder. Scratch lives on
+/// the stack up to 10 variables; the call keeps no state between calls.
+void isop(const std::uint64_t* lower, const std::uint64_t* upper,
+          unsigned num_vars, std::vector<Cube>& out);
+
+/// ISOP of the interval [onset, onset | dc]. With dc = 0 this computes an
+/// ISOP of the exact function. Result cubes are irredundant but not
+/// globally minimal.
 std::vector<Cube> isop(const TruthTable& onset, const TruthTable& dc);
 
 inline std::vector<Cube> isop(const TruthTable& onset) {
