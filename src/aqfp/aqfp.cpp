@@ -253,8 +253,7 @@ std::string write_cells_dot_string(const Netlist& net) {
 
 Netlist expand(const rqfp::Netlist& circuit) {
   const rqfp::Netlist net = circuit.remove_dead_gates();
-  const rqfp::BufferPlan plan =
-      rqfp::plan_buffers(net, rqfp::BufferSchedule::kAsap);
+  const rqfp::BufferPlan plan = rqfp::plan_buffers(net);
   const auto levels = net.gate_levels();
 
   Netlist out;

@@ -12,10 +12,9 @@
 namespace rcgp::core {
 
 double anneal_energy(const rqfp::Netlist& net,
-                     std::span<const tt::TruthTable> spec,
-                     const FitnessOptions& options) {
+                     std::span<const tt::TruthTable> spec) {
   const auto sim = cec::sim_check(net, spec);
-  const auto cost = rqfp::cost_of(net, options.schedule);
+  const auto cost = rqfp::cost_of(net);
   // Mismatched output bits dominate everything; then the paper's
   // lexicographic order flattened with well-separated weights.
   return 1e9 * static_cast<double>(sim.mismatching_bits) +
@@ -41,12 +40,12 @@ AnnealResult detail::anneal_impl(const rqfp::Netlist& initial,
 
   AnnealResult result;
   rqfp::Netlist current = shrink(initial);
-  double current_energy = anneal_energy(current, spec, params.fitness);
+  double current_energy = anneal_energy(current, spec);
   // Mutation preserves the shape, so one cost cache follows the whole
   // walk: candidates are priced with cost_of_delta against `current` and
   // committed with update_cost_cache on acceptance.
   rqfp::CostCache cost_cache;
-  rqfp::build_cost_cache(current, params.fitness.schedule, cost_cache);
+  rqfp::build_cost_cache(current, rqfp::BufferSchedule::kAsap, cost_cache);
   Fitness init_fit = evaluate(current, spec, params.fitness);
   if (!init_fit.functionally_correct()) {
     throw std::invalid_argument("anneal: initial netlist incorrect");

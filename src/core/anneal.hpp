@@ -54,8 +54,7 @@ struct AnnealResult {
 /// Scalar energy used by the annealer: functional mismatches dominate,
 /// then gates, garbage, buffers. Exposed for tests.
 double anneal_energy(const rqfp::Netlist& net,
-                     std::span<const tt::TruthTable> spec,
-                     const FitnessOptions& options = {});
+                     std::span<const tt::TruthTable> spec);
 
 namespace detail {
 

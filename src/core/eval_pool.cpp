@@ -180,23 +180,20 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
       scratch.base.num_gates() != parent.num_gates() ||
       scratch.base.num_pis() != parent.num_pis()) {
     rqfp::build_sim_cache(parent, scratch.cache);
-    rqfp::build_cost_cache(parent, job.fitness.schedule, scratch.cost);
+    rqfp::build_cost_cache(parent, rqfp::BufferSchedule::kAsap, scratch.cost);
     scratch.base = parent;
     scratch.cache_valid = true;
     pool_rebuilds().inc();
   } else if (!(scratch.base == parent)) {
     rqfp::update_sim_cache(scratch.base, parent, scratch.cache);
-    if (scratch.cost.valid && scratch.cost.schedule == job.fitness.schedule &&
-        scratch.base.num_pos() == parent.num_pos()) {
+    if (scratch.base.num_pos() == parent.num_pos()) {
       rqfp::update_cost_cache(scratch.base, parent, scratch.cost);
     } else {
-      rqfp::build_cost_cache(parent, job.fitness.schedule, scratch.cost);
+      rqfp::build_cost_cache(parent, rqfp::BufferSchedule::kAsap,
+                             scratch.cost);
     }
     scratch.base = parent;
     pool_updates().inc();
-  } else if (!scratch.cost.valid ||
-             scratch.cost.schedule != job.fitness.schedule) {
-    rqfp::build_cost_cache(parent, job.fitness.schedule, scratch.cost);
   }
 
   // Offspring k is a pure function of (seed, generation, k, parent): its

@@ -46,7 +46,7 @@ Fitness from_sim(const rqfp::Netlist& net, const cec::SimResult& sim,
     return f;
   }
   f.success_rate = 1.0;
-  const auto cost = rqfp::cost_of(net, options.schedule);
+  const auto cost = rqfp::cost_of(net);
   f.n_r = cost.n_r;
   f.n_g = cost.n_g;
   f.n_b = cost.n_b;
@@ -82,8 +82,8 @@ void evaluate_delta_batch(const rqfp::Netlist& base,
     f.success_rate = sim.success_rate;
     if (sim.all_match) {
       f.success_rate = 1.0;
-      if (!cost_cache.valid || cost_cache.schedule != options.schedule) {
-        rqfp::build_cost_cache(base, options.schedule, cost_cache);
+      if (!cost_cache.valid) {
+        rqfp::build_cost_cache(base, rqfp::BufferSchedule::kAsap, cost_cache);
       }
       const auto cost = rqfp::cost_of_delta(base, child, cost_cache);
       f.n_r = cost.n_r;

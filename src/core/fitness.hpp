@@ -50,8 +50,11 @@ struct Fitness {
 };
 
 struct FitnessOptions {
+  /// Buffers are always priced under ASAP, the only schedule.
   rqfp::BufferSchedule schedule = rqfp::BufferSchedule::kAsap;
   Objective objective = Objective::kPaperLexicographic;
+
+  bool operator==(const FitnessOptions&) const = default;
 };
 
 /// Evaluates a genotype against the specification (one table per PO over
@@ -68,9 +71,8 @@ Fitness evaluate(const rqfp::Netlist& net,
 /// Children must share `base`'s PI and gate counts — exactly what CGP
 /// mutation preserves. Functionally correct children are then priced
 /// through `cost_cache` (rqfp::cost_of_delta); it must describe `base`
-/// under options.schedule (rqfp::build_cost_cache / update_cost_cache),
-/// and one bound to another schedule or not yet built is rebuilt for
-/// `base` on the spot. Per child the Fitness is bit-identical to
+/// (rqfp::build_cost_cache / update_cost_cache), and one not yet built is
+/// built for `base` on the spot. Per child the Fitness is bit-identical to
 /// evaluate(*children[c], spec, options), and cec.sim_checks advances once
 /// per child. out_fitness must provide children.size() slots; `batch` is
 /// reusable scratch.

@@ -64,12 +64,6 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
     return options.evolve.budget.stop_requested() ||
            options.limits.stop_requested();
   };
-  // Costs are priced the way the CGP loop scores them.
-  const rqfp::BufferSchedule schedule =
-      options.algorithm == Algorithm::kAnneal
-          ? options.anneal.fitness.schedule
-          : options.evolve.fitness.schedule;
-
   // Phase 1: conventional logic synthesis (ABC resyn2 stand-in).
   aig::Aig net = input.cleanup();
   if (options.run_aig_optimization && !stopped()) {
@@ -106,7 +100,7 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
     throw std::logic_error("flow: initialization produced illegal netlist: " +
                            problem);
   }
-  result.initial_cost = rqfp::cost_of(result.initial, schedule);
+  result.initial_cost = rqfp::cost_of(result.initial);
 
   // Phase 4: CGP-based optimization against the exact specification.
   const auto spec = [&] {
@@ -155,7 +149,7 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   }
   {
     obs::PhaseSpan timer("cost");
-    result.optimized_cost = rqfp::cost_of(result.optimized, schedule);
+    result.optimized_cost = rqfp::cost_of(result.optimized);
   }
   result.seconds_total = watch.seconds();
   result.phases = phases.records();

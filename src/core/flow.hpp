@@ -23,8 +23,7 @@ namespace rcgp::core {
 /// skips the remaining optional phases (the mapping phases still run so
 /// the result is always a valid netlist), and evolve.paranoia ≥
 /// kBoundaries re-validates the netlist at flow phase boundaries. Costs
-/// are priced with the fitness schedule of the configured algorithm
-/// (anneal.fitness for kAnneal, evolve.fitness otherwise).
+/// are rqfp::cost_of, as the CGP loop scores them.
 struct FlowOptions : OptimizerOptions {
   bool run_aig_optimization = true; // ABC resyn2 equivalent
   bool run_fraig = false;           // SAT sweeping after resyn2

@@ -17,6 +17,8 @@ struct MutationParams {
   /// default. Set false to mirror the paper's permissive behaviour — the
   /// mutated netlist may then fail validate() until shrink runs.
   bool strict_po_swap = true;
+
+  bool operator==(const MutationParams&) const = default;
 };
 
 struct MutationStats {

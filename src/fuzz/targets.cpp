@@ -491,18 +491,14 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
   rqfp::Netlist base = random_netlist(rng, shape);
   const std::vector<tt::TruthTable> spec = rqfp::simulate(base);
 
-  const rqfp::BufferSchedule schedules[] = {
-      rqfp::BufferSchedule::kAsap, rqfp::BufferSchedule::kAlap,
-      rqfp::BufferSchedule::kBest, rqfp::BufferSchedule::kOptimized};
   core::FitnessOptions fopt;
-  fopt.schedule = schedules[rng.below(4)];
   fopt.objective = rng.chance(0.5) ? core::Objective::kPaperLexicographic
                                    : core::Objective::kJjCount;
 
   rqfp::SimCache sim;
   rqfp::CostCache cost;
   rqfp::build_sim_cache(base, sim);
-  rqfp::build_cost_cache(base, fopt.schedule, cost);
+  rqfp::build_cost_cache(base, rqfp::BufferSchedule::kAsap, cost);
   core::Fitness base_fit = core::evaluate(base, spec, fopt);
   rqfp::DeltaBatch batch;
 
@@ -538,7 +534,7 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
       return;
     }
 
-    const rqfp::Cost cost_full = rqfp::cost_of(child, fopt.schedule);
+    const rqfp::Cost cost_full = rqfp::cost_of(child);
     const rqfp::Cost cost_delta = rqfp::cost_of_delta(base, child, cost);
     if (!(cost_full == cost_delta)) {
       pair_finding("cost-delta-vs-full",
@@ -578,7 +574,7 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
       if (small.num_gates() != base.num_gates()) {
         base = small;
         rqfp::build_sim_cache(base, sim);
-        rqfp::build_cost_cache(base, fopt.schedule, cost);
+        rqfp::build_cost_cache(base, rqfp::BufferSchedule::kAsap, cost);
         base_fit = core::evaluate(base, spec, fopt);
       }
     }

@@ -186,12 +186,12 @@ core::EvolveResult RemoteSliceExecutor::run(
     throw std::invalid_argument(
         "island: remote islands need a file-backed fleet (set state_dir)");
   }
-  const core::EvolveParams defaults;
-  if (params.mutation.mu != defaults.mutation.mu ||
+  if (params.mutation != core::MutationParams{} ||
+      params.fitness != core::FitnessOptions{} ||
       params.sat_verify_improvements || params.disable_shrink) {
     throw std::invalid_argument(
         "island: remote islands run with daemon-default evolve parameters; "
-        "custom mutation/SAT/shrink settings are local-only");
+        "custom mutation/fitness/SAT/shrink settings are local-only");
   }
   if (spec.size() > core::kMaxRequestSpecOutputs ||
       (!spec.empty() && spec.front().num_vars() > core::kMaxRequestSpecVars)) {

@@ -66,10 +66,11 @@ public:
 /// executor writes the state it is given to the island's checkpoint file
 /// and the daemon resumes the island from it, so the daemons must run
 /// with --checkpoint-dir pointing at the fleet's state_dir (same
-/// filesystem as the coordinator). Requires the fleet to
-/// be file-backed and the evolve params to stay at daemon defaults for
-/// everything a request cannot carry (mutation rates, SAT confirmation,
-/// fitness schedule) — violations throw std::invalid_argument.
+/// filesystem as the coordinator). Requires the fleet to be file-backed
+/// and the evolve params to stay at daemon defaults for everything a
+/// request cannot carry: all of `mutation` (rate and PO swap rule), all of
+/// `fitness` (objective and schedule), `sat_verify_improvements` and
+/// `disable_shrink`. Violations throw std::invalid_argument.
 class RemoteSliceExecutor : public SliceExecutor {
 public:
   explicit RemoteSliceExecutor(std::vector<std::string> endpoints);

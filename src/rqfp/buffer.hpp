@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstddef>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -8,17 +8,12 @@
 
 namespace rcgp::rqfp {
 
+/// Clock-stage assignment buffers are priced under. ASAP — every gate
+/// fires one stage after its latest input — is the paper's (§3.3) and the
+/// only one; `FitnessOptions::schedule`, `CostCache::schedule` and
+/// `build_cost_cache` still name it.
 enum class BufferSchedule {
-  kAsap, // every gate fires as early as possible
-  kAlap, // gates slide as late as their consumers allow; trades output-edge
-         // buffers for input-edge buffers (not universally cheaper)
-  kBest, // the cheaper of ASAP and ALAP
-  /// Coordinate-descent slack distribution: every gate slides within its
-  /// feasible stage window to the position minimizing the buffers on its
-  /// incident edges, iterated to a fixed point — the per-edge-linear
-  /// relaxation of the buffer/splitter insertion optimizations the paper
-  /// cites ([13], [14]). Never worse than ASAP or ALAP.
-  kOptimized
+  kAsap,
 };
 
 struct BufferPlan {
@@ -30,81 +25,24 @@ struct BufferPlan {
   std::uint32_t depth = 0;
 };
 
-/// Reusable buffer-scheduling engine. One instance owns every work array
-/// the schedules need (ALAP latest-levels, coordinate-descent levels, the
-/// consumer CSR, per-gate PO-fanin counts), so repeated planning — the
-/// fitness hot path evaluates a schedule per correct offspring — touches
-/// the allocator only until the arrays reach steady-state capacity.
-///
-/// `plan` reproduces `plan_buffers` exactly (same levels, same
-/// tie-breaks). `masked_total` is the incremental-cost entry point: it
-/// prices the *live* subnetwork in place, against the liveness mask and
-/// precomputed ASAP levels a CostCache maintains, and equals
-/// `plan_buffers(net.remove_dead_gates(), schedule).total` without
-/// materializing the copy.
-class BufferScheduler {
-public:
-  BufferPlan plan(const Netlist& net, BufferSchedule schedule);
-
-  /// Buffer total of the live subnetwork. `live` has one byte per gate;
-  /// `level` holds the full-netlist ASAP levels (live gates read only live
-  /// inputs, so their levels coincide with the dead-gate-free copy's);
-  /// `depth` is the live depth (`net.depth(level)`).
-  std::uint32_t masked_total(const Netlist& net,
-                             const std::vector<std::uint8_t>& live,
-                             const std::vector<std::uint32_t>& level,
-                             std::uint32_t depth, BufferSchedule schedule);
-
-  /// Bytes of scratch currently held (capacity, not size).
-  std::size_t scratch_bytes() const;
-
-private:
-  // `live == nullptr` means every gate participates (the `plan` path,
-  // which must keep the historical dead-gates-included semantics for raw
-  // netlists).
-  std::uint32_t total_for(const Netlist& net, const std::uint8_t* live,
-                          const std::vector<std::uint32_t>& level,
-                          std::uint32_t depth) const;
-  void alap_levels(const Netlist& net, const std::uint8_t* live,
-                   const std::vector<std::uint32_t>& level,
-                   std::uint32_t depth);
-  // Computes alap_ and its buffer total in one pass (feed-forward ordering
-  // makes a gate's sources final before the gate itself is visited).
-  std::uint32_t alap_total(const Netlist& net, const std::uint8_t* live,
-                           const std::vector<std::uint32_t>& level,
-                           std::uint32_t depth);
-  void build_consumers(const Netlist& net, const std::uint8_t* live);
-  // `level` must be the ASAP levels (the descent's starting point and the
-  // source of its no-move guarantees). Returns the signed change in the
-  // buffer total relative to that starting assignment.
-  std::int64_t optimized_levels(const Netlist& net, const std::uint8_t* live,
-                                const std::vector<std::uint32_t>& level,
-                                std::uint32_t depth);
-
-  std::vector<std::uint32_t> asap_;        // plan() only
-  std::vector<std::uint32_t> alap_;        // ALAP level assignment
-  std::vector<std::uint32_t> opt_;         // coordinate-descent levels
-  std::vector<std::uint32_t> latest_;      // ALAP upper bounds
-  std::vector<std::uint8_t> constrained_;  // ALAP: latest_[g] is bound
-  std::vector<std::uint32_t> consumer_off_; // CSR offsets, size n+1
-  std::vector<std::uint32_t> consumers_;    // CSR payload
-  std::vector<std::uint32_t> cursor_;       // CSR fill cursors
-  std::vector<std::uint32_t> po_fanin_;     // POs bound to each gate
-  std::vector<std::int32_t> slope_;         // descent cost slopes (invariant)
-  std::vector<std::uint8_t> dirty_;         // descent re-evaluation marks
-};
-
 /// Path-balancing buffer computation (paper §3.3): every input of a gate
 /// at clock stage L must be produced at stage L-1; the difference is made
 /// up with RQFP buffers (2 cascaded AQFP buffers, 4 JJs each). Primary
 /// inputs sit at stage 0 and all primary outputs are aligned to the final
 /// stage. Constant inputs are supplied by the excitation current and need
-/// no buffers. One-shot wrapper over BufferScheduler::plan.
-BufferPlan plan_buffers(const Netlist& net,
-                        BufferSchedule schedule = BufferSchedule::kAsap);
+/// no buffers. With ASAP levels l, a gate edge needs l(g) − 1 − l(src)
+/// buffers and a PO depth − l(src). Every gate is planned, dead ones
+/// included; cost_of prices only the live subnetwork.
+BufferPlan plan_buffers(const Netlist& net);
 
-/// Total buffers only.
-std::uint32_t count_buffers(const Netlist& net,
-                            BufferSchedule schedule = BufferSchedule::kAsap);
+/// Buffer total of the live subnetwork: the same per-edge sum over the
+/// gates with `live[g] != 0`. `level` holds the full-netlist ASAP levels
+/// (live gates read only live inputs, so their levels coincide with the
+/// dead-gate-free copy's) and `depth` the live depth (`net.depth(level)`).
+/// Equals `plan_buffers(net.remove_dead_gates()).total` without the copy.
+std::uint32_t live_buffer_total(const Netlist& net,
+                                const std::vector<std::uint8_t>& live,
+                                const std::vector<std::uint32_t>& level,
+                                std::uint32_t depth);
 
 } // namespace rcgp::rqfp

@@ -66,8 +66,7 @@ std::uint32_t mark_live(const Netlist& net, std::vector<std::uint8_t>& live,
 /// with the dead-gate-free copy's.
 Cost measure_masked(const Netlist& net, const std::vector<std::uint8_t>& live,
                     const std::vector<std::uint32_t>& level,
-                    std::uint32_t n_live, BufferSchedule schedule,
-                    CostCache& cache) {
+                    std::uint32_t n_live, CostCache& cache) {
   Cost c;
   c.n_d = net.depth(level); // PO drivers are live by construction
   c.n_r = n_live;
@@ -93,7 +92,7 @@ Cost measure_masked(const Netlist& net, const std::vector<std::uint8_t>& live,
       }
     }
   }
-  c.n_b = cache.scheduler.masked_total(net, live, level, c.n_d, schedule);
+  c.n_b = live_buffer_total(net, live, level, c.n_d);
   c.jjs = kJjsPerGate * c.n_r + kJjsPerBuffer * c.n_b;
   return c;
 }
@@ -176,7 +175,7 @@ Cost delta_impl(const Netlist& base, const Netlist& child,
     cache.child_level[g] = m + 1;
   }
   const Cost c = measure_masked(child, cache.child_live, cache.child_level,
-                                n_live, cache.schedule, cache);
+                                n_live, cache);
   cost_delta_updates().inc();
   if (commit) {
     cache.live.swap(cache.child_live);
@@ -192,8 +191,7 @@ std::size_t CostCache::scratch_bytes() const {
   return (live.capacity() + child_live.capacity()) * sizeof(std::uint8_t) +
          (level.capacity() + child_level.capacity() + stack.capacity() +
           fanout.capacity()) *
-             sizeof(std::uint32_t) +
-         scheduler.scratch_bytes();
+             sizeof(std::uint32_t);
 }
 
 std::string Cost::to_string() const {
@@ -202,13 +200,11 @@ std::string Cost::to_string() const {
          " n_g=" + std::to_string(n_g);
 }
 
-Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
+Cost build_cost_cache(const Netlist& net, BufferSchedule /*schedule*/,
                       CostCache& cache) {
-  cache.schedule = schedule;
   const std::uint32_t n_live = mark_live(net, cache.live, cache.stack);
   net.gate_levels(cache.level);
-  const Cost c =
-      measure_masked(net, cache.live, cache.level, n_live, schedule, cache);
+  const Cost c = measure_masked(net, cache.live, cache.level, n_live, cache);
   cache.num_pis = net.num_pis();
   cache.num_gates = net.num_gates();
   cache.num_pos = net.num_pos();
@@ -278,12 +274,12 @@ Cost update_cost_cache(const Netlist& from, const Netlist& to,
                     /*commit=*/true);
 }
 
-Cost cost_of(const Netlist& net, BufferSchedule schedule) {
+Cost cost_of(const Netlist& net) {
   // One warm cache per thread: callers outside the evolutionary loop
   // (flow reporting, the CLI, anneal_energy) also skip the historical
   // remove_dead_gates() copy and steady-state allocations.
   static thread_local CostCache tl_cache;
-  return build_cost_cache(net, schedule, tl_cache);
+  return build_cost_cache(net, BufferSchedule::kAsap, tl_cache);
 }
 
 std::uint32_t garbage_lower_bound(unsigned num_pis, unsigned num_pos) {

@@ -26,11 +26,11 @@ struct Cost {
 
 /// Reusable scratch and cached base-netlist analysis for incremental cost
 /// evaluation — the cost-side mirror of rqfp::SimCache. A cache is bound
-/// to one (base netlist, schedule) pair by build_cost_cache; after that,
-/// cost_of_delta prices mutated offspring against the cached liveness
-/// mask and ASAP levels without the remove_dead_gates() copy or any
-/// steady-state allocation, and update_cost_cache commits an accepted
-/// offspring so one cache follows a whole evolutionary trajectory.
+/// to one base netlist by build_cost_cache; after that, cost_of_delta
+/// prices mutated offspring against the cached liveness mask and ASAP
+/// levels without the remove_dead_gates() copy or any steady-state
+/// allocation, and update_cost_cache commits an accepted offspring so one
+/// cache follows a whole evolutionary trajectory.
 struct CostCache {
   bool valid = false;
 
@@ -38,7 +38,7 @@ struct CostCache {
   unsigned num_pis = 0;
   std::uint32_t num_gates = 0;
   unsigned num_pos = 0;
-  BufferSchedule schedule = BufferSchedule::kAsap;
+  BufferSchedule schedule = BufferSchedule::kAsap; // the only schedule
 
   // ---- cached analysis of the base netlist ----
   Cost base_cost;
@@ -50,23 +50,22 @@ struct CostCache {
   std::vector<std::uint32_t> child_level;
   std::vector<std::uint32_t> stack;   // liveness DFS worklist
   std::vector<std::uint32_t> fanout;  // per-port consumer counts (n_g)
-  BufferScheduler scheduler;
 
-  /// Bytes of scratch currently held (capacities, including the
-  /// scheduler's work arrays). Constant across steady-state evaluations —
-  /// the property tests use it as a zero-allocation proxy.
+  /// Bytes of scratch currently held (capacities). Constant across
+  /// steady-state evaluations — the property tests use it as a
+  /// zero-allocation proxy.
   std::size_t scratch_bytes() const;
 };
 
 /// Cost of a netlist. Dead gates are excluded by an in-place liveness
 /// marking pass (no netlist copy is made; the CGP shrink step guarantees
 /// none remain in reported circuits, but callers may pass raw netlists).
-Cost cost_of(const Netlist& net,
-             BufferSchedule schedule = BufferSchedule::kAsap);
+Cost cost_of(const Netlist& net);
 
-/// Full analysis of `net`: liveness, ASAP levels, depth, and the cost
-/// under `schedule`, all recorded into `cache` (scratch is reused, so a
-/// warm cache allocates nothing). Counts toward evolve.cost.full_recomputes.
+/// Full analysis of `net`: liveness, ASAP levels, depth, and the cost,
+/// all recorded into `cache` (scratch is reused, so a warm cache
+/// allocates nothing). `schedule` can only be kAsap. Counts toward
+/// evolve.cost.full_recomputes.
 Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
                       CostCache& cache);
 
@@ -84,8 +83,8 @@ Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
 /// return the cached base cost outright. Otherwise liveness is re-marked
 /// in place and the ASAP levels are reused verbatim up to the first gate
 /// whose inputs changed, with only the suffix recomputed. The buffer
-/// schedules are re-run over the live mask (they are global), but
-/// allocation-free.
+/// total is re-summed over the live mask (a level change moves the
+/// buffers of every edge downstream), allocation-free.
 ///
 /// Throws std::invalid_argument when the cache is not built or the
 /// shapes (PI/gate/PO counts) disagree — the same contract as

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aig/aig_simulate.hpp"
@@ -746,37 +747,24 @@ TEST(Flow, CgpPhaseImprovesOrMatchesInit) {
   EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match);
 }
 
-// The flow prices its costs with the schedule the CGP loop scores with; a
-// schedule set on the loop's fitness options must not fall back to ASAP.
-void expect_costs_priced_with_optimized_schedule(const FlowOptions& opt,
-                                                 const std::string& name) {
-  const auto b = benchmarks::get(name);
-  const auto r = synthesize(b.spec, opt);
-  const auto sched = rqfp::BufferSchedule::kOptimized;
-  // The row must tell the schedules apart for the check to mean anything.
-  ASSERT_NE(rqfp::cost_of(r.initial, rqfp::BufferSchedule::kAsap).n_b,
-            rqfp::cost_of(r.initial, sched).n_b)
-      << name;
-  EXPECT_EQ(r.initial_cost, rqfp::cost_of(r.initial, sched))
-      << name << ": " << r.initial_cost.to_string();
-  EXPECT_EQ(r.optimized_cost, rqfp::cost_of(r.optimized, sched))
-      << name << ": " << r.optimized_cost.to_string();
-  EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match) << name;
-}
-
-TEST(Flow, CostsUseTheEvolveFitnessSchedule) {
-  FlowOptions opt;
-  opt.evolve.generations = 500;
-  opt.evolve.fitness.schedule = rqfp::BufferSchedule::kOptimized;
-  expect_costs_priced_with_optimized_schedule(opt, "decoder_3_8");
-}
-
-TEST(Flow, CostsUseTheAnnealFitnessSchedule) {
-  FlowOptions opt;
-  opt.algorithm = Algorithm::kAnneal;
-  opt.anneal.steps = 500;
-  opt.anneal.fitness.schedule = rqfp::BufferSchedule::kOptimized;
-  expect_costs_priced_with_optimized_schedule(opt, "decoder_3_8");
+// FlowResult's costs are cost_of of the netlists it returns, every field,
+// whichever loop optimized them.
+TEST(Flow, CostsAreCostOfTheReturnedNetlists) {
+  const auto b = benchmarks::get("decoder_3_8");
+  FlowOptions evolve;
+  evolve.evolve.generations = 500;
+  FlowOptions anneal;
+  anneal.algorithm = Algorithm::kAnneal;
+  anneal.anneal.steps = 500;
+  for (const auto& [name, opt] :
+       {std::pair{"evolve", evolve}, std::pair{"anneal", anneal}}) {
+    const auto r = synthesize(b.spec, opt);
+    EXPECT_EQ(r.initial_cost, rqfp::cost_of(r.initial))
+        << name << ": " << r.initial_cost.to_string();
+    EXPECT_EQ(r.optimized_cost, rqfp::cost_of(r.optimized))
+        << name << ": " << r.optimized_cost.to_string();
+    EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match) << name;
+  }
 }
 
 TEST(Flow, FraigPhasePreservesCorrectness) {

@@ -637,5 +637,33 @@ TEST(IslandRemote, RequiresFileBackedFleet) {
                std::invalid_argument);
 }
 
+// A request carries no mutation or fitness settings, so a daemon would run
+// such a slice under its defaults: the executor refuses before connecting.
+TEST(IslandRemote, RejectsMutationAndFitnessSettingsARequestCannotCarry) {
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  island::RemoteSliceExecutor remote({"/tmp/nonexistent-rcgp.sock"});
+  const auto expect_rejected = [&](const EvolveParams& p,
+                                   const std::string& name) {
+    FleetOptions fleet;
+    fleet.islands = 2;
+    fleet.migration_interval = 50;
+    fleet.executor = &remote;
+    fleet.state_dir = temp_dir(name);
+    EXPECT_THROW(island::run_fleet(init, b.spec, p, fleet),
+                 std::invalid_argument)
+        << name;
+    std::filesystem::remove_all(fleet.state_dir);
+  };
+
+  EvolveParams permissive = small_params(100, 1);
+  permissive.mutation.strict_po_swap = false;
+  expect_rejected(permissive, "remote_po_swap");
+
+  EvolveParams jj = small_params(100, 1);
+  jj.fitness.objective = core::Objective::kJjCount;
+  expect_rejected(jj, "remote_objective");
+}
+
 } // namespace
 } // namespace rcgp

@@ -19,6 +19,7 @@
 #include "io/blif.hpp"
 #include "io/rqfp_writer.hpp"
 #include "io/verilog.hpp"
+#include "rqfp/buffer.hpp"
 #include "rqfp/simulate.hpp"
 #include "sat/cnf.hpp"
 #include "tt/isop.hpp"
@@ -230,14 +231,12 @@ TEST_P(FuzzProperties, DeltaEvaluationMatchesFullRecomputation) {
   auto base = fuzz::random_netlist(rng, shape);
   const auto spec = rqfp::simulate(base);
   core::FitnessOptions fopt;
-  fopt.schedule = rng.chance(0.5) ? rqfp::BufferSchedule::kBest
-                                  : rqfp::BufferSchedule::kAsap;
   fopt.objective = rng.chance(0.5) ? core::Objective::kJjCount
                                    : core::Objective::kPaperLexicographic;
   rqfp::SimCache sim;
   rqfp::build_sim_cache(base, sim);
   rqfp::CostCache cost;
-  rqfp::build_cost_cache(base, fopt.schedule, cost);
+  rqfp::build_cost_cache(base, rqfp::BufferSchedule::kAsap, cost);
   rqfp::DeltaBatch batch;
   for (int step = 0; step < 12; ++step) {
     auto child = base;
@@ -251,6 +250,13 @@ TEST_P(FuzzProperties, DeltaEvaluationMatchesFullRecomputation) {
                 full.n_b == delta.n_b)
         << "step " << step << ": delta " << delta.to_string() << " vs full "
         << full.to_string();
+    if (full.functionally_correct()) {
+      // The pre-cache formulation: plan the dead-gate-free copy.
+      const auto live = child.remove_dead_gates();
+      EXPECT_EQ(full.n_r, live.num_gates()) << "step " << step;
+      EXPECT_EQ(full.n_g, live.count_garbage_outputs()) << "step " << step;
+      EXPECT_EQ(full.n_b, rqfp::plan_buffers(live).total) << "step " << step;
+    }
     if (full.better_or_equal(core::evaluate(base, spec, fopt))) {
       rqfp::update_sim_cache(base, child, sim);
       rqfp::update_cost_cache(base, child, cost);
