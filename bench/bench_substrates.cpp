@@ -15,8 +15,10 @@
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sat_cec.hpp"
 #include "cec/sim_cec.hpp"
+#include "core/chromosome.hpp"
 #include "core/flow.hpp"
 #include "core/mutation.hpp"
+#include "core/shrink.hpp"
 #include "rqfp/simulate.hpp"
 #include "sat/cnf.hpp"
 #include "tt/isop.hpp"
@@ -181,19 +183,72 @@ void BM_RqfpSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_RqfpSimulate);
 
-void BM_MutateOffspring(benchmark::State& state) {
-  const auto b = benchmarks::get("intdiv6");
+/// The netlist evolve starts from on a benchmark row, and the μ its
+/// flowbench workload mutates it at: 1 on the Table-1 rows, 12 / n_L on
+/// the Table-2 rows.
+struct Start {
+  rqfp::Netlist parent;
+  core::MutationParams mutation;
+};
+
+Start evolve_start(const char* row, bool table2) {
   core::FlowOptions opt;
   opt.run_cgp = false;
-  const auto init = core::synthesize(b.spec, opt).initial;
-  util::Rng rng(5);
-  for (auto _ : state) {
-    auto child = init;
-    core::mutate(child, rng, {});
-    benchmark::DoNotOptimize(child);
-  }
+  Start s;
+  s.parent = core::shrink(
+      core::synthesize(benchmarks::get(row).spec, opt).initial);
+  s.mutation.mu = table2 ? 12.0 / core::num_genes(s.parent) : 1.0;
+  return s;
 }
-BENCHMARK(BM_MutateOffspring);
+
+/// One offspring as EvalPool makes it: copy the parent, derive the
+/// child's stream, mutate.
+void BM_MutateOffspring(benchmark::State& state, const char* row,
+                        bool table2) {
+  const Start s = evolve_start(row, table2);
+  rqfp::Netlist child;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    child = s.parent;
+    util::Rng rng = util::Rng::stream(5, i >> 2, i & 3);
+    benchmark::DoNotOptimize(core::mutate(child, rng, s.mutation));
+    benchmark::DoNotOptimize(child);
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MutateOffspring, alu_mu1, "alu", false);
+BENCHMARK_CAPTURE(BM_MutateOffspring, hwb8_mu12, "hwb8", true);
+
+/// Delta simulation of a λ = 4 block against a built SimCache, cycling
+/// through 64 pre-mutated blocks.
+void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2) {
+  const Start s = evolve_start(row, table2);
+  constexpr unsigned kBlocks = 64;
+  std::vector<rqfp::Netlist> children(4 * kBlocks, s.parent);
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    util::Rng rng = util::Rng::stream(5, i >> 2, i & 3);
+    core::mutate(children[i], rng, s.mutation);
+  }
+  std::vector<std::vector<const rqfp::Netlist*>> blocks(kBlocks);
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    blocks[i >> 2].push_back(&children[i]);
+  }
+  rqfp::SimCache cache;
+  rqfp::build_sim_cache(s.parent, cache);
+  rqfp::DeltaBatch batch;
+  std::size_t b = 0;
+  for (auto _ : state) {
+    rqfp::simulate_delta_batch(s.parent, blocks[b], cache, batch);
+    benchmark::DoNotOptimize(batch.children.data());
+    benchmark::ClobberMemory();
+    b = (b + 1) % kBlocks;
+  }
+  state.SetItemsProcessed(4 * state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DeltaBatch, alu_mu1, "alu", false);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12, "intdiv8", true);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv10_mu12, "intdiv10", true);
 
 void BM_FitnessEvaluation(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");

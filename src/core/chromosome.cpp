@@ -1,30 +1,6 @@
 #include "core/chromosome.hpp"
 
-#include <stdexcept>
-
 namespace rcgp::core {
-
-GeneRef gene_at(const rqfp::Netlist& net, std::uint32_t index) {
-  if (index >= num_genes(net)) {
-    throw std::out_of_range("gene_at: index beyond chromosome");
-  }
-  GeneRef ref;
-  const std::uint32_t gate_genes = 4 * net.num_gates();
-  if (index < gate_genes) {
-    ref.gate = index / 4;
-    const unsigned field = index % 4;
-    if (field < 3) {
-      ref.kind = GeneRef::Kind::kGateInput;
-      ref.slot = field;
-    } else {
-      ref.kind = GeneRef::Kind::kGateConfig;
-    }
-  } else {
-    ref.kind = GeneRef::Kind::kPrimaryOutput;
-    ref.po = index - gate_genes;
-  }
-  return ref;
-}
 
 std::string to_genotype_string(const rqfp::Netlist& net) {
   std::string s;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "rqfp/netlist.hpp"
@@ -28,7 +29,27 @@ inline std::uint32_t num_genes(const rqfp::Netlist& net) {
 }
 
 /// Maps a flat gene index to its location.
-GeneRef gene_at(const rqfp::Netlist& net, std::uint32_t index);
+inline GeneRef gene_at(const rqfp::Netlist& net, std::uint32_t index) {
+  if (index >= num_genes(net)) {
+    throw std::out_of_range("gene_at: index beyond chromosome");
+  }
+  GeneRef ref;
+  const std::uint32_t gate_genes = 4 * net.num_gates();
+  if (index < gate_genes) {
+    ref.gate = index / 4;
+    const unsigned field = index % 4;
+    if (field < 3) {
+      ref.kind = GeneRef::Kind::kGateInput;
+      ref.slot = field;
+    } else {
+      ref.kind = GeneRef::Kind::kGateConfig;
+    }
+  } else {
+    ref.kind = GeneRef::Kind::kPrimaryOutput;
+    ref.po = index - gate_genes;
+  }
+  return ref;
+}
 
 /// Renders the genotype in the paper's Fig. 3 notation:
 /// "(in0, in1, in2, xxx-xxx-xxx) ... (po0, po1, ...)".

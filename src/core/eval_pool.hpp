@@ -58,11 +58,11 @@ struct EvalJob {
 /// block to claim, and at the paper's λ = 4 every run takes the inline
 /// threads == 1 path with no hand-off at all. Each generation is cut into
 /// blocks of ⌈λ / threads⌉ offspring so the workers finish together, and
-/// each block is evaluated through the cone-only delta path
+/// each block is evaluated through the delta path
 /// (core::evaluate_delta_batch) against the worker's read-only base
-/// SimCache: each offspring pays for a gate diff plus its own cone, read
-/// from the shared base rows and private overlay rows, with no
-/// per-sibling undo/restore. Block partitioning cannot affect
+/// SimCache: one forward pass per offspring evaluates only its changed
+/// gates and their cone, reading the shared base rows and private
+/// overlay rows, with no per-sibling undo/restore. Block partitioning cannot affect
 /// results — each offspring is a pure function of (seed, g, k, parent) and
 /// the batched simulation is bit-identical to a from-scratch one — so any
 /// thread count, block size, and claim order produce the same generation.

@@ -65,9 +65,9 @@ Fitness evaluate(const rqfp::Netlist& net,
                  const FitnessOptions& options = {});
 
 /// λ-batched incremental evaluation — the one offspring-evaluation path of
-/// the (1+λ) loop. Cone-only delta simulation (rqfp::simulate_delta_batch)
-/// scores every child of a block against the shared `cache`, which must
-/// hold `base`'s port rows and consumers and is only read.
+/// the (1+λ) loop. Delta simulation (rqfp::simulate_delta_batch) scores
+/// every child of a block against the shared `cache`, which must hold
+/// `base`'s port rows and is only read.
 /// Children must share `base`'s PI and gate counts — exactly what CGP
 /// mutation preserves. Functionally correct children are then priced
 /// through `cost_cache` (rqfp::cost_of_delta); it must describe `base`

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/chromosome.hpp"
-#include "obs/metrics.hpp"
 
 namespace rcgp::core {
 
@@ -40,8 +39,12 @@ std::uint32_t gate_consumer(std::uint32_t gate, unsigned slot) {
 }
 std::uint32_t po_consumer(std::uint32_t po) { return kPoFlag | po; }
 
-std::vector<std::uint32_t> build_consumer_map(const rqfp::Netlist& net) {
-  std::vector<std::uint32_t> consumer(net.first_free_port(), kNoConsumer);
+/// The gene reading each port of `net` (kNoConsumer if none). mutate asks
+/// for it once per child, so it is refilled into one buffer per thread
+/// instead of allocated.
+std::vector<std::uint32_t>& consumer_map(const rqfp::Netlist& net) {
+  static thread_local std::vector<std::uint32_t> consumer;
+  consumer.assign(net.first_free_port(), kNoConsumer);
   for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
     for (unsigned i = 0; i < 3; ++i) {
       const rqfp::Port p = net.gate(g).in[i];
@@ -61,10 +64,9 @@ std::vector<std::uint32_t> build_consumer_map(const rqfp::Netlist& net) {
 
 /// Shared reconnection engine over an externally-maintained consumer map.
 /// Returns the outcome; updates the map on success.
-ReconnectOutcome reconnect_with_map(rqfp::Netlist& net,
-                                    std::vector<std::uint32_t>& consumer,
-                                    std::uint32_t me, rqfp::Port v,
-                                    rqfp::Port p, bool strict) {
+inline ReconnectOutcome reconnect_with_map(
+    rqfp::Netlist& net, std::vector<std::uint32_t>& consumer,
+    std::uint32_t me, rqfp::Port v, rqfp::Port p, bool strict) {
   auto set_gene = [&](std::uint32_t code, rqfp::Port value) {
     if (code & kPoFlag) {
       net.set_po(code & ~kPoFlag, value);
@@ -123,8 +125,7 @@ ReconnectOutcome reconnect_input(rqfp::Netlist& net, std::uint32_t g,
   if (target >= net.port_of(g, 0)) {
     throw std::invalid_argument("reconnect_input: forward reference");
   }
-  auto consumer = build_consumer_map(net);
-  return reconnect_with_map(net, consumer, gate_consumer(g, slot),
+  return reconnect_with_map(net, consumer_map(net), gate_consumer(g, slot),
                             net.gate(g).in[slot], target, /*strict=*/true);
 }
 
@@ -133,25 +134,18 @@ ReconnectOutcome reconnect_po(rqfp::Netlist& net, std::uint32_t po,
   if (target >= net.first_free_port()) {
     throw std::invalid_argument("reconnect_po: port out of range");
   }
-  auto consumer = build_consumer_map(net);
-  return reconnect_with_map(net, consumer, po_consumer(po), net.po_at(po),
-                            target, /*strict=*/true);
+  return reconnect_with_map(net, consumer_map(net), po_consumer(po),
+                            net.po_at(po), target, /*strict=*/true);
 }
 
 MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
                      const MutationParams& params) {
-  // Registered once, then relaxed atomic increments only (hot loop).
-  static obs::Counter& c_calls = obs::registry().counter("mutation.calls");
-  static obs::Counter& c_genes =
-      obs::registry().counter("mutation.genes_changed");
-  static obs::Counter& c_infeasible =
-      obs::registry().counter("mutation.skipped_infeasible");
   MutationStats stats;
   const std::uint32_t n_genes = num_genes(net);
   if (n_genes == 0) {
     return stats;
   }
-  auto consumer = build_consumer_map(net);
+  auto& consumer = consumer_map(net);
 
   /// Reconnects gene `me` (currently holding `v`) to port `p`, applying
   /// the paper's swap rule; folds the outcome into the stats.
@@ -212,9 +206,6 @@ MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
       }
     }
   }
-  c_calls.inc();
-  c_genes.inc(stats.genes_changed);
-  c_infeasible.inc(stats.skipped_infeasible);
   return stats;
 }
 

@@ -496,6 +496,7 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
                                    : core::Objective::kJjCount;
 
   rqfp::SimCache sim;
+  rqfp::SimCache fresh;
   rqfp::CostCache cost;
   rqfp::build_sim_cache(base, sim);
   rqfp::build_cost_cache(base, rqfp::BufferSchedule::kAsap, cost);
@@ -545,7 +546,17 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     }
 
     if (full.better_or_equal(base_fit)) {
+      // A bad commit would otherwise show only when a later child reads
+      // a corrupted row.
       rqfp::update_sim_cache(base, child, sim);
+      rqfp::build_sim_cache(child, fresh);
+      if (sim.rows != fresh.rows) {
+        pair_finding("commit-vs-build",
+                     "update_sim_cache rows != build_sim_cache rows of the "
+                     "committed netlist",
+                     base, child);
+        return;
+      }
       rqfp::update_cost_cache(base, child, cost);
       base = std::move(child);
       base_fit = full;

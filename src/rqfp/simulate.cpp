@@ -1,8 +1,6 @@
 #include "rqfp/simulate.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -123,39 +121,6 @@ void row_to_table(const std::uint64_t* row, unsigned nv, tt::TruthTable& t) {
   t.normalize();
 }
 
-/// Rebuilds the consumer index of `net` (CSR, see SimCache). Only forward
-/// edges are indexed, as every edge of a valid netlist is, so a malformed
-/// netlist cannot send the cone walk backwards.
-void index_consumers(const Netlist& net, SimCache& cache) {
-  const Port first_gate_port = net.num_pis() + 1;
-  const auto forward = [&](Port p, std::uint32_t g) {
-    return p >= first_gate_port && net.gate_of_port(p) < g;
-  };
-  // Counts at start[p + 2], prefix sums, then a fill that advances
-  // start[p + 1] from the begin of p's range to its end.
-  auto& start = cache.consumer_start;
-  start.assign(std::size_t{net.first_free_port()} + 2, 0);
-  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
-    for (const Port p : net.gate(g).in) {
-      if (forward(p, g)) {
-        ++start[p + 2];
-      }
-    }
-  }
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  // One pad entry: the walk reads a port's first entry before it knows
-  // whether the range holds one.
-  cache.consumer_gate.assign(start.back() + 1, 0);
-  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
-    for (const Port p : net.gate(g).in) {
-      if (forward(p, g)) {
-        cache.consumer_gate[start[p + 1]++] = g;
-      }
-    }
-  }
-  start.pop_back();
-}
-
 void check_delta_shape(const Netlist& base, const Netlist& child,
                        const SimCache& cache, const char* who) {
   if (base.num_pis() != cache.num_pis ||
@@ -171,120 +136,72 @@ void check_delta_shape(const Netlist& base, const Netlist& child,
   }
 }
 
-/// Readies the shared scratch for one child: the slots of the gates the
-/// previous child (or call) evaluated point back at their base rows, and
-/// there is a slot for every port and a mark bit for every gate.
-void reset_scratch(DeltaBatch& s, Port ports, std::uint32_t gates) {
-  for (const Port p0 : s.touched) {
-    s.slot[p0] = p0;
-    s.slot[p0 + 1] = p0 + 1;
-    s.slot[p0 + 2] = p0 + 2;
+/// Sizes the pass's scratch for `net`: a flag per port and
+/// `overlay_words` of rows. Constant and PI ports never change, so their
+/// flags are cleared here; every gate port's flag is written by its gate
+/// before any consumer reads it, so children need no reset between them.
+void ready_scratch(DeltaBatch& s, const Netlist& net,
+                   std::size_t overlay_words) {
+  if (s.changed.size() < net.first_free_port()) {
+    s.changed.resize(net.first_free_port());
   }
-  s.touched.clear();
-  if (s.slot.size() < ports) {
-    const auto old = static_cast<Port>(s.slot.size());
-    s.slot.resize(ports);
-    std::iota(s.slot.begin() + old, s.slot.end(), old);
-  }
-  const std::size_t blocks = (std::size_t{gates} + 63) / 64;
-  if (s.mark.size() < blocks) {
-    s.mark.resize(blocks);
+  std::fill_n(s.changed.begin(), net.num_pis() + 1, 0);
+  if (s.overlay.size() < overlay_words) {
+    s.overlay.resize(overlay_words);
   }
 }
 
-/// Port p's row in the child: its overlay row once the cone changed it,
-/// the base row otherwise (a select, not a branch).
-inline const std::uint64_t* child_row(const DeltaBatch& s,
-                                      const SimCache& cache, Port p,
-                                      std::size_t words) {
-  const std::uint32_t slot = s.slot[p];
-  const std::uint64_t* const origin[2] = {cache.rows.data(),
-                                          s.overlay.data()};
-  return origin[slot >> 31] +
-         std::size_t{slot & ~DeltaBatch::kOverlay} * words;
-}
-
-/// The delta engine. Marks `child`'s changed genes against `base`, then
-/// walks the cone in gate order: each marked gate is evaluated into three
-/// overlay rows, and each output that differs from its base row points
-/// its slot there and marks the port's consumers. The walk has no
-/// data-dependent branch but the pop. Returns the number of gates
-/// evaluated, whose first output ports it leaves in s.touched.
-template <std::size_t W>
-std::uint64_t walk_cone(const Netlist& base, const Netlist& child,
-                        const SimCache& cache, const simd::Kernels& kernels,
-                        DeltaBatch& s) {
-  const std::size_t words = W != 0 ? W : cache.words;
-  const std::uint32_t n = base.num_gates();
+/// The delta engine: one pass over the gates of `child` in index order
+/// against `base`, whose rows `rows` holds. Gate g is evaluated iff its
+/// gene differs from the base's or one of its input ports changed; port
+/// p reads dense + p * words once changed, rows + p * words otherwise (a
+/// select, not a branch). Without kCommit the outputs go to their rows
+/// of the dense overlay and `rows` is only read. With kCommit, `dense` is
+/// `rows` itself: outputs go to s.overlay's first three rows and are
+/// committed in place, which is safe because a gate's inputs precede it.
+/// An output equal to its base row is no change. Returns the number of
+/// gates evaluated.
+template <std::size_t W, bool kCommit>
+std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
+                           const std::uint64_t* rows, std::uint64_t* dense,
+                           std::size_t row_words,
+                           const simd::Kernels& kernels, DeltaBatch& s) {
+  const std::size_t words = W != 0 ? W : row_words;
   const auto bg = base.gates();
   const auto cg = child.gates();
-  const std::size_t blocks = (std::size_t{n} + 63) / 64;
-  // A field compare without branches (the defaulted Gate::operator==
-  // branches on every field), gathered downwards so that no shift count
-  // depends on the gate.
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const auto lo = static_cast<std::uint32_t>(b * 64);
-    const std::uint32_t hi = std::min(lo + 64, n);
-    std::uint64_t bits = 0;
-    for (std::uint32_t g = hi; g-- > lo;) {
-      const Netlist::Gate& x = bg[g];
-      const Netlist::Gate& y = cg[g];
-      const std::uint32_t diff =
-          (x.in[0] ^ y.in[0]) | (x.in[1] ^ y.in[1]) | (x.in[2] ^ y.in[2]) |
-          (std::uint32_t{x.config.bits()} ^ std::uint32_t{y.config.bits()});
-      bits = (bits << 1) | std::uint64_t{diff != 0};
+  std::uint8_t* const changed = s.changed.data();
+  const std::uint64_t* const origin[2] = {rows, dense};
+  const auto in_row = [&](Port p) { return origin[changed[p]] + p * words; };
+  std::uint64_t evaluated = 0;
+  Port p0 = base.port_of(0, 0);
+  for (std::size_t g = 0; g < cg.size(); ++g, p0 += 3) {
+    const Netlist::Gate& x = bg[g];
+    const Netlist::Gate& y = cg[g];
+    // A field compare without branches (the defaulted Gate::operator==
+    // branches on every field), or'ed with the inputs' flags.
+    const std::uint32_t dirty =
+        (x.in[0] ^ y.in[0]) | (x.in[1] ^ y.in[1]) | (x.in[2] ^ y.in[2]) |
+        (std::uint32_t{x.config.bits()} ^ std::uint32_t{y.config.bits()}) |
+        changed[y.in[0]] | changed[y.in[1]] | changed[y.in[2]];
+    if (dirty == 0) {
+      changed[p0] = changed[p0 + 1] = changed[p0 + 2] = 0;
+      continue;
     }
-    s.mark[b] = bits;
-  }
-  const std::uint32_t* const consumers = cache.consumer_gate.data();
-  std::size_t used = 0; // overlay rows in use
-  // Consumers always follow their producer, so popping the lowest mark
-  // visits the cone in gate order and a word's new marks are still ahead.
-  // The word being popped lives in `cur`; marks for it go there too.
-  for (std::size_t b = 0; b < blocks; ++b) {
-    std::uint64_t cur = s.mark[b];
-    while (cur != 0) {
-      const auto g = static_cast<std::uint32_t>(
-          b * 64 + static_cast<unsigned>(std::countr_zero(cur)));
-      cur &= cur - 1;
-      if ((used + 3) * words > s.overlay.size()) {
-        s.overlay.resize(std::max(2 * s.overlay.size(), (used + 3) * words));
+    ++evaluated;
+    std::uint64_t* out = kCommit ? s.overlay.data() : dense + p0 * words;
+    gate3_rows<W>(kernels, y.config.bits(), in_row(y.in[0]), in_row(y.in[1]),
+                  in_row(y.in[2]), out, out + words, out + 2 * words, words);
+    const std::uint64_t* old = rows + p0 * words;
+    for (unsigned k = 0; k < 3; ++k) {
+      const bool differs =
+          !rows_equal<W>(out + k * words, old + k * words, words);
+      changed[p0 + k] = differs;
+      if (kCommit && differs) {
+        std::copy_n(out + k * words, words, dense + (p0 + k) * words);
       }
-      const Netlist::Gate& gate = cg[g];
-      std::uint64_t* out = s.overlay.data() + used * words;
-      gate3_rows<W>(kernels, gate.config.bits(),
-                    child_row(s, cache, gate.in[0], words),
-                    child_row(s, cache, gate.in[1], words),
-                    child_row(s, cache, gate.in[2], words), out, out + words,
-                    out + 2 * words, words);
-      const Port p0 = base.port_of(g, 0);
-      const std::uint64_t* old = cache.row(p0);
-      const auto row = static_cast<std::uint32_t>(used) | DeltaBatch::kOverlay;
-      bool any = false;
-      for (unsigned k = 0; k < 3; ++k) {
-        // Cone cut-off: a value equal to the base one is not a change.
-        const bool changed =
-            !rows_equal<W>(out + k * words, old + k * words, words);
-        const Port p = p0 + k;
-        s.slot[p] = changed ? row + k : p;
-        // The first entry is marked without a branch (the bit is 0 when the
-        // port is unchanged or feeds no gate); only fan-out > 1 loops.
-        const std::uint32_t first = cache.consumer_start[p];
-        const std::uint32_t last = cache.consumer_start[p + 1];
-        const std::uint64_t bit = changed && first != last ? 1 : 0;
-        std::uint32_t i = first;
-        do {
-          const std::uint32_t c = consumers[i];
-          s.mark[c >> 6] |= bit << (c & 63);
-          cur |= (c >> 6) == b ? bit << (c & 63) : 0;
-        } while (++i < last);
-        any = any || changed;
-      }
-      s.touched.push_back(p0);
-      used += any ? 3 : 0; // unchanged rows are overwritten by the next gate
     }
   }
-  return s.touched.size();
+  return evaluated;
 }
 
 } // namespace
@@ -344,29 +261,21 @@ void build_sim_cache(const Netlist& net, SimCache& cache) {
     }
   }
   simulate_rows(net, cache.rows.data(), words, words);
-  index_consumers(net, cache);
 }
 
 void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache) {
   check_delta_shape(from, to, cache, "rqfp::update_sim_cache");
-  DeltaBatch& scratch = cache.update_scratch;
-  reset_scratch(scratch, from.first_free_port(), from.num_gates());
+  // A flag per port and one gate's new rows, kept per thread so that a
+  // commit allocates nothing in the steady state.
+  static thread_local DeltaBatch scratch;
+  ready_scratch(scratch, from, 3 * cache.words);
   std::uint64_t evaluated = 0;
   with_row_width(cache.words, [&](auto width) {
-    evaluated = walk_cone<decltype(width)::value>(from, to, cache,
-                                                  simd::kernels(), scratch);
+    evaluated = forward_pass<decltype(width)::value, true>(
+        from, to, cache.rows.data(), cache.rows.data(), cache.words,
+        simd::kernels(), scratch);
   });
-  // Commit: the overlay rows become the cache's rows.
-  for (const Port p0 : scratch.touched) {
-    for (Port p = p0; p < p0 + 3; ++p) {
-      if ((scratch.slot[p] & DeltaBatch::kOverlay) != 0) {
-        std::copy_n(child_row(scratch, cache, p, cache.words), cache.words,
-                    cache.rows.data() + std::size_t{p} * cache.words);
-      }
-    }
-  }
-  index_consumers(to, cache);
   if (evaluated != 0) {
     count_sim_words(evaluated, cache.words);
   }
@@ -381,18 +290,23 @@ void simulate_delta_batch(const Netlist& base,
   if (batch.children.size() < children.size()) {
     batch.children.resize(children.size());
   }
+  ready_scratch(batch, base, cache.rows.size());
   const auto& kernels = simd::kernels();
   std::uint64_t evaluated = 0;
   with_row_width(cache.words, [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
+    const std::uint64_t* const origin[2] = {cache.rows.data(),
+                                            batch.overlay.data()};
     for (std::size_t c = 0; c < children.size(); ++c) {
       const Netlist& child = *children[c];
-      reset_scratch(batch, base.first_free_port(), base.num_gates());
-      evaluated += walk_cone<W>(base, child, cache, kernels, batch);
+      evaluated += forward_pass<W, false>(base, child, cache.rows.data(),
+                                          batch.overlay.data(), cache.words,
+                                          kernels, batch);
       auto& po = batch.children[c].po;
       po.resize(child.num_pos());
       for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
-        row_to_table(child_row(batch, cache, child.po_at(i), cache.words),
+        const Port p = child.po_at(i);
+        row_to_table(origin[batch.changed[p]] + p * cache.words,
                      cache.num_pis, po[i]);
       }
     }

@@ -16,28 +16,25 @@ namespace rcgp::rqfp {
 /// build_sim_cache gives the row of every port instead.
 std::vector<tt::TruthTable> simulate(const Netlist& net);
 
-/// Reusable scratch of the cone walk, for simulate_delta_batch (and, as
-/// SimCache::update_scratch, for update_sim_cache). Its members are
-/// managed by those functions and carry their allocations across calls;
-/// `po` of child c holds its PO tables after a simulate_delta_batch call.
+/// Reusable scratch of the forward pass, for simulate_delta_batch. Its
+/// members are managed by that function and carry their allocations
+/// across calls; `po` of child c holds its PO tables after a call.
 struct DeltaBatch {
-  /// Slot flag: the rest of the slot is an overlay row, not a base port.
-  static constexpr std::uint32_t kOverlay = std::uint32_t{1} << 31;
   struct Child {
     std::vector<tt::TruthTable> po;
   };
   std::vector<Child> children;
 
   // --- scratch internals, shared by the children of a call ---
-  std::vector<std::uint64_t> mark;    // gate bitset: the cone worklist
-  std::vector<std::uint32_t> slot;    // per port: p, or kOverlay | row
-  std::vector<std::uint64_t> overlay; // cone rows, 3 per gate evaluated
-  std::vector<Port> touched;          // first output port of each of them
+  std::vector<std::uint64_t> overlay; // the child's rows, laid out like
+                                      // SimCache::rows
+  std::vector<std::uint8_t> changed;  // per port: its overlay row is the
+                                      // child's value
 };
 
-/// Exhaustive per-port simulation state of a base netlist for the
-/// cone-only delta path; simulate_delta_batch only reads it, so one cache
-/// serves every offspring of a generation.
+/// Exhaustive per-port simulation state of a base netlist for the delta
+/// path; simulate_delta_batch only reads it, so one cache serves every
+/// offspring of a generation.
 ///
 /// `rows` holds one row of `words` 64-bit words per port, row p = port p
 /// at rows[p * words], dead gates included (PO moves onto currently-dead
@@ -45,58 +42,43 @@ struct DeltaBatch {
 /// the assignments 0 .. 64 * words - 1: with fewer than 6 PIs it repeats
 /// the 2^n-bit table across the word (the constant row is all ones), so
 /// equal rows are equal tables, and table() masks the copy.
-///
-/// `consumer_start`/`consumer_gate` index the gates reading each gate
-/// output port p, ascending, at consumer_gate[consumer_start[p] ..
-/// consumer_start[p + 1]); consumer_gate ends with one pad entry. A port
-/// may feed several gate inputs (strict_po_swap = false mutations produce
-/// that). Constant and PI rows never change, so they list no consumers.
 struct SimCache {
   std::vector<std::uint64_t> rows;
   std::size_t words = 0;
   unsigned num_pis = 0;
   std::uint32_t num_gates = 0;
-  std::vector<std::uint32_t> consumer_start;
-  std::vector<std::uint32_t> consumer_gate;
 
   const std::uint64_t* row(Port p) const { return rows.data() + p * words; }
   /// The truth table of port p over num_pis variables.
   tt::TruthTable table(Port p) const;
-
-  /// update_sim_cache's scratch, kept warm across commits and bounded by
-  /// the rows it updates.
-  DeltaBatch update_scratch;
 };
 
-/// Fully simulates `net` into `cache` (capacity-reusing) and indexes its
-/// consumers. Afterwards cache.row(p) is the row of port p and the cache
-/// can serve update_sim_cache / simulate_delta_batch calls for
-/// same-shaped netlists. Throws std::invalid_argument above
-/// TruthTable::kMaxVars PIs.
+/// Fully simulates `net` into `cache` (capacity-reusing). Afterwards
+/// cache.row(p) is the row of port p and the cache can serve
+/// update_sim_cache / simulate_delta_batch calls for same-shaped
+/// netlists. Throws std::invalid_argument above TruthTable::kMaxVars PIs.
 void build_sim_cache(const Netlist& net, SimCache& cache);
 
-/// Re-simulates the cone of `to` relative to `from` — whose port values
-/// the cache currently holds — with the simulate_delta_batch engine and
-/// commits: the cache then holds `to`'s rows and consumers. `from` and
-/// `to` must agree on PI and gate counts (CGP mutation preserves both);
-/// throws std::invalid_argument otherwise.
+/// Re-simulates `to` relative to `from` — whose port values the cache
+/// currently holds — with the simulate_delta_batch pass and commits in
+/// place: the cache then holds `to`'s rows. `from` and `to` must agree on
+/// PI and gate counts (CGP mutation preserves both); throws
+/// std::invalid_argument otherwise.
 void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache);
 
-/// Cone-only delta simulation of every child of a block against a
-/// read-only base cache. Per child, a branch-free compare of its gates
-/// with the base's seeds a gate bitset with the changed genes; the bitset
-/// is popped in ascending order (a consumer always follows its producer),
-/// each popped gate is evaluated into overlay rows, and an output equal
-/// to its base row stops the cone there, otherwise the port's consumers
-/// are marked. So a gate is evaluated iff its gene differs from the base
-/// or one of its inputs' values does, and a child costs its diff plus
-/// its cone; all other reads hit the shared base rows, which are never
-/// written. 1-, 2- and 4-word rows run fixed-width inline code, wider
-/// ones the active SIMD tier's gate3. The PO tables
-/// (batch.children[c].po) are bit-identical to simulate(*children[c]).
-/// The cache must currently hold `base`'s rows and consumers; shape
-/// requirements are as in update_sim_cache, checked per child.
+/// Delta simulation of every child of a block against a read-only base
+/// cache: one forward pass over the gate indices per child. A gate is
+/// evaluated iff its gene differs from the base's or one of its input
+/// ports changed in this child; its outputs go to those ports' rows of a
+/// dense overlay, and an output equal to its base row is no change, so
+/// the cone stops there. Inputs read the overlay row of a changed port
+/// and the shared base row otherwise; base rows are never written.
+/// 1-, 2- and 4-word rows run fixed-width inline code, wider ones the
+/// active SIMD tier's gate3. The PO tables (batch.children[c].po) are
+/// bit-identical to simulate(*children[c]). The cache must currently hold
+/// `base`'s rows; shape requirements are as in update_sim_cache, checked
+/// per child.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch);
