@@ -55,106 +55,4 @@ std::vector<tt::TruthTable> simulate(const Aig& aig) {
   return out;
 }
 
-tt::TruthTable simulate_signal(const Aig& aig, Signal s) {
-  // Cheap approach for occasional queries: simulate the whole graph once.
-  // Forward references through replacements are handled by evaluating
-  // nodes repeatedly until a fixed point (graphs are small when this is
-  // used); the common no-replacement case needs a single sweep.
-  const unsigned n = aig.num_pis();
-  if (n > tt::TruthTable::kMaxVars) {
-    throw std::invalid_argument("simulate_signal: too many PIs");
-  }
-  std::vector<tt::TruthTable> table(aig.num_nodes(),
-                                    tt::TruthTable::constant(n, false));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    table[aig.pi_at(i)] = tt::TruthTable::projection(n, i);
-  }
-  const unsigned max_sweeps = aig.has_replacements() ? aig.num_nodes() : 1;
-  for (unsigned sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool changed = false;
-    for (std::uint32_t v = 0; v < aig.num_nodes(); ++v) {
-      if (!aig.is_and(v) || aig.is_replaced(v)) {
-        continue;
-      }
-      const Signal a = aig.fanin0(v);
-      const Signal b = aig.fanin1(v);
-      const tt::TruthTable ta =
-          a.complemented() ? ~table[a.node()] : table[a.node()];
-      const tt::TruthTable tb =
-          b.complemented() ? ~table[b.node()] : table[b.node()];
-      tt::TruthTable next = ta & tb;
-      if (next != table[v]) {
-        table[v] = std::move(next);
-        changed = true;
-      }
-    }
-    if (!changed) {
-      break;
-    }
-  }
-  s = aig.resolve(s);
-  return s.complemented() ? ~table[s.node()] : table[s.node()];
-}
-
-std::vector<std::vector<std::uint64_t>> simulate_patterns(
-    const Aig& aig,
-    const std::vector<std::vector<std::uint64_t>>& pi_patterns) {
-  if (pi_patterns.size() != aig.num_pis()) {
-    throw std::invalid_argument("simulate_patterns: PI count mismatch");
-  }
-  if (aig.has_replacements()) {
-    return simulate_patterns(aig.cleanup(), pi_patterns);
-  }
-  const std::size_t words = pi_patterns.empty() ? 1 : pi_patterns[0].size();
-  std::vector<std::vector<std::uint64_t>> value(
-      aig.num_nodes(), std::vector<std::uint64_t>(words, 0));
-  for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
-    if (pi_patterns[i].size() != words) {
-      throw std::invalid_argument("simulate_patterns: ragged patterns");
-    }
-    value[aig.pi_at(i)] = pi_patterns[i];
-  }
-  for (std::uint32_t v = 0; v < aig.num_nodes(); ++v) {
-    if (!aig.is_and(v) || aig.is_replaced(v)) {
-      continue;
-    }
-    const Signal a = aig.fanin0(v);
-    const Signal b = aig.fanin1(v);
-    const auto& va = value[a.node()];
-    const auto& vb = value[b.node()];
-    auto& out = value[v];
-    rqfp::simd::kernels().and2(va.data(),
-                               a.complemented() ? ~std::uint64_t{0} : 0,
-                               vb.data(),
-                               b.complemented() ? ~std::uint64_t{0} : 0,
-                               out.data(), words);
-  }
-  std::vector<std::vector<std::uint64_t>> out;
-  out.reserve(aig.num_pos());
-  for (std::uint32_t i = 0; i < aig.num_pos(); ++i) {
-    const Signal po = aig.po_at(i);
-    auto v = value[po.node()];
-    if (po.complemented()) {
-      for (auto& w : v) {
-        w = ~w;
-      }
-    }
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-std::vector<std::vector<std::uint64_t>> random_patterns(std::uint32_t num_pis,
-                                                        std::size_t num_words,
-                                                        util::Rng& rng) {
-  std::vector<std::vector<std::uint64_t>> p(num_pis);
-  for (auto& row : p) {
-    row.resize(num_words);
-    for (auto& w : row) {
-      w = rng.next();
-    }
-  }
-  return p;
-}
-
 } // namespace rcgp::aig

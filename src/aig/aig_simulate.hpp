@@ -1,29 +1,14 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "aig/aig.hpp"
 #include "tt/truth_table.hpp"
-#include "util/rng.hpp"
 
 namespace rcgp::aig {
 
 /// Exhaustive simulation: truth table of every primary output over the
 /// AIG's primary inputs. Requires num_pis() <= TruthTable::kMaxVars.
 std::vector<tt::TruthTable> simulate(const Aig& aig);
-
-/// Truth table of a single internal signal over the primary inputs.
-tt::TruthTable simulate_signal(const Aig& aig, Signal s);
-
-/// Word-parallel random-pattern simulation for wide circuits: each PI gets
-/// `num_words` 64-bit random words; returns one pattern vector per PO.
-std::vector<std::vector<std::uint64_t>> simulate_patterns(
-    const Aig& aig, const std::vector<std::vector<std::uint64_t>>& pi_patterns);
-
-/// Generates `num_words` random words per PI.
-std::vector<std::vector<std::uint64_t>> random_patterns(std::uint32_t num_pis,
-                                                        std::size_t num_words,
-                                                        util::Rng& rng);
 
 } // namespace rcgp::aig

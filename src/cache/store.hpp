@@ -64,7 +64,6 @@ public:
   Store& operator=(Store&& other) noexcept;
 
   const std::string& path() const { return path_; }
-  void set_path(std::string path) { path_ = std::move(path); }
 
   std::size_t size() const;
 

@@ -6,7 +6,6 @@
 
 #include "rqfp/netlist.hpp"
 #include "tt/truth_table.hpp"
-#include "util/rng.hpp"
 
 namespace rcgp::cec {
 
@@ -23,9 +22,7 @@ struct SimResult {
 
 /// Scores already-simulated PO tables against a specification — the shared
 /// tail of every simulation equivalence check (sim_check and the λ-batched
-/// evaluator). Increments the cec.sim_checks counter once, so telemetry
-/// stays one check per offspring regardless of which path simulated it.
-/// Requires out.size() == spec.size() (checked).
+/// evaluator). Requires out.size() == spec.size() (checked).
 SimResult sim_compare(std::span<const tt::TruthTable> out,
                       std::span<const tt::TruthTable> spec);
 
@@ -33,10 +30,5 @@ SimResult sim_compare(std::span<const tt::TruthTable> out,
 /// netlist's PIs. Requires spec.size() == net.num_pos().
 SimResult sim_check(const rqfp::Netlist& net,
                     std::span<const tt::TruthTable> spec);
-
-/// Random-pattern check of two netlists with identical PI/PO counts; used
-/// when the PI count makes exhaustive tables impractical.
-SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
-                           std::size_t num_words, util::Rng& rng);
 
 } // namespace rcgp::cec

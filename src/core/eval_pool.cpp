@@ -38,16 +38,6 @@ obs::Counter& pool_tasks() {
   static obs::Counter& c = obs::registry().counter("evolve.pool.tasks");
   return c;
 }
-obs::Counter& pool_rebuilds() {
-  static obs::Counter& c =
-      obs::registry().counter("evolve.pool.cache_rebuilds");
-  return c;
-}
-obs::Counter& pool_updates() {
-  static obs::Counter& c =
-      obs::registry().counter("evolve.pool.cache_updates");
-  return c;
-}
 
 // λ-generation wall seconds: sub-ms through tens of seconds.
 constexpr double kGenerationSecondsBounds[] = {
@@ -183,17 +173,10 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
     rqfp::build_cost_cache(parent, rqfp::BufferSchedule::kAsap, scratch.cost);
     scratch.base = parent;
     scratch.cache_valid = true;
-    pool_rebuilds().inc();
   } else if (!(scratch.base == parent)) {
     rqfp::update_sim_cache(scratch.base, parent, scratch.cache);
-    if (scratch.base.num_pos() == parent.num_pos()) {
-      rqfp::update_cost_cache(scratch.base, parent, scratch.cost);
-    } else {
-      rqfp::build_cost_cache(parent, rqfp::BufferSchedule::kAsap,
-                             scratch.cost);
-    }
+    rqfp::update_cost_cache(scratch.base, parent, scratch.cost);
     scratch.base = parent;
-    pool_updates().inc();
   }
 
   // Offspring k is a pure function of (seed, generation, k, parent): its

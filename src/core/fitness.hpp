@@ -73,9 +73,8 @@ Fitness evaluate(const rqfp::Netlist& net,
 /// through `cost_cache` (rqfp::cost_of_delta); it must describe `base`
 /// (rqfp::build_cost_cache / update_cost_cache), and one not yet built is
 /// built for `base` on the spot. Per child the Fitness is bit-identical to
-/// evaluate(*children[c], spec, options), and cec.sim_checks advances once
-/// per child. out_fitness must provide children.size() slots; `batch` is
-/// reusable scratch.
+/// evaluate(*children[c], spec, options). out_fitness must provide
+/// children.size() slots; `batch` is reusable scratch.
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,

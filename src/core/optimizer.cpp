@@ -131,8 +131,8 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
       r.anneal = detail::anneal_impl(initial, spec, p);
       r.best = r.anneal.best;
       r.best_fitness = r.anneal.best_fitness;
-      // Annealing evaluates once per step (plus the best-seen re-check,
-      // already counted in the cec.sim_checks telemetry).
+      // Annealing evaluates once per step (an accepted candidate's re-check
+      // is not counted).
       r.evaluations = r.anneal.steps_run;
       r.seconds = r.anneal.seconds;
       r.stop_reason = r.anneal.stop_reason;

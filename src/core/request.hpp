@@ -88,8 +88,6 @@ struct SynthesisRequest {
   /// not serialized and not part of equality).
   std::size_t line = 0;
 
-  bool has_inline_spec() const { return !spec.empty(); }
-
   /// Equality over every serialized field (`line` excluded).
   bool operator==(const SynthesisRequest& o) const;
 };

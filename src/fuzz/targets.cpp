@@ -39,6 +39,7 @@
 #include "robust/fault.hpp"
 #include "robust/integrity.hpp"
 #include "rqfp/cost.hpp"
+#include "rqfp/simd.hpp"
 #include "rqfp/simulate.hpp"
 #include "tt/isop.hpp"
 #include "util/rng.hpp"
@@ -897,8 +898,8 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
   }
 
   // 2. End to end: the full simulation stack under every tier must
-  // reproduce the scalar tier bit-for-bit — exhaustive tables, the
-  // λ-batched delta path against scalar simulate, and pattern sweeps.
+  // reproduce the scalar tier bit-for-bit — exhaustive tables and the
+  // λ-batched delta path against scalar simulate.
   util::Rng net_rng = case_rng(ctx, Target::kSimdDifferential, 1);
   // Up to 10 PIs: rows of 1 to 16 words, so the delta path runs its
   // fixed-width short rows and each tier's kernel on the wide ones.
@@ -911,12 +912,6 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
     children.push_back(base);
     core::mutate(children.back(), net_rng);
   }
-  rqfp::SimBatch patterns(base.num_pis(), 3);
-  for (std::size_t r = 0; r < patterns.rows(); ++r) {
-    for (std::size_t w = 0; w < patterns.words(); ++w) {
-      patterns.at(r, w) = net_rng.next();
-    }
-  }
 
   TierGuard guard;
   rqfp::simd::force_tier(rqfp::simd::Tier::kScalar);
@@ -925,8 +920,6 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
   for (const auto& ch : children) {
     child_spec.push_back(rqfp::simulate(ch));
   }
-  rqfp::SimBatch po_spec;
-  rqfp::simulate_patterns(base, patterns, po_spec);
 
   for (const auto tier : tiers) {
     rqfp::simd::force_tier(tier);
@@ -961,12 +954,6 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
           return;
         }
       }
-    }
-    rqfp::SimBatch po;
-    rqfp::simulate_patterns(base, patterns, po);
-    if (!(po == po_spec)) {
-      report("simulate_patterns");
-      return;
     }
   }
 }

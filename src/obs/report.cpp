@@ -232,7 +232,7 @@ void report_profile(std::string& out, const std::string& path) {
 
   // Latency percentiles for the repeated span families.
   for (const char* family : {"eval.generation", "batch.job", "buffer.plan",
-                             "cec.sat", "cec.bdd", "cec.sim"}) {
+                             "cec.sat", "cec.bdd"}) {
     std::vector<double> durs;
     for (const auto& s : spans) {
       if (s.name == family) {

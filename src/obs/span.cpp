@@ -70,10 +70,6 @@ std::uint64_t profile_now_us() {
           .count());
 }
 
-bool profiling_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
 void set_profiling_enabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
 }

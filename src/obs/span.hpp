@@ -24,7 +24,6 @@ std::uint64_t profile_now_us();
 
 /// Global profiling switch (off by default). Spans constructed while the
 /// switch is off are inert.
-bool profiling_enabled();
 void set_profiling_enabled(bool on);
 
 /// Names the calling thread's profiler track (shown as the Perfetto row

@@ -248,23 +248,6 @@ Cost cost_of_delta(const Netlist& base, const Netlist& child,
                     /*commit=*/false);
 }
 
-Cost cost_of_delta(const Netlist& base, const Netlist& child,
-                   std::span<const std::uint32_t> touched_gates,
-                   CostCache& cache) {
-  check_delta_shapes(base, child, cache);
-  const std::uint32_t n = base.num_gates();
-  std::uint32_t first_topo = n;
-  bool live_changed = false;
-  for (const std::uint32_t g : touched_gates) {
-    if (g < n && base.gate(g).in != child.gate(g).in) {
-      first_topo = std::min(first_topo, g);
-      live_changed = live_changed || cache.live[g] != 0;
-    }
-  }
-  return delta_impl(base, child, first_topo, live_changed, cache,
-                    /*commit=*/false);
-}
-
 Cost update_cost_cache(const Netlist& from, const Netlist& to,
                        CostCache& cache) {
   check_delta_shapes(from, to, cache);

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -71,10 +70,9 @@ Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
 
 /// Incremental cost of `child`, a mutated copy of `base`, against a cache
 /// built for `base`. Gene diffs are discovered by comparing the two
-/// netlists; the 4-argument overload below skips that scan when the
-/// caller knows which gates were touched. The cache itself is not
-/// modified (one cache serves every offspring of a generation); commit an
-/// accepted child with update_cost_cache.
+/// netlists. The cache itself is not modified (one cache serves every
+/// offspring of a generation); commit an accepted child with
+/// update_cost_cache.
 ///
 /// Incremental structure: inverter-config-only changes cannot move the
 /// cost (it is topology-only), and neither can rewires confined to dead
@@ -90,13 +88,6 @@ Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
 /// shapes (PI/gate/PO counts) disagree — the same contract as
 /// rqfp::simulate_delta_batch.
 Cost cost_of_delta(const Netlist& base, const Netlist& child,
-                   CostCache& cache);
-
-/// As above, but trusts `touched_gates` (indices of gates whose genes a
-/// mutation may have rewritten; PO bindings are always re-checked) instead
-/// of scanning every gate for diffs.
-Cost cost_of_delta(const Netlist& base, const Netlist& child,
-                   std::span<const std::uint32_t> touched_gates,
                    CostCache& cache);
 
 /// Commits `to` (a mutated copy of `from`, which `cache` describes) as the

@@ -21,15 +21,8 @@ namespace rcgp::rqfp::simd {
 /// changes a result.
 ///
 /// Alignment: kernels use unaligned vector loads, so any buffer works
-/// (TruthTable words live in plain std::vector storage). SimBatch pads and
-/// aligns its rows (kAlignment, stride a multiple of kMaxBlockWords) so
-/// the widest pattern sweeps run on full aligned blocks.
+/// (TruthTable words and SimCache rows live in plain std::vector storage).
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-/// Bytes of alignment SimBatch guarantees per row — one AVX-512 vector.
-inline constexpr std::size_t kAlignment = 64;
-/// Words per widest vector block; SimBatch pads row strides to this.
-inline constexpr std::size_t kMaxBlockWords = kAlignment / sizeof(std::uint64_t);
 
 /// One tier's kernel table. Output arrays must not alias the inputs
 /// (simulation writes every gate's outputs to fresh ports, so the hot

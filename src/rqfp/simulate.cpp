@@ -91,20 +91,19 @@ inline bool rows_equal(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-/// The gate loop of every full row simulation (build_sim_cache,
-/// simulate_patterns): row p at rows + p * stride, with the constant and
-/// PI rows already filled.
+/// The gate loop of build_sim_cache: row p at rows + p * words, with the
+/// constant and PI rows already filled.
 void simulate_rows(const Netlist& net, std::uint64_t* rows,
-                   std::size_t stride, std::size_t words) {
+                   std::size_t words) {
   const auto& kernels = simd::kernels();
   with_row_width(words, [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
     for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
       const auto& gate = net.gate(g);
-      std::uint64_t* out = rows + net.port_of(g, 0) * stride;
-      gate3_rows<W>(kernels, gate.config.bits(), rows + gate.in[0] * stride,
-                    rows + gate.in[1] * stride, rows + gate.in[2] * stride,
-                    out, out + stride, out + 2 * stride, words);
+      std::uint64_t* out = rows + net.port_of(g, 0) * words;
+      gate3_rows<W>(kernels, gate.config.bits(), rows + gate.in[0] * words,
+                    rows + gate.in[1] * words, rows + gate.in[2] * words,
+                    out, out + words, out + 2 * words, words);
     }
   });
   count_sim_words(net.num_gates(), words);
@@ -260,7 +259,7 @@ void build_sim_cache(const Netlist& net, SimCache& cache) {
                     : ((w >> (i - 6)) & 1 ? ~std::uint64_t{0} : 0);
     }
   }
-  simulate_rows(net, cache.rows.data(), words, words);
+  simulate_rows(net, cache.rows.data(), words);
 }
 
 void update_sim_cache(const Netlist& from, const Netlist& to,
@@ -314,33 +313,6 @@ void simulate_delta_batch(const Netlist& base,
   if (evaluated != 0) {
     count_sim_words(evaluated, cache.words);
   }
-}
-
-void simulate_patterns(const Netlist& net, const SimBatch& pi, SimBatch& po,
-                       SimBatch& scratch) {
-  if (pi.rows() != net.num_pis()) {
-    throw std::invalid_argument(
-        "rqfp::simulate_patterns: netlist has " +
-        std::to_string(net.num_pis()) + " PIs but the batch has " +
-        std::to_string(pi.rows()) + " rows");
-  }
-  const std::size_t words = pi.words();
-  scratch.resize(net.first_free_port(), words);
-  scratch.fill_row(kConstPort, ~std::uint64_t{0});
-  for (unsigned i = 0; i < net.num_pis(); ++i) {
-    std::copy(pi.row(i), pi.row(i) + words, scratch.row(1 + i));
-  }
-  simulate_rows(net, scratch.row(0), scratch.stride(), words);
-  po.resize(net.num_pos(), words);
-  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
-    const std::uint64_t* src = scratch.row(net.po_at(i));
-    std::copy(src, src + words, po.row(i));
-  }
-}
-
-void simulate_patterns(const Netlist& net, const SimBatch& pi, SimBatch& po) {
-  SimBatch scratch;
-  simulate_patterns(net, pi, po, scratch);
 }
 
 std::vector<bool> evaluate(const Netlist& net, std::uint64_t assignment) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rqfp/netlist.hpp"
-#include "rqfp/sim_batch.hpp"
 #include "tt/truth_table.hpp"
 
 namespace rcgp::rqfp {
@@ -82,18 +81,6 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch);
-
-/// Word-parallel pattern simulation for wide circuits. `pi` must have one
-/// row per PI (pi.rows() == net.num_pis(), validated up front); the word
-/// count is taken from the batch, so it is explicit even for netlists
-/// without PIs. `po` is reshaped to num_pos() x pi.words() and `scratch`
-/// holds the per-port values — both reuse capacity across calls, so
-/// repeated simulations allocate nothing.
-void simulate_patterns(const Netlist& net, const SimBatch& pi, SimBatch& po,
-                       SimBatch& scratch);
-
-/// Convenience overload with an internal scratch buffer.
-void simulate_patterns(const Netlist& net, const SimBatch& pi, SimBatch& po);
 
 /// Evaluate on a single input assignment (bit i = PI i); returns PO bits.
 std::vector<bool> evaluate(const Netlist& net, std::uint64_t assignment);

@@ -75,10 +75,6 @@ public:
 
   // Statistics for benches / diagnostics.
   std::uint64_t num_conflicts() const { return stats_conflicts_; }
-  std::uint64_t num_decisions() const { return stats_decisions_; }
-  std::uint64_t num_propagations() const { return stats_propagations_; }
-  std::size_t num_clauses() const { return clauses_.size(); }
-  std::size_t num_learnts() const { return learnts_.size(); }
 
 private:
   // Clause storage: header + literals in one arena.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -74,18 +73,6 @@ public:
   /// what makes λ-parallel evaluation bit-identical for any thread count
   /// (docs/PARALLELISM.md).
   static Rng stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
-
-  /// Engine state snapshot/restore for callers that want to suspend a
-  /// stream mid-sequence. The CGP loop itself never persists engine state:
-  /// checkpoints re-derive offspring streams from (seed, generation, k).
-  std::array<std::uint64_t, 4> state() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) {
-      state_[i] = s[i];
-    }
-  }
 
 private:
   std::uint64_t state_[4]{};

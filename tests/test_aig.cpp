@@ -200,31 +200,6 @@ TEST(Aig, ReplacementTableFollowsPops) {
   EXPECT_FALSE(net.is_replaced(y2.node()));
 }
 
-TEST(AigSimulate, PatternsMatchExhaustive) {
-  const Aig net = random_aig(6, 40, 4, 7);
-  const auto tts = simulate(net);
-  // Exhaustive 6-var table equals one 64-bit word; feed the identity
-  // patterns and compare.
-  std::vector<std::vector<std::uint64_t>> patterns(6);
-  for (unsigned i = 0; i < 6; ++i) {
-    patterns[i] = {tt::TruthTable::projection(6, i).word(0)};
-  }
-  const auto out = simulate_patterns(net, patterns);
-  for (unsigned o = 0; o < 4; ++o) {
-    EXPECT_EQ(out[o][0], tts[o].word(0));
-  }
-}
-
-TEST(AigSimulate, RandomPatternHelpers) {
-  util::Rng rng(3);
-  const auto patterns = random_patterns(5, 4, rng);
-  EXPECT_EQ(patterns.size(), 5u);
-  EXPECT_EQ(patterns[0].size(), 4u);
-  const Aig net = random_aig(5, 20, 2, 9);
-  const auto out = simulate_patterns(net, patterns);
-  EXPECT_EQ(out.size(), 2u);
-}
-
 // ---------- cuts ----------
 
 TEST(Cuts, TrivialAndMergedCuts) {

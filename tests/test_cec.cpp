@@ -50,21 +50,6 @@ TEST(SimCec, PoCountMismatchThrows) {
   EXPECT_THROW(sim_check(and_netlist(), two), std::invalid_argument);
 }
 
-TEST(SimCec, RandomPatternsAgreeForIdenticalNetlists) {
-  util::Rng rng(1);
-  const auto a = and_netlist();
-  const auto r = sim_check_random(a, a, 8, rng);
-  EXPECT_TRUE(r.all_match);
-  EXPECT_EQ(r.total_bits, 512u);
-}
-
-TEST(SimCec, RandomPatternsDetectDifference) {
-  util::Rng rng(2);
-  const auto r = sim_check_random(and_netlist(), or_netlist(), 8, rng);
-  EXPECT_FALSE(r.all_match);
-  EXPECT_GT(r.mismatching_bits, 0u);
-}
-
 TEST(SatCec, EquivalentAgainstSpec) {
   const auto r = sat_check(and_netlist(), and_spec());
   EXPECT_EQ(r.verdict, CecVerdict::kEquivalent);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,8 +20,6 @@
 #include "core/shrink.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
-#include "rqfp/sim_batch.hpp"
-#include "rqfp/simd.hpp"
 #include "rqfp/simulate.hpp"
 #include "rqfp/splitter.hpp"
 #include "util/rng.hpp"
@@ -815,112 +812,6 @@ TEST(Flow, PhaseBreakdownPartitionsWallClock) {
   EXPECT_GT(top_sum, 0.5 * r.seconds_total);
   EXPECT_LT(top_sum, 1.1 * r.seconds_total);
   EXPECT_EQ(r.phase_seconds("no-such-phase"), 0.0);
-}
-
-// SimBatch invariants (docs/SIMD.md): rows are vector-aligned, strides are
-// padded to the widest kernel block, padding words stay zero through every
-// mutation path, and externally produced buffers are validated with
-// contextual error messages before the kernels ever touch them.
-
-TEST(SimBatch, RowsAreVectorAlignedAndStrideIsPadded) {
-  rqfp::SimBatch b(3, 5);
-  EXPECT_EQ(b.rows(), 3u);
-  EXPECT_EQ(b.words(), 5u);
-  EXPECT_EQ(b.stride(), rqfp::simd::kMaxBlockWords);
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(b.row(r));
-    EXPECT_EQ(addr % rqfp::simd::kAlignment, 0u) << "row " << r;
-  }
-  // Odd word counts round up to the next full block; exact multiples and
-  // the empty width are left alone.
-  b.resize(2, 9);
-  EXPECT_EQ(b.stride(), 2 * rqfp::simd::kMaxBlockWords);
-  b.resize(1, 2 * rqfp::simd::kMaxBlockWords);
-  EXPECT_EQ(b.stride(), 2 * rqfp::simd::kMaxBlockWords);
-  b.resize(4, 0);
-  EXPECT_EQ(b.stride(), 0u);
-  EXPECT_EQ(rqfp::SimBatch::padded_words(1), rqfp::simd::kMaxBlockWords);
-}
-
-TEST(SimBatch, PaddedTailStaysZeroThroughRowWrites) {
-  rqfp::SimBatch b(2, 5);
-  b.fill_row(0, ~std::uint64_t{0});
-  const std::vector<std::uint64_t> src(5, 0xDEADBEEFDEADBEEFull);
-  b.assign_row(1, src.data());
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    for (std::size_t w = b.words(); w < b.stride(); ++w) {
-      EXPECT_EQ(b.row(r)[w], 0u) << "row " << r << " pad word " << w;
-    }
-  }
-  for (std::size_t w = 0; w < b.words(); ++w) {
-    EXPECT_EQ(b.at(0, w), ~std::uint64_t{0});
-    EXPECT_EQ(b.at(1, w), 0xDEADBEEFDEADBEEFull);
-  }
-}
-
-TEST(SimBatch, ResizeReusesCapacityAndZeroFills) {
-  rqfp::SimBatch b(4, 7);
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    b.fill_row(r, ~std::uint64_t{0});
-  }
-  const std::uint64_t* storage = b.row(0);
-  b.resize(2, 3); // shrinking must reuse the allocation...
-  EXPECT_EQ(b.row(0), storage);
-  for (std::size_t r = 0; r < b.rows(); ++r) { // ...and re-zero everything
-    for (std::size_t w = 0; w < b.stride(); ++w) {
-      EXPECT_EQ(b.row(r)[w], 0u) << "row " << r << " word " << w;
-    }
-  }
-}
-
-TEST(SimBatch, ResizeOverflowThrowsLengthError) {
-  rqfp::SimBatch b;
-  EXPECT_THROW(
-      b.resize(std::numeric_limits<std::size_t>::max() / 2,
-               rqfp::simd::kMaxBlockWords),
-      std::length_error);
-  // The failed resize must leave the batch untouched.
-  EXPECT_EQ(b.rows(), 0u);
-  EXPECT_EQ(b.words(), 0u);
-}
-
-TEST(SimBatch, ExternalBufferValidationIsContextual) {
-  // Zero words: nothing will be read, so even null passes.
-  rqfp::SimBatch::check_external(nullptr, 0, "zero-width");
-  try {
-    rqfp::SimBatch::check_external(nullptr, 4, "null-caller");
-    FAIL() << "null external buffer accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("null-caller"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("null"), std::string::npos) << msg;
-  }
-  alignas(8) unsigned char raw[32] = {};
-  const auto* skewed = reinterpret_cast<const std::uint64_t*>(raw + 1);
-  try {
-    rqfp::SimBatch::check_external(skewed, 2, "skew-caller");
-    FAIL() << "misaligned external buffer accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("skew-caller"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("aligned"), std::string::npos) << msg;
-  }
-  rqfp::SimBatch b(1, 2);
-  EXPECT_THROW(b.assign_row(0, nullptr), std::invalid_argument);
-}
-
-TEST(SimBatch, EqualityComparesLogicalContentOnly) {
-  rqfp::SimBatch a(2, 5);
-  rqfp::SimBatch b(2, 5);
-  a.fill_row(0, 3);
-  b.fill_row(0, 3);
-  // Deliberately corrupt a padding word: logical equality must not see it.
-  a.row(0)[a.words()] = 0x123;
-  EXPECT_TRUE(a == b);
-  b.at(1, 4) = 1;
-  EXPECT_FALSE(a == b);
-  rqfp::SimBatch narrower(2, 4);
-  EXPECT_FALSE(a == narrower);
 }
 
 // λ-batched incremental evaluation, the one offspring-evaluation path:

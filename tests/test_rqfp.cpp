@@ -245,31 +245,6 @@ TEST(Simulate, SkippingDeadGatesMatchesEveryPortSimulation) {
   EXPECT_EQ(po, simulate(net.remove_dead_gates()));
 }
 
-TEST(Simulate, PatternsMatchTables) {
-  const auto net = single_and_netlist();
-  SimBatch patterns(2, 1);
-  patterns.at(0, 0) = tt::TruthTable::projection(2, 0).word(0);
-  patterns.at(1, 0) = tt::TruthTable::projection(2, 1).word(0);
-  SimBatch out;
-  simulate_patterns(net, patterns, out);
-  const auto tts = simulate(net);
-  EXPECT_EQ(out.at(0, 0) & 0xF, tts[0].word(0));
-}
-
-TEST(Simulate, BatchValidatesPiCountWithContext) {
-  const auto net = single_and_netlist(); // 2 PIs
-  SimBatch patterns(3, 1);
-  SimBatch out;
-  try {
-    simulate_patterns(net, patterns, out);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("2 PIs"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("3"), std::string::npos) << msg;
-  }
-}
-
 struct TierGuard {
   simd::Tier saved = simd::active_tier();
   ~TierGuard() { simd::force_tier(saved); }
@@ -657,25 +632,6 @@ TEST_P(RandomNetlistProperty, SimulateEvaluatePatternsAgree) {
     for (std::uint32_t o = 0; o < net.num_pos(); ++o) {
       ASSERT_EQ(bits[o], tables[o].bit(x)) << "x=" << x << " o=" << o;
     }
-  }
-  // Word-parallel patterns agree with the tables on projections.
-  SimBatch patterns(net.num_pis(), 1);
-  for (unsigned i = 0; i < net.num_pis(); ++i) {
-    patterns.at(i, 0) = tt::TruthTable::projection(6, i).word(0);
-  }
-  SimBatch words;
-  simulate_patterns(net, patterns, words);
-  const std::uint64_t mask =
-      (std::uint64_t{1} << (std::uint64_t{1} << net.num_pis())) - 1;
-  for (std::uint32_t o = 0; o < net.num_pos(); ++o) {
-    std::uint64_t expect = 0;
-    for (std::uint64_t x = 0; x < tables[o].num_bits(); ++x) {
-      // Projection patterns repeat the exhaustive table cyclically.
-      if (tables[o].bit(x)) {
-        expect |= std::uint64_t{1} << x;
-      }
-    }
-    EXPECT_EQ(words.at(o, 0) & mask, expect) << "o=" << o;
   }
 }
 
