@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -183,11 +184,12 @@ void BM_RqfpSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_RqfpSimulate);
 
-/// The netlist evolve starts from on a benchmark row, and the μ its
-/// flowbench workload mutates it at: 1 on the Table-1 rows, 12 / n_L on
-/// the Table-2 rows.
+/// The netlist evolve starts from on a benchmark row, its spec, and the μ
+/// its flowbench workload mutates it at: 1 on the Table-1 rows, 12 / n_L
+/// on the Table-2 rows.
 struct Start {
   rqfp::Netlist parent;
+  std::vector<tt::TruthTable> spec;
   core::MutationParams mutation;
 };
 
@@ -195,35 +197,49 @@ Start evolve_start(const char* row, bool table2) {
   core::FlowOptions opt;
   opt.run_cgp = false;
   Start s;
-  s.parent = core::shrink(
-      core::synthesize(benchmarks::get(row).spec, opt).initial);
+  s.spec = benchmarks::get(row).spec;
+  s.parent = core::shrink(core::synthesize(s.spec, opt).initial);
   s.mutation.mu = table2 ? 12.0 / core::num_genes(s.parent) : 1.0;
   return s;
 }
 
 /// One offspring as EvalPool makes it: copy the parent, derive the
-/// child's stream, mutate.
+/// child's stream, mutate. With `worker_map`, mutate starts from a copy of
+/// the parent's consumer map, as EvalPool's workers do; without, it
+/// refills one from the child (the 3-argument form).
 void BM_MutateOffspring(benchmark::State& state, const char* row,
-                        bool table2) {
+                        bool table2, bool worker_map) {
   const Start s = evolve_start(row, table2);
+  core::ConsumerMap map;
+  core::build_consumer_map(s.parent, map);
   rqfp::Netlist child;
   std::uint64_t i = 0;
   for (auto _ : state) {
     child = s.parent;
     util::Rng rng = util::Rng::stream(5, i >> 2, i & 3);
-    benchmark::DoNotOptimize(core::mutate(child, rng, s.mutation));
+    benchmark::DoNotOptimize(
+        worker_map ? core::mutate(child, rng, s.mutation, map)
+                   : core::mutate(child, rng, s.mutation));
     benchmark::DoNotOptimize(child);
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_MutateOffspring, alu_mu1, "alu", false);
-BENCHMARK_CAPTURE(BM_MutateOffspring, hwb8_mu12, "hwb8", true);
+BENCHMARK_CAPTURE(BM_MutateOffspring, alu_mu1, "alu", false, false);
+BENCHMARK_CAPTURE(BM_MutateOffspring, hwb8_mu12, "hwb8", true, false);
+BENCHMARK_CAPTURE(BM_MutateOffspring, hwb8_mu12_worker_map, "hwb8", true,
+                  true);
 
 /// Delta simulation of a λ = 4 block against a built SimCache, cycling
-/// through 64 pre-mutated blocks.
-void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2) {
+/// through 64 pre-mutated blocks. With `early_reject` the block is
+/// scored against the row's spec, as evolve scores it: children wrong in
+/// word 0 stop there.
+void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2,
+                   bool early_reject) {
   const Start s = evolve_start(row, table2);
+  const std::span<const tt::TruthTable> spec =
+      early_reject ? std::span<const tt::TruthTable>(s.spec)
+                   : std::span<const tt::TruthTable>();
   constexpr unsigned kBlocks = 64;
   std::vector<rqfp::Netlist> children(4 * kBlocks, s.parent);
   for (std::size_t i = 0; i < children.size(); ++i) {
@@ -239,16 +255,20 @@ void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2) {
   rqfp::DeltaBatch batch;
   std::size_t b = 0;
   for (auto _ : state) {
-    rqfp::simulate_delta_batch(s.parent, blocks[b], cache, batch);
+    rqfp::simulate_delta_batch(s.parent, blocks[b], cache, batch, spec);
     benchmark::DoNotOptimize(batch.children.data());
     benchmark::ClobberMemory();
     b = (b + 1) % kBlocks;
   }
   state.SetItemsProcessed(4 * state.iterations());
 }
-BENCHMARK_CAPTURE(BM_DeltaBatch, alu_mu1, "alu", false);
-BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12, "intdiv8", true);
-BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv10_mu12, "intdiv10", true);
+BENCHMARK_CAPTURE(BM_DeltaBatch, alu_mu1, "alu", false, false);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12, "intdiv8", true, false);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12_early_reject, "intdiv8", true,
+                  true);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv10_mu12, "intdiv10", true, false);
+BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv10_mu12_early_reject, "intdiv10",
+                  true, true);
 
 void BM_FitnessEvaluation(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");

@@ -17,8 +17,9 @@ Checks performed:
       emits (or the bare registry shape from the bench drivers)
     - flow phase wall-times sum to within 10% of flow.seconds_total
     - when the λ-parallel evaluation pool ran (evolve.pool.* present):
-      thread gauge >= 1, utilization gauge in [0, 1], and the per-worker
-      evaluation counters sum exactly to evolve.pool.tasks
+      thread gauge >= 1, utilization gauge in [0, 1], the per-worker
+      evaluation counters sum exactly to evolve.pool.tasks, and
+      0 <= evolve.pool.early_rejects <= evolve.pool.tasks
     - when the incremental cost path ran (evolve.cost.* present):
       full_recomputes >= 1 (every CostCache starts with a full build),
       delta_updates >= 0, and the scratch_bytes gauge > 0
@@ -172,9 +173,15 @@ def check_pool_metrics(path: str, counters: dict, gauges: dict) -> None:
             f"{path}: per-worker eval counters sum to {worker_evals} but "
             f"evolve.pool.tasks is {tasks}"
         )
+    rejects = counters.get("evolve.pool.early_rejects", 0)
+    if not 0 <= rejects <= tasks:
+        fail(
+            f"{path}: evolve.pool.early_rejects {rejects} outside "
+            f"[0, evolve.pool.tasks = {tasks}]"
+        )
     print(
         f"check_telemetry: {path}: pool ran {tasks} tasks on "
-        f"{threads:g} thread(s): OK"
+        f"{threads:g} thread(s), {rejects} rejected at word 0: OK"
     )
 
 

@@ -15,11 +15,12 @@ namespace rcgp::core {
 /// generation (worker i uses scratch_[i]; the caller thread is worker 0),
 /// so nothing here needs synchronization.
 struct EvalPool::Scratch {
-  /// Base netlist whose port tables `cache` and whose liveness/levels
-  /// `cost` currently hold.
+  /// Base netlist whose port tables `cache`, whose liveness/levels `cost`
+  /// and whose port consumers `consumers` currently hold.
   rqfp::Netlist base;
   rqfp::SimCache cache;
   rqfp::CostCache cost;
+  ConsumerMap consumers;
   bool cache_valid = false;
   /// λ-batch scratch: the block's child pointers, their fitness slots, and
   /// the per-child simulation overlays (allocations persist across
@@ -36,6 +37,12 @@ namespace {
 
 obs::Counter& pool_tasks() {
   static obs::Counter& c = obs::registry().counter("evolve.pool.tasks");
+  return c;
+}
+
+obs::Counter& pool_early_rejects() {
+  static obs::Counter& c =
+      obs::registry().counter("evolve.pool.early_rejects");
   return c;
 }
 
@@ -165,18 +172,21 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
   // the shape changed (shrink on acceptance can drop gates), otherwise an
   // incremental commit of whatever drifted since this worker last looked.
   // The cost cache syncs in the same tiers, against the *old* base before
-  // it is overwritten.
+  // it is overwritten. The consumer map is refilled whenever the base
+  // changes: one O(n) walk per accepted parent instead of one per child.
   if (!scratch.cache_valid ||
       scratch.base.num_gates() != parent.num_gates() ||
       scratch.base.num_pis() != parent.num_pis()) {
     rqfp::build_sim_cache(parent, scratch.cache);
     rqfp::build_cost_cache(parent, rqfp::BufferSchedule::kAsap, scratch.cost);
     scratch.base = parent;
+    build_consumer_map(parent, scratch.consumers);
     scratch.cache_valid = true;
   } else if (!(scratch.base == parent)) {
     rqfp::update_sim_cache(scratch.base, parent, scratch.cache);
     rqfp::update_cost_cache(scratch.base, parent, scratch.cost);
     scratch.base = parent;
+    build_consumer_map(parent, scratch.consumers);
   }
 
   // Offspring k is a pure function of (seed, generation, k, parent): its
@@ -187,17 +197,24 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
     OffspringResult& slot = out[k];
     slot.child = parent;
     util::Rng rng = util::Rng::stream(job.seed, job.generation, k);
-    slot.stats = mutate(slot.child, rng, job.mutation);
+    slot.stats = mutate(slot.child, rng, job.mutation, scratch.consumers);
     scratch.children.push_back(&slot.child);
   }
   scratch.fitness.resize(scratch.children.size());
   evaluate_delta_batch(scratch.base, scratch.cache, scratch.cost,
                        scratch.children, job.spec, job.fitness,
-                       scratch.batch, scratch.fitness);
+                       scratch.batch, scratch.fitness, job.early_reject);
   for (unsigned k = k0; k < k1; ++k) {
     out[k].fitness = scratch.fitness[k - k0];
     scratch.evals->inc();
     pool_tasks().inc();
+  }
+  if (job.early_reject) {
+    std::uint64_t rejects = 0;
+    for (std::size_t c = 0; c < scratch.children.size(); ++c) {
+      rejects += scratch.batch.children[c].rejected ? 1 : 0;
+    }
+    pool_early_rejects().inc(rejects);
   }
 }
 

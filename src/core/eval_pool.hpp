@@ -34,6 +34,13 @@ struct EvalJob {
   std::uint64_t seed = 0;
   std::uint64_t generation = 0;
   unsigned lambda = 0;
+  /// Stop simulating a child whose outputs already differ from the spec
+  /// in word 0 (core::evaluate_delta_batch): its Fitness is that of a
+  /// wrong child, with the word-0 success rate. Selection never takes a
+  /// wrong child over the correct parent, so a lineage is unchanged; only
+  /// detail::continue_lineage sets it. Callers that compare every
+  /// child's success_rate with a full evaluation leave it off.
+  bool early_reject = false;
   /// Polled between offspring on every worker. Once it returns true the
   /// remaining offspring are skipped, evaluate_generation returns false,
   /// and the partially-filled results must be discarded — the abort
@@ -62,7 +69,11 @@ struct EvalJob {
 /// (core::evaluate_delta_batch) against the worker's read-only base
 /// SimCache: one forward pass per offspring evaluates only its changed
 /// gates and their cone, reading the shared base rows and private
-/// overlay rows, with no per-sibling undo/restore. Block partitioning cannot affect
+/// overlay rows, with no per-sibling undo/restore. Each child is mutated
+/// from a copy of the worker's consumer map of the base, kept with the
+/// caches, instead of a walk over the whole netlist. With
+/// EvalJob::early_reject, a child wrong in word 0 is simulated no further
+/// (evolve.pool.early_rejects counts them). Block partitioning cannot affect
 /// results — each offspring is a pure function of (seed, g, k, parent) and
 /// the batched simulation is bit-identical to a from-scratch one — so any
 /// thread count, block size, and claim order produce the same generation.

@@ -198,6 +198,9 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
     job.seed = params.seed;
     job.generation = gen;
     job.lambda = params.lambda;
+    // Selection below never takes a wrong child over the correct parent,
+    // so a child wrong in word 0 need not be simulated further.
+    job.early_reject = true;
     // Polled between offspring on every worker, so a deadline or a SIGINT
     // is honored within one evaluation even for SAT-heavy configurations.
     job.should_abort = [&] {

@@ -68,17 +68,29 @@ void evaluate_delta_batch(const rqfp::Netlist& base,
                           std::span<const tt::TruthTable> spec,
                           const FitnessOptions& options,
                           rqfp::DeltaBatch& batch,
-                          std::span<Fitness> out_fitness) {
+                          std::span<Fitness> out_fitness,
+                          bool early_reject) {
   if (out_fitness.size() < children.size()) {
     throw std::invalid_argument("evaluate_delta_batch: fitness span too "
                                 "small");
   }
-  rqfp::simulate_delta_batch(base, children, cache, batch);
+  rqfp::simulate_delta_batch(
+      base, children, cache, batch,
+      early_reject ? spec : std::span<const tt::TruthTable>{});
   for (std::size_t c = 0; c < children.size(); ++c) {
     const rqfp::Netlist& child = *children[c];
-    const auto sim = cec::sim_compare(batch.children[c].po, spec);
     Fitness f;
     f.objective = options.objective;
+    if (batch.children[c].rejected) {
+      // The matching share of the one word simulated: below 1, as the
+      // child is wrong there.
+      f.success_rate =
+          1.0 - static_cast<double>(batch.children[c].word0_mismatches) /
+                    (64.0 * static_cast<double>(spec.size()));
+      out_fitness[c] = f;
+      continue;
+    }
+    const auto sim = cec::sim_compare(batch.children[c].po, spec);
     f.success_rate = sim.success_rate;
     if (sim.all_match) {
       f.success_rate = 1.0;

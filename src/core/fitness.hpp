@@ -29,6 +29,11 @@ enum class Objective {
 ///  3. then fewer garbage outputs;
 ///  4. then fewer path-balancing buffers.
 struct Fitness {
+  /// Share of output bits that match the spec over every assignment —
+  /// except for a child evaluate_delta_batch rejected early, where it is
+  /// the share over the one word it simulated (still below 1). Only a
+  /// rate of exactly 1 ranks above the parent, so no (1+λ) decision reads
+  /// the difference.
   double success_rate = 0.0;
   std::uint32_t n_r = 0;
   std::uint32_t n_g = 0;
@@ -75,6 +80,12 @@ Fitness evaluate(const rqfp::Netlist& net,
 /// built for `base` on the spot. Per child the Fitness is bit-identical to
 /// evaluate(*children[c], spec, options). out_fitness must provide
 /// children.size() slots; `batch` is reusable scratch.
+///
+/// With `early_reject`, simulation stops at word 0 for children wrong
+/// there (rqfp::simulate_delta_batch's spec): batch.children[c].rejected
+/// is set and the Fitness is that of a wrong child whose success_rate is
+/// the word-0 share. Every other child's Fitness is still bit-identical
+/// to evaluate. Only the production (1+λ) loop sets it.
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,
@@ -82,6 +93,7 @@ void evaluate_delta_batch(const rqfp::Netlist& base,
                           std::span<const tt::TruthTable> spec,
                           const FitnessOptions& options,
                           rqfp::DeltaBatch& batch,
-                          std::span<Fitness> out_fitness);
+                          std::span<Fitness> out_fitness,
+                          bool early_reject = false);
 
 } // namespace rcgp::core

@@ -39,33 +39,24 @@ std::uint32_t gate_consumer(std::uint32_t gate, unsigned slot) {
 }
 std::uint32_t po_consumer(std::uint32_t po) { return kPoFlag | po; }
 
-/// The gene reading each port of `net` (kNoConsumer if none). mutate asks
-/// for it once per child, so it is refilled into one buffer per thread
-/// instead of allocated.
-std::vector<std::uint32_t>& consumer_map(const rqfp::Netlist& net) {
-  static thread_local std::vector<std::uint32_t> consumer;
-  consumer.assign(net.first_free_port(), kNoConsumer);
-  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
-    for (unsigned i = 0; i < 3; ++i) {
-      const rqfp::Port p = net.gate(g).in[i];
-      if (p != rqfp::kConstPort) {
-        consumer[p] = gate_consumer(g, i);
-      }
-    }
-  }
-  for (std::uint32_t o = 0; o < net.num_pos(); ++o) {
-    const rqfp::Port p = net.po_at(o);
-    if (p != rqfp::kConstPort) {
-      consumer[p] = po_consumer(o);
-    }
-  }
+/// One consumer map per thread: mutate and the reconnect calls work in
+/// it, so no call allocates in the steady state.
+ConsumerMap& scratch_map() {
+  static thread_local ConsumerMap consumer;
+  return consumer;
+}
+
+/// The thread's consumer map, refilled from `net`.
+ConsumerMap& consumer_map(const rqfp::Netlist& net) {
+  ConsumerMap& consumer = scratch_map();
+  build_consumer_map(net, consumer);
   return consumer;
 }
 
 /// Shared reconnection engine over an externally-maintained consumer map.
 /// Returns the outcome; updates the map on success.
 inline ReconnectOutcome reconnect_with_map(
-    rqfp::Netlist& net, std::vector<std::uint32_t>& consumer,
+    rqfp::Netlist& net, ConsumerMap& consumer,
     std::uint32_t me, rqfp::Port v, rqfp::Port p, bool strict) {
   auto set_gene = [&](std::uint32_t code, rqfp::Port value) {
     if (code & kPoFlag) {
@@ -120,6 +111,24 @@ inline ReconnectOutcome reconnect_with_map(
 
 } // namespace
 
+void build_consumer_map(const rqfp::Netlist& net, ConsumerMap& consumer) {
+  consumer.assign(net.first_free_port(), kNoConsumer);
+  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
+    for (unsigned i = 0; i < 3; ++i) {
+      const rqfp::Port p = net.gate(g).in[i];
+      if (p != rqfp::kConstPort) {
+        consumer[p] = gate_consumer(g, i);
+      }
+    }
+  }
+  for (std::uint32_t o = 0; o < net.num_pos(); ++o) {
+    const rqfp::Port p = net.po_at(o);
+    if (p != rqfp::kConstPort) {
+      consumer[p] = po_consumer(o);
+    }
+  }
+}
+
 ReconnectOutcome reconnect_input(rqfp::Netlist& net, std::uint32_t g,
                                  unsigned slot, rqfp::Port target) {
   if (target >= net.port_of(g, 0)) {
@@ -138,14 +147,14 @@ ReconnectOutcome reconnect_po(rqfp::Netlist& net, std::uint32_t po,
                             net.po_at(po), target, /*strict=*/true);
 }
 
-MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
-                     const MutationParams& params) {
+namespace {
+
+/// The mutation engine, over `consumer`, which must describe `net`.
+MutationStats mutate_with_map(rqfp::Netlist& net, util::Rng& rng,
+                              const MutationParams& params,
+                              ConsumerMap& consumer) {
   MutationStats stats;
   const std::uint32_t n_genes = num_genes(net);
-  if (n_genes == 0) {
-    return stats;
-  }
-  auto& consumer = consumer_map(net);
 
   /// Reconnects gene `me` (currently holding `v`) to port `p`, applying
   /// the paper's swap rule; folds the outcome into the stats.
@@ -207,6 +216,31 @@ MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
     }
   }
   return stats;
+}
+
+} // namespace
+
+MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
+                     const MutationParams& params) {
+  if (num_genes(net) == 0) {
+    return {};
+  }
+  return mutate_with_map(net, rng, params, consumer_map(net));
+}
+
+MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
+                     const MutationParams& params,
+                     const ConsumerMap& consumers) {
+  if (consumers.size() != net.first_free_port()) {
+    throw std::invalid_argument(
+        "mutate: consumer map does not match the netlist's port count");
+  }
+  if (num_genes(net) == 0) {
+    return {};
+  }
+  ConsumerMap& consumer = scratch_map();
+  consumer.assign(consumers.begin(), consumers.end());
+  return mutate_with_map(net, rng, params, consumer);
 }
 
 } // namespace rcgp::core

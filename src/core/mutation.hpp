@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "rqfp/netlist.hpp"
 #include "util/rng.hpp"
@@ -47,12 +48,31 @@ struct MutationMix {
   MutationMix& operator+=(const MutationMix& o);
 };
 
+/// The gene reading each port of a netlist, one entry per port: the gate
+/// input or PO that reads it, or none. The swap rule of mutate looks up a
+/// target port's consumer here.
+using ConsumerMap = std::vector<std::uint32_t>;
+
+/// Fills `map` (capacity-reusing) with the consumers of `net`'s ports.
+void build_consumer_map(const rqfp::Netlist& net, ConsumerMap& map);
+
 /// Point mutation per §3.2.2 of the paper: each modified gene is either a
 /// node-input reconnection (with the value-swap rule that preserves the
 /// single fan-out invariant), a primary-output reconnection, or a one-bit
-/// inverter-configuration flip. The netlist is mutated in place.
+/// inverter-configuration flip. The netlist is mutated in place. This
+/// form fills a per-thread consumer map from `net` first, an O(n) walk.
 MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
                      const MutationParams& params = {});
+
+/// The same mutation, starting from a copy of `consumers`, which must be
+/// build_consumer_map of `net` (for a child, of the parent it was copied
+/// from). EvalPool keeps one map per worker base, so its children skip
+/// the walk. Gives the same netlist and stats as the form above and
+/// leaves `consumers` unchanged; throws std::invalid_argument when its
+/// size is not net.first_free_port().
+MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
+                     const MutationParams& params,
+                     const ConsumerMap& consumers);
 
 /// Outcome of a single deterministic gene reconnection.
 enum class ReconnectOutcome {

@@ -536,6 +536,24 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
       return;
     }
 
+    // The same block with early reject: a rejected child must be wrong,
+    // and any other child must score exactly as evaluate scores it.
+    core::Fitness early;
+    core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fopt, batch,
+                               {&early, 1}, /*early_reject=*/true);
+    const bool rejected = batch.children[0].rejected;
+    if (rejected ? full.functionally_correct() || early.functionally_correct()
+                 : !fitness_equal(full, early)) {
+      pair_finding("early-reject-vs-full",
+                   std::string("evaluate_delta_batch with early reject (") +
+                       (rejected ? "rejected" : "not rejected") +
+                       ") disagrees with evaluate: full=" +
+                       describe_fitness(full) +
+                       " early=" + describe_fitness(early),
+                   base, child);
+      return;
+    }
+
     const rqfp::Cost cost_full = rqfp::cost_of(child);
     const rqfp::Cost cost_delta = rqfp::cost_of_delta(base, child, cost);
     if (!(cost_full == cost_delta)) {

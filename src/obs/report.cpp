@@ -369,8 +369,9 @@ void report_metrics(std::string& out, const std::string& path) {
   }
 
   // Simulation digest (docs/SIMD.md): which kernel tier ran, how many
-  // words it chewed through, and — when the run carried flow phases —
-  // how much of the wall clock the simulation-dominated CGP phase took.
+  // words it chewed through, how many offspring stopped at word 0, and —
+  // when the run carried flow phases — how much of the wall clock the
+  // simulation-dominated CGP phase took.
   {
     const json::Value* gauges = registry->find("gauges");
     const json::Value* counters = registry->find("counters");
@@ -379,6 +380,8 @@ void report_metrics(std::string& out, const std::string& path) {
         gauges ? gauges->number_or("sim.words_per_second", 0) : 0;
     const double words =
         counters ? counters->number_or("sim.words", 0) : 0;
+    const json::Value* rejects =
+        counters ? counters->find("evolve.pool.early_rejects") : nullptr;
     if (width > 0 || wps > 0 || words > 0) {
       out += "  simulation:\n";
       if (width > 0) {
@@ -386,6 +389,11 @@ void report_metrics(std::string& out, const std::string& path) {
       }
       if (words > 0) {
         appendf(out, "    words simulated     %.3g\n", words);
+      }
+      if (rejects) {
+        const double tasks = counters->number_or("evolve.pool.tasks", 0);
+        appendf(out, "    early rejects       %.0f of %.0f offspring\n",
+                rejects->as_number(), tasks);
       }
       if (wps > 0) {
         appendf(out, "    kernel throughput   %.3g words/s\n", wps);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -98,23 +99,23 @@ Cost measure_masked(const Netlist& net, const std::vector<std::uint8_t>& live,
 }
 
 void check_delta_shapes(const Netlist& base, const Netlist& child,
-                        const CostCache& cache) {
+                        const CostCache& cache, const char* who) {
   if (!cache.valid) {
-    throw std::invalid_argument(
-        "rqfp::cost_of_delta: cache not built (call build_cost_cache)");
+    throw std::invalid_argument(std::string(who) +
+                                ": cache not built (call build_cost_cache)");
   }
   if (cache.num_pis != base.num_pis() ||
       cache.num_gates != base.num_gates() ||
       cache.num_pos != base.num_pos()) {
-    throw std::invalid_argument(
-        "rqfp::cost_of_delta: cache shape does not match base netlist");
+    throw std::invalid_argument(std::string(who) +
+                                ": cache shape does not match base netlist");
   }
   if (base.num_pis() != child.num_pis() ||
       base.num_gates() != child.num_gates() ||
       base.num_pos() != child.num_pos()) {
-    throw std::invalid_argument(
-        "rqfp::cost_of_delta: base/child shape mismatch (CGP mutation "
-        "preserves PI/gate/PO counts)");
+    throw std::invalid_argument(std::string(who) +
+                                ": base/child shape mismatch (CGP mutation "
+                                "preserves PI/gate/PO counts)");
   }
 }
 
@@ -241,7 +242,7 @@ bool scan_topo_diff(const Netlist& base, const Netlist& child,
 
 Cost cost_of_delta(const Netlist& base, const Netlist& child,
                    CostCache& cache) {
-  check_delta_shapes(base, child, cache);
+  check_delta_shapes(base, child, cache, "rqfp::cost_of_delta");
   std::uint32_t first_topo = 0;
   const bool live_changed = scan_topo_diff(base, child, cache, first_topo);
   return delta_impl(base, child, first_topo, live_changed, cache,
@@ -250,7 +251,7 @@ Cost cost_of_delta(const Netlist& base, const Netlist& child,
 
 Cost update_cost_cache(const Netlist& from, const Netlist& to,
                        CostCache& cache) {
-  check_delta_shapes(from, to, cache);
+  check_delta_shapes(from, to, cache, "rqfp::update_cost_cache");
   std::uint32_t first_topo = 0;
   const bool live_changed = scan_topo_diff(from, to, cache, first_topo);
   return delta_impl(from, to, first_topo, live_changed, cache,

@@ -1,6 +1,7 @@
 #include "rqfp/simulate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -151,26 +152,30 @@ void ready_scratch(DeltaBatch& s, const Netlist& net,
 }
 
 /// The delta engine: one pass over the gates of `child` in index order
-/// against `base`, whose rows `rows` holds. Gate g is evaluated iff its
-/// gene differs from the base's or one of its input ports changed; port
-/// p reads dense + p * words once changed, rows + p * words otherwise (a
-/// select, not a branch). Without kCommit the outputs go to their rows
-/// of the dense overlay and `rows` is only read. With kCommit, `dense` is
-/// `rows` itself: outputs go to s.overlay's first three rows and are
-/// committed in place, which is safe because a gate's inputs precede it.
-/// An output equal to its base row is no change. Returns the number of
-/// gates evaluated.
-template <std::size_t W, bool kCommit>
+/// against `base`, whose rows `rows` holds. Rows are `stride` words apart
+/// (S, or row_words when S is 0) and the kernels run on the first W words
+/// of each (row_words when W is 0), so the whole row or only its word 0.
+/// Gate g is evaluated iff its gene differs from the base's or one of its
+/// input ports changed; port p reads dense + p * stride once changed,
+/// rows + p * stride otherwise (a select, not a branch). Without kCommit
+/// the outputs go to their rows of the dense overlay and `rows` is only
+/// read. With kCommit, `dense` is `rows` itself: outputs go to
+/// s.overlay's first three rows and are committed in place, which is safe
+/// because a gate's inputs precede it. An output equal to its base row,
+/// over the words simulated, is no change. Returns the number of gates
+/// evaluated.
+template <std::size_t W, bool kCommit, std::size_t S = W>
 std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
                            const std::uint64_t* rows, std::uint64_t* dense,
                            std::size_t row_words,
                            const simd::Kernels& kernels, DeltaBatch& s) {
+  const std::size_t stride = S != 0 ? S : row_words;
   const std::size_t words = W != 0 ? W : row_words;
   const auto bg = base.gates();
   const auto cg = child.gates();
   std::uint8_t* const changed = s.changed.data();
   const std::uint64_t* const origin[2] = {rows, dense};
-  const auto in_row = [&](Port p) { return origin[changed[p]] + p * words; };
+  const auto in_row = [&](Port p) { return origin[changed[p]] + p * stride; };
   std::uint64_t evaluated = 0;
   Port p0 = base.port_of(0, 0);
   for (std::size_t g = 0; g < cg.size(); ++g, p0 += 3) {
@@ -187,16 +192,17 @@ std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
       continue;
     }
     ++evaluated;
-    std::uint64_t* out = kCommit ? s.overlay.data() : dense + p0 * words;
+    std::uint64_t* out = kCommit ? s.overlay.data() : dense + p0 * stride;
     gate3_rows<W>(kernels, y.config.bits(), in_row(y.in[0]), in_row(y.in[1]),
-                  in_row(y.in[2]), out, out + words, out + 2 * words, words);
-    const std::uint64_t* old = rows + p0 * words;
+                  in_row(y.in[2]), out, out + stride, out + 2 * stride,
+                  words);
+    const std::uint64_t* old = rows + p0 * stride;
     for (unsigned k = 0; k < 3; ++k) {
       const bool differs =
-          !rows_equal<W>(out + k * words, old + k * words, words);
+          !rows_equal<W>(out + k * stride, old + k * stride, words);
       changed[p0 + k] = differs;
       if (kCommit && differs) {
-        std::copy_n(out + k * words, words, dense + (p0 + k) * words);
+        std::copy_n(out + k * stride, words, dense + (p0 + k) * stride);
       }
     }
   }
@@ -282,15 +288,30 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
 
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
-                          const SimCache& cache, DeltaBatch& batch) {
+                          const SimCache& cache, DeltaBatch& batch,
+                          std::span<const tt::TruthTable> spec) {
   for (const Netlist* child : children) {
     check_delta_shape(base, *child, cache, "rqfp::simulate_delta_batch");
+    if (!spec.empty() && spec.size() != child->num_pos()) {
+      throw std::invalid_argument(
+          "rqfp::simulate_delta_batch: spec/PO count mismatch");
+    }
+  }
+  for (const tt::TruthTable& t : spec) {
+    if (t.num_vars() != cache.num_pis) {
+      throw std::invalid_argument(
+          "rqfp::simulate_delta_batch: spec table over a different PI "
+          "count");
+    }
   }
   if (batch.children.size() < children.size()) {
     batch.children.resize(children.size());
   }
   ready_scratch(batch, base, cache.rows.size());
   const auto& kernels = simd::kernels();
+  // One-word rows have nothing to save: their first stage is the pass.
+  const bool two_stage = !spec.empty() && cache.words > 1;
+  std::uint64_t first_stage = 0;
   std::uint64_t evaluated = 0;
   with_row_width(cache.words, [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
@@ -298,18 +319,37 @@ void simulate_delta_batch(const Netlist& base,
                                             batch.overlay.data()};
     for (std::size_t c = 0; c < children.size(); ++c) {
       const Netlist& child = *children[c];
+      DeltaBatch::Child& out = batch.children[c];
+      out.rejected = false;
+      out.word0_mismatches = 0;
+      if (two_stage) {
+        first_stage += forward_pass<1, false, 0>(
+            base, child, cache.rows.data(), batch.overlay.data(),
+            cache.words, kernels, batch);
+        for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
+          const Port p = child.po_at(i);
+          out.word0_mismatches += static_cast<std::uint64_t>(std::popcount(
+              origin[batch.changed[p]][p * cache.words] ^ spec[i].data()[0]));
+        }
+        if (out.word0_mismatches != 0) {
+          out.rejected = true;
+          continue;
+        }
+      }
       evaluated += forward_pass<W, false>(base, child, cache.rows.data(),
                                           batch.overlay.data(), cache.words,
                                           kernels, batch);
-      auto& po = batch.children[c].po;
-      po.resize(child.num_pos());
+      out.po.resize(child.num_pos());
       for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
         const Port p = child.po_at(i);
         row_to_table(origin[batch.changed[p]] + p * cache.words,
-                     cache.num_pis, po[i]);
+                     cache.num_pis, out.po[i]);
       }
     }
   });
+  if (first_stage != 0) {
+    count_sim_words(first_stage, 1);
+  }
   if (evaluated != 0) {
     count_sim_words(evaluated, cache.words);
   }

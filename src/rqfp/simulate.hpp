@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rqfp/netlist.hpp"
@@ -17,10 +18,17 @@ std::vector<tt::TruthTable> simulate(const Netlist& net);
 
 /// Reusable scratch of the forward pass, for simulate_delta_batch. Its
 /// members are managed by that function and carry their allocations
-/// across calls; `po` of child c holds its PO tables after a call.
+/// across calls; `po` of child c holds its PO tables after a call, unless
+/// the child was rejected.
 struct DeltaBatch {
   struct Child {
     std::vector<tt::TruthTable> po;
+    /// Set only by a call with a spec: some PO differs from it in word 0.
+    /// `po` is then left as an earlier call wrote it.
+    bool rejected = false;
+    /// Bits of word 0, over all POs, that differ from the spec (0 unless
+    /// rejected).
+    std::uint64_t word0_mismatches = 0;
   };
   std::vector<Child> children;
 
@@ -78,9 +86,18 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
 /// bit-identical to simulate(*children[c]). The cache must currently hold
 /// `base`'s rows; shape requirements are as in update_sim_cache, checked
 /// per child.
+///
+/// Early reject: given `spec` (one table per PO over the cache's PIs),
+/// a child whose rows are wider than one word first runs the same pass
+/// on word 0 only. If any PO's word 0 differs from the spec, the child is
+/// marked rejected and simulated no further; otherwise the full pass
+/// follows. sim.words counts the words both stages simulated. Without a
+/// spec (or with one-word rows) nothing is rejected and the call is
+/// exactly the single full pass.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
-                          const SimCache& cache, DeltaBatch& batch);
+                          const SimCache& cache, DeltaBatch& batch,
+                          std::span<const tt::TruthTable> spec = {});
 
 /// Evaluate on a single input assignment (bit i = PI i); returns PO bits.
 std::vector<bool> evaluate(const Netlist& net, std::uint64_t assignment);

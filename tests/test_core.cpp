@@ -235,6 +235,51 @@ TEST(Mutation, GateCountIsStable) {
   }
 }
 
+TEST(Mutation, WorkerMapPathMatchesRefill) {
+  // EvalPool mutates each child from a copy of its worker's consumer map
+  // of the parent; the 3-argument form refills one from the child. Both
+  // must draw the same genes and count the same stats on every row, and
+  // the worker's map must be left as it was for the next child.
+  for (const std::string& row : benchmarks::all_names()) {
+    const rqfp::Netlist parent = shrink(init_netlist(row));
+    ConsumerMap map;
+    build_consumer_map(parent, map);
+    const ConsumerMap built = map;
+    for (unsigned setting = 0; setting < 3; ++setting) {
+      MutationParams mp;
+      mp.mu = setting == 1 ? 12.0 / num_genes(parent) : 1.0;
+      mp.strict_po_swap = setting != 2;
+      for (unsigned k = 0; k < 8; ++k) {
+        const std::string what =
+            row + ", setting " + std::to_string(setting) + ", child " +
+            std::to_string(k);
+        rqfp::Netlist refilled = parent;
+        rqfp::Netlist copied = parent;
+        util::Rng a = util::Rng::stream(26, setting, k);
+        util::Rng b = util::Rng::stream(26, setting, k);
+        const MutationStats want = mutate(refilled, a, mp);
+        const MutationStats got = mutate(copied, b, mp, map);
+        ASSERT_EQ(copied, refilled) << what;
+        EXPECT_EQ(got.genes_changed, want.genes_changed) << what;
+        EXPECT_EQ(got.swaps, want.swaps) << what;
+        EXPECT_EQ(got.direct_assigns, want.direct_assigns) << what;
+        EXPECT_EQ(got.config_flips, want.config_flips) << what;
+        EXPECT_EQ(got.po_moves, want.po_moves) << what;
+        EXPECT_EQ(got.skipped_infeasible, want.skipped_infeasible) << what;
+        EXPECT_EQ(a.next(), b.next()) << what << ": draws consumed";
+        ASSERT_EQ(map, built) << what << ": the worker's map changed";
+      }
+    }
+  }
+  // A map of another netlist is refused, not read out of bounds.
+  const rqfp::Netlist small = init_netlist("full_adder");
+  rqfp::Netlist big = init_netlist("decoder_3_8");
+  ConsumerMap map;
+  build_consumer_map(small, map);
+  util::Rng rng(1);
+  EXPECT_THROW(mutate(big, rng, {}, map), std::invalid_argument);
+}
+
 // ---------- Deterministic reconnection primitives (§3.2.2 semantics) ----
 
 TEST(Reconnect, DirectAssignToUnconsumedPort) {

@@ -173,11 +173,25 @@ TEST(CostCache, ThrowsOnUnbuiltCacheOrShapeMismatch) {
   const Netlist a = init_netlist("full_adder");
   const Netlist b = init_netlist("decoder_2_4");
   CostCache cache;
-  EXPECT_THROW(cost_of_delta(a, a, cache), std::invalid_argument);
+  // Each message names the call that threw, not the engine both share.
+  const auto expect_throw_from = [](const std::string& who, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << who << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(who + ": ", 0), 0u) << e.what();
+    }
+  };
+  expect_throw_from("rqfp::cost_of_delta", [&] { cost_of_delta(a, a, cache); });
+  expect_throw_from("rqfp::update_cost_cache",
+                    [&] { update_cost_cache(a, a, cache); });
   build_cost_cache(a, BufferSchedule::kAsap, cache);
-  EXPECT_THROW(cost_of_delta(a, b, cache), std::invalid_argument);
-  EXPECT_THROW(cost_of_delta(b, b, cache), std::invalid_argument);
-  EXPECT_THROW(update_cost_cache(a, b, cache), std::invalid_argument);
+  expect_throw_from("rqfp::cost_of_delta", [&] { cost_of_delta(a, b, cache); });
+  expect_throw_from("rqfp::cost_of_delta", [&] { cost_of_delta(b, b, cache); });
+  expect_throw_from("rqfp::update_cost_cache",
+                    [&] { update_cost_cache(a, b, cache); });
+  expect_throw_from("rqfp::update_cost_cache",
+                    [&] { update_cost_cache(b, b, cache); });
 }
 
 TEST(CostCache, ScratchBytesStabilize) {

@@ -7,9 +7,12 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sim_cec.hpp"
+#include "core/chromosome.hpp"
 #include "core/eval_pool.hpp"
 #include "core/flow.hpp"
 #include "core/optimizer.hpp"
+#include "core/shrink.hpp"
+#include "obs/metrics.hpp"
 #include "rqfp/simd.hpp"
 #include "util/rng.hpp"
 
@@ -237,6 +240,94 @@ TEST(Determinism, SimdTierDoesNotChangeEvolveResult) {
       const auto r4 = run_evolve(initial, b.spec, small_params(17, 4, lambda));
       expect_bit_identical(ref.evolve, r1.evolve, what + ", 1 thread");
       expect_bit_identical(ref.evolve, r4.evolve, what + ", 4 threads");
+    }
+  }
+}
+
+/// evolve's generation loop written out over an EvalPool that simulates
+/// every child in full (EvalJob::early_reject off): the same jobs, the
+/// selection scan in offspring order with later ties winning, acceptance
+/// of a better-or-equal child, shrink, and every counter of the result.
+/// Each pooled child must also be the one the 3-argument mutate makes
+/// from the parent, so the worker's consumer map cannot go stale.
+EvolveResult full_rate_lineage(const rqfp::Netlist& initial,
+                               std::span<const tt::TruthTable> spec,
+                               const EvolveParams& p) {
+  EvolveResult r;
+  r.best = shrink(initial);
+  r.best_fitness = evaluate(r.best, spec, p.fitness);
+  r.evaluations = 1;
+  EvalPool pool(1);
+  std::vector<OffspringResult> offspring(p.lambda);
+  for (std::uint64_t gen = 0; gen < p.generations; ++gen) {
+    EvalJob job;
+    job.parent = &r.best;
+    job.spec = spec;
+    job.mutation = p.mutation;
+    job.fitness = p.fitness;
+    job.seed = p.seed;
+    job.generation = gen;
+    job.lambda = p.lambda;
+    EXPECT_TRUE(pool.evaluate_generation(job, offspring));
+    r.evaluations += p.lambda;
+    unsigned best = 0;
+    for (unsigned k = 0; k < p.lambda; ++k) {
+      rqfp::Netlist refilled = r.best;
+      util::Rng rng = util::Rng::stream(p.seed, gen, k);
+      const MutationStats stats = mutate(refilled, rng, p.mutation);
+      EXPECT_EQ(offspring[k].child, refilled) << "gen " << gen << ", k " << k;
+      EXPECT_EQ(offspring[k].stats.genes_changed, stats.genes_changed);
+      r.mutations_attempted.add(offspring[k].stats);
+      if (offspring[k].fitness.better_or_equal(offspring[best].fitness)) {
+        best = k;
+      }
+    }
+    ++r.since_improvement;
+    if (offspring[best].fitness.better_or_equal(r.best_fitness)) {
+      if (offspring[best].fitness.strictly_better(r.best_fitness)) {
+        ++r.improvements;
+        r.since_improvement = 0;
+        r.last_improvement_gen = gen;
+      }
+      r.best = shrink(offspring[best].child);
+      r.best_fitness = offspring[best].fitness;
+      r.mutations_accepted.add(offspring[best].stats);
+    }
+  }
+  r.generations_run = p.generations;
+  return r;
+}
+
+TEST(Determinism, EarlyRejectKeepsTheLineage) {
+  // evolve stops simulating a child at word 0 when it is wrong there;
+  // intdiv8 and intdiv10 have rows of 4 and 16 words, so most children
+  // stop early. Selection never takes a wrong child over the correct
+  // parent, so every field of the result must equal the full-rate loop.
+  obs::Counter& rejects = obs::registry().counter("evolve.pool.early_rejects");
+  for (const std::string row : {"intdiv8", "intdiv10"}) {
+    const auto b = benchmarks::get(row);
+    const auto initial = init_netlist(row);
+    for (const unsigned lambda : kLambdas) {
+      EvolveParams p = small_params(3, 1, lambda);
+      p.generations = 1000;
+      p.mutation.mu = 12.0 / num_genes(shrink(initial));
+      const EvolveResult want = full_rate_lineage(initial, b.spec, p);
+      EXPECT_GT(want.improvements, 0u) << row;
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        const std::string what = row + ", lambda " + std::to_string(lambda) +
+                                 ", " + std::to_string(threads) + " threads";
+        p.threads = threads;
+        const std::uint64_t before = rejects.value();
+        const EvolveResult got = run_evolve(initial, b.spec, p).evolve;
+        EXPECT_GT(rejects.value(), before) << what << ": nothing rejected";
+        expect_bit_identical(want, got, what);
+        EXPECT_EQ(got.since_improvement, want.since_improvement) << what;
+        EXPECT_EQ(got.last_improvement_gen, want.last_improvement_gen)
+            << what;
+        EXPECT_EQ(got.sat_confirmations, 0u) << what;
+        EXPECT_EQ(got.sat_cec_conflicts, 0u) << what;
+        EXPECT_FALSE(got.resumed) << what;
+      }
     }
   }
 }

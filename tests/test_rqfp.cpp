@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <string>
 #include <vector>
@@ -496,6 +497,113 @@ Netlist evolve_start(const std::string& row) {
   core::FlowOptions opt;
   opt.run_cgp = false;
   return core::shrink(core::synthesize(benchmarks::get(row).spec, opt).initial);
+}
+
+/// The sim.words the first stage of an early-reject pass counts: one
+/// word for each gate whose gene differs from the base's or whose inputs
+/// differ from the base's in word 0.
+std::uint64_t reference_word0_cone_words(const Netlist& base,
+                                         const Netlist& child) {
+  const auto b = reference_ports(base);
+  const auto c = reference_ports(child);
+  std::uint64_t gates = 0;
+  for (std::uint32_t g = 0; g < child.num_gates(); ++g) {
+    const auto& gate = child.gate(g);
+    bool evaluated = !(gate == base.gate(g));
+    for (const Port p : gate.in) {
+      evaluated = evaluated || c[p].data()[0] != b[p].data()[0];
+    }
+    gates += evaluated ? 1 : 0;
+  }
+  return 3 * gates;
+}
+
+TEST(Simulate, EarlyRejectFlagsExactlyTheChildrenWrongInWord0) {
+  // intdiv7, intdiv8 and intdiv10 have rows of 2, 4 and 16 words. Each
+  // block holds the unmutated parent and children at the row's workload
+  // μ and at μ = 1. The second spec differs from the parent's function in
+  // the last word only, so a child can pass word 0 and still be wrong.
+  DeltaBatch batch;
+  for (const std::string row : {"intdiv7", "intdiv8", "intdiv10"}) {
+    const Netlist parent = evolve_start(row);
+    SimCache cache;
+    build_sim_cache(parent, cache);
+    ASSERT_GT(cache.words, 1u) << row;
+    std::vector<Netlist> children(12, parent);
+    for (std::size_t k = 1; k < children.size(); ++k) {
+      core::MutationParams mp;
+      mp.mu = k % 3 == 0 ? 1.0 : 12.0 / core::num_genes(parent);
+      util::Rng rng = util::Rng::stream(26, 0, k);
+      core::mutate(children[k], rng, mp);
+    }
+    std::vector<const Netlist*> ptrs;
+    for (const Netlist& child : children) {
+      ptrs.push_back(&child);
+    }
+    const auto rows = cache.rows;
+
+    std::vector<tt::TruthTable> late_spec = simulate(parent);
+    late_spec[0].data()[late_spec[0].num_words() - 1] ^= 1;
+    unsigned rejected = 0;
+    unsigned passed_wrong = 0;
+    for (const auto& spec : {benchmarks::get(row).spec, late_spec}) {
+      // Both stages count their words: word 0 of every child's cone, and
+      // the whole cone of every child that passes word 0.
+      std::vector<bool> wrong_in_word0;
+      std::uint64_t want_words = 0;
+      for (const Netlist& child : children) {
+        const auto full = simulate(child);
+        bool wrong = false;
+        for (std::size_t i = 0; i < spec.size(); ++i) {
+          wrong = wrong || full[i].data()[0] != spec[i].data()[0];
+        }
+        wrong_in_word0.push_back(wrong);
+        want_words += reference_word0_cone_words(parent, child);
+        if (!wrong) {
+          want_words += reference_cone_words(parent, child);
+        }
+      }
+      const std::uint64_t before = sim_words();
+      simulate_delta_batch(parent, ptrs, cache, batch, spec);
+      EXPECT_EQ(sim_words() - before, want_words) << row;
+      for (std::size_t k = 0; k < children.size(); ++k) {
+        const std::string what = row + ", child " + std::to_string(k);
+        const auto& got = batch.children[k];
+        const auto full = simulate(children[k]);
+        ASSERT_EQ(got.rejected, wrong_in_word0[k]) << what;
+        if (got.rejected) {
+          ++rejected;
+          std::uint64_t bits = 0;
+          for (std::size_t i = 0; i < spec.size(); ++i) {
+            bits += std::popcount(full[i].data()[0] ^ spec[i].data()[0]);
+          }
+          EXPECT_EQ(got.word0_mismatches, bits) << what;
+        } else {
+          EXPECT_EQ(got.word0_mismatches, 0u) << what;
+          EXPECT_EQ(got.po, full) << what;
+          passed_wrong += full != spec ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(rejected, 0u) << row;
+    EXPECT_GT(passed_wrong, 0u) << row << ": no child wrong past word 0";
+
+    // Without the spec the call is the single full pass: nothing
+    // rejected, every table and the word count as before.
+    std::uint64_t want_words = 0;
+    for (const Netlist& child : children) {
+      want_words += reference_cone_words(parent, child);
+    }
+    const std::uint64_t before = sim_words();
+    simulate_delta_batch(parent, ptrs, cache, batch);
+    EXPECT_EQ(sim_words() - before, want_words) << row;
+    for (std::size_t k = 0; k < children.size(); ++k) {
+      EXPECT_FALSE(batch.children[k].rejected) << row << ", child " << k;
+      EXPECT_EQ(batch.children[k].po, simulate(children[k]))
+          << row << ", child " << k;
+    }
+    EXPECT_EQ(cache.rows, rows) << row << ": the base cache is read-only";
+  }
 }
 
 std::uint32_t crc_words(const std::uint64_t* words, std::size_t n,
