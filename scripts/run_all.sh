@@ -22,7 +22,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 echo "==== examples ===="
 for e in quickstart decoder_walkthrough adder_flow file_flow \
-         large_circuit physical_report; do
+         physical_report; do
   echo "---- $e ----"
   ./build/examples/$e || true
 done

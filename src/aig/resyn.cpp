@@ -44,8 +44,4 @@ Aig resyn2(const Aig& input, ResynStats* stats) {
   return net;
 }
 
-Aig optimize(const Aig& input, ResynStats* stats) {
-  return resyn2(input, stats);
-}
-
 } // namespace rcgp::aig

@@ -19,7 +19,4 @@ struct ResynStats {
 /// Returns the optimized network (input is not modified).
 Aig resyn2(const Aig& input, ResynStats* stats = nullptr);
 
-/// Single convenience entry point used by the RCGP flow.
-Aig optimize(const Aig& input, ResynStats* stats = nullptr);
-
 } // namespace rcgp::aig

@@ -86,10 +86,10 @@ struct EvolveParams {
 
 /// One (1+λ) lineage at a generation boundary (the paper's Algorithm 1):
 /// the parent, which is always the best netlist found so far, and every
-/// counter a run reports. A fresh run, a resumed run, an island slice and
-/// a window's sub-run all continue one of these (detail::continue_lineage),
-/// so a lineage cut into any number of pieces ends in the same state as
-/// one that ran whole. robust::EvolveCheckpoint is this state plus the run
+/// counter a run reports. A fresh run, a resumed run and an island slice
+/// all continue one of these (detail::continue_lineage), so a lineage cut
+/// into any number of pieces ends in the same state as one that ran
+/// whole. robust::EvolveCheckpoint is this state plus the run
 /// identity, serialized.
 struct LineageState {
   rqfp::Netlist best;
@@ -127,8 +127,8 @@ struct EvolveResult : LineageState {
 namespace detail {
 
 /// The two lineage entry points behind the core::Optimizer facade
-/// (core/optimizer.hpp), the island runner and the window sweep. External
-/// callers should go through Optimizer.
+/// (core/optimizer.hpp) and the island runner. External callers should
+/// go through Optimizer.
 ///
 /// start_lineage builds the generation-0 state of a run under `params`:
 /// the initial netlist (shrunk unless disable_shrink), evaluated once, and

@@ -5,7 +5,6 @@
 #include "core/window.hpp"
 
 #include "aig/aig_simulate.hpp"
-#include "aig/fraig.hpp"
 #include "cec/sim_cec.hpp"
 #include "obs/metrics.hpp"
 #include "aig/resyn.hpp"
@@ -69,10 +68,6 @@ FlowResult synthesize(const aig::Aig& input, const FlowOptions& options) {
   if (options.run_aig_optimization && !stopped()) {
     obs::PhaseSpan timer("aig-opt");
     net = aig::resyn2(net);
-  }
-  if (options.run_fraig && !stopped()) {
-    obs::PhaseSpan timer("fraig");
-    net = aig::fraig(net);
   }
 
   // Phase 2: AQFP-oriented majority logic (aqfp_resynthesis stand-in).

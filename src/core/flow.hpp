@@ -26,7 +26,6 @@ namespace rcgp::core {
 /// are rqfp::cost_of, as the CGP loop scores them.
 struct FlowOptions : OptimizerOptions {
   bool run_aig_optimization = true; // ABC resyn2 equivalent
-  bool run_fraig = false;           // SAT sweeping after resyn2
   bool run_mig_optimization = true; // mockturtle aqfp_resynthesis equivalent
   /// Extension: pack MIG nodes with shared fanins into one RQFP gate
   /// (one majority row each). Off by default — the paper's baseline maps
@@ -60,7 +59,7 @@ struct FlowResult {
   OptimizeResult optimization;
   double seconds_total = 0.0;
 
-  /// Per-phase wall-clock breakdown (aig-opt / fraig / mig-opt / rqfp-map /
+  /// Per-phase wall-clock breakdown (aig-opt / mig-map / mig-opt / rqfp-map /
   /// splitter / spec-sim / cgp / exact-polish / cost). Depth-0 records
   /// partition seconds_total; nested records (depth > 0) refine them.
   std::vector<obs::PhaseRecord> phases;

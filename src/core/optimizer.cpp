@@ -6,7 +6,6 @@
 #include "island/island.hpp"
 #include "obs/metrics.hpp"
 #include "robust/checkpoint.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rcgp::core {
 
@@ -14,7 +13,6 @@ std::string_view to_string(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kEvolve: return "evolve";
     case Algorithm::kAnneal: return "anneal";
-    case Algorithm::kWindow: return "window";
   }
   return "unknown";
 }
@@ -22,10 +20,9 @@ std::string_view to_string(Algorithm algorithm) {
 Algorithm parse_algorithm(std::string_view name) {
   if (name == "evolve") return Algorithm::kEvolve;
   if (name == "anneal") return Algorithm::kAnneal;
-  if (name == "window") return Algorithm::kWindow;
   throw std::invalid_argument("unknown optimizer algorithm '" +
                               std::string(name) +
-                              "' (expected evolve|anneal|window)");
+                              "' (expected evolve|anneal)");
 }
 
 std::string_view to_string(Topology topology) {
@@ -100,12 +97,6 @@ Optimizer::Optimizer(OptimizerOptions options) : options_(std::move(options)) {
   }
 }
 
-EvolveParams Optimizer::evolve_params() const {
-  EvolveParams p = options_.evolve;
-  p.budget = robust::overlay(p.budget, options_.limits);
-  return p;
-}
-
 OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
                               std::span<const tt::TruthTable> spec) const {
   static obs::Counter& c_runs = obs::registry().counter("optimizer.runs");
@@ -114,7 +105,8 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
   switch (options_.algorithm) {
     case Algorithm::kEvolve: {
       const island::FleetOptions& fleet = options_.island;
-      const EvolveParams p = evolve_params();
+      EvolveParams p = options_.evolve;
+      p.budget = robust::overlay(p.budget, options_.limits);
       if (fleet.islands > 1 || fleet.executor != nullptr) {
         r = from_evolve(island::run_fleet(initial, spec, p, fleet));
       } else if (fleet.resume) {
@@ -136,17 +128,6 @@ OptimizeResult Optimizer::run(const rqfp::Netlist& initial,
       r.evaluations = r.anneal.steps_run;
       r.seconds = r.anneal.seconds;
       r.stop_reason = r.anneal.stop_reason;
-      break;
-    }
-    case Algorithm::kWindow: {
-      util::Stopwatch watch;
-      WindowParams p = options_.window;
-      p.evolve = evolve_params();
-      p.evolve.checkpoint_path.clear(); // per-window runs never checkpoint
-      r.best = detail::window_optimize_impl(initial, p, &r.window);
-      r.best_fitness = evaluate(r.best, spec, p.evolve.fitness);
-      r.seconds = watch.seconds();
-      r.stop_reason = r.window.stop_reason;
       break;
     }
   }

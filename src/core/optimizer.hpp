@@ -7,7 +7,6 @@
 
 #include "core/anneal.hpp"
 #include "core/evolve.hpp"
-#include "core/window.hpp"
 #include "robust/stop.hpp"
 #include "rqfp/netlist.hpp"
 #include "tt/truth_table.hpp"
@@ -21,10 +20,9 @@ namespace rcgp::core {
 enum class Algorithm : std::uint8_t {
   kEvolve, ///< (1+λ) CGP (the paper's Algorithm 1), one or more islands
   kAnneal, ///< simulated-annealing ablation over the same operators
-  kWindow, ///< windowed (1+λ) sweep for large netlists
 };
 
-/// Stable lowercase name ("evolve", "anneal", "window").
+/// Stable lowercase name ("evolve", "anneal").
 std::string_view to_string(Algorithm algorithm);
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 Algorithm parse_algorithm(std::string_view name);
@@ -96,15 +94,11 @@ namespace rcgp::core {
 
 struct OptimizerOptions {
   Algorithm algorithm = Algorithm::kEvolve;
-  /// (1+λ) parameters — used by kEvolve and (per window) kWindow. Includes
-  /// `threads` for λ-parallel offspring evaluation and the checkpoint
-  /// path/interval (kEvolve only).
+  /// (1+λ) parameters for kEvolve, including `threads` for λ-parallel
+  /// offspring evaluation and the checkpoint path/interval.
   EvolveParams evolve;
   AnnealParams anneal;
-  /// Window geometry for kWindow; its `evolve` member is replaced by the
-  /// `evolve` field above so every algorithm is configured in one place.
-  WindowParams window;
-  /// Island-model scale-out for kEvolve (ignored by kAnneal / kWindow).
+  /// Island-model scale-out for kEvolve (ignored by kAnneal).
   island::FleetOptions island;
   /// Cross-algorithm run limits (deadline, generation / evaluation /
   /// stagnation ceilings, stop token), laid over the running loop's own
@@ -125,11 +119,10 @@ struct OptimizeResult {
 
   EvolveResult evolve; ///< kEvolve
   AnnealResult anneal; ///< kAnneal
-  WindowStats window;  ///< kWindow
 };
 
 /// Unified entry point over the optimizer loops (evolve and its island
-/// fleets, anneal, window). Construct once with options, then run()
+/// fleets, anneal). Construct once with options, then run()
 /// against any number of (netlist, spec) pairs. This facade is the only
 /// public way to launch a search — the historical free functions
 /// (evolve(), anneal(), ...) are gone.
@@ -149,8 +142,6 @@ public:
                      std::span<const tt::TruthTable> spec) const;
 
 private:
-  EvolveParams evolve_params() const;
-
   OptimizerOptions options_;
 };
 

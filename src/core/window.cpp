@@ -1,11 +1,9 @@
 #include "core/window.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "exact/exact_rqfp.hpp"
-#include "robust/checkpoint.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/stopwatch.hpp"
 
@@ -175,78 +173,6 @@ rqfp::Netlist splice_window(const rqfp::Netlist& net, const Window& window,
     out.add_po(mapped(net.po_at(o)), net.po_name(o));
   }
   return out;
-}
-
-rqfp::Netlist detail::window_optimize_impl(const rqfp::Netlist& input,
-                                           const WindowParams& params,
-                                           WindowStats* stats) {
-  WindowStats local;
-  rqfp::Netlist net = input.remove_dead_gates();
-  local.gates_before = net.num_gates();
-  const std::uint32_t stride =
-      params.stride ? params.stride : params.window_gates;
-  util::Stopwatch watch;
-  const robust::RunBudget& budget = params.evolve.budget;
-  auto& reason = local.stop_reason;
-
-  for (unsigned pass = 0;
-       pass < params.passes && reason == robust::StopReason::kCompleted;
-       ++pass) {
-    std::uint32_t start = 0;
-    while (start < net.num_gates()) {
-      if (const auto stop = budget.interrupted(watch.seconds())) {
-        reason = *stop;
-        break;
-      }
-      Window window;
-      std::uint32_t count = params.window_gates;
-      bool ok = false;
-      // Shrink the window until the boundary-input limit is met.
-      while (count >= 4) {
-        if (extract_window(net, start, count, params.max_window_inputs,
-                           window)) {
-          ok = true;
-          break;
-        }
-        count /= 2;
-      }
-      if (!ok) {
-        ++local.windows_skipped;
-        start += stride;
-        continue;
-      }
-      ++local.windows_tried;
-      const auto spec = rqfp::simulate(window.sub);
-      EvolveParams ep = params.evolve;
-      ep.seed += start; // decorrelate windows
-      ep.checkpoint_path.clear(); // per-window runs are not checkpointed
-      if (budget.deadline_seconds > 0.0) {
-        ep.budget.deadline_seconds =
-            std::max(0.001, budget.deadline_seconds - watch.seconds());
-      }
-      // Each per-window run carries its own eval-pool scratch, so the
-      // incremental sim + cost caches (SimCache/CostCache) are rebuilt
-      // once per window and then serve every offspring inside it.
-      const auto result = detail::continue_lineage(
-          detail::start_lineage(window.sub, spec, ep), spec, ep);
-      if (result.best.num_gates() < window.sub.num_gates()) {
-        ++local.windows_improved;
-        net = splice_window(net, window, result.best);
-        net = net.remove_dead_gates();
-      }
-      start += stride;
-      if (robust::is_interrupt(result.stop_reason)) {
-        reason = result.stop_reason; // even when this was the last window
-        break;
-      }
-    }
-  }
-
-  local.gates_after = net.num_gates();
-  if (stats) {
-    *stats = local;
-  }
-  return net;
 }
 
 rqfp::Netlist exact_polish(const rqfp::Netlist& input,

@@ -1,38 +1,20 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "core/evolve.hpp"
+#include "robust/stop.hpp"
 #include "rqfp/netlist.hpp"
 
 namespace rcgp::core {
 
-/// Windowed CGP optimization: the scalability technique the paper points
-/// to for real-world instances (§2.2, Kocnova & Vasicek's EA-based
-/// resynthesis). Contiguous gate ranges are extracted as sub-netlists,
-/// their exact local function is computed by simulation, a (1+λ) run
-/// optimizes each window against that local specification, and improved
-/// windows are spliced back. Global PO functions are preserved by
-/// construction, so arbitrarily large netlists can be optimized without
-/// ever simulating the whole circuit.
-struct WindowParams {
-  /// Gates per window (contiguous in topological order).
-  std::uint32_t window_gates = 24;
-  /// Windows whose boundary-input count exceeds this are shrunk or
-  /// skipped (exhaustive local simulation must stay cheap).
-  unsigned max_window_inputs = 10;
-  /// Sliding step between window starts (defaults to window_gates).
-  std::uint32_t stride = 0;
-  /// Number of full sweeps over the netlist.
-  unsigned passes = 1;
-  /// Per-window evolution budget. Its `budget` member doubles as the
-  /// sweep-level budget: the stop token and deadline are checked between
-  /// windows (the deadline spans the whole sweep; each window's evolve
-  /// run gets the remaining time), so interruption never loses the
-  /// already-spliced improvements.
-  EvolveParams evolve;
-};
+// Window sweeps over a netlist: contiguous gate ranges are extracted as
+// sub-netlists with their exact local function, and a strictly smaller
+// replacement is spliced back, so the global PO functions are preserved
+// by construction. exact_polish is the one sweep; its replacements come
+// from the SAT-based exact synthesizer.
 
+/// What one sweep did, and why it stopped.
 struct WindowStats {
   std::uint32_t windows_tried = 0;
   std::uint32_t windows_skipped = 0;
@@ -66,16 +48,6 @@ bool extract_window(const rqfp::Netlist& net, std::uint32_t first,
 /// renumbers all ports.
 rqfp::Netlist splice_window(const rqfp::Netlist& net, const Window& window,
                             const rqfp::Netlist& replacement);
-
-namespace detail {
-
-/// Full windowed optimization sweep — the implementation behind the
-/// core::Optimizer facade (core/optimizer.hpp).
-rqfp::Netlist window_optimize_impl(const rqfp::Netlist& input,
-                                   const WindowParams& params,
-                                   WindowStats* stats);
-
-} // namespace detail
 
 struct ExactPolishParams {
   /// Windows of at most this many gates and boundary inputs are handed to

@@ -645,7 +645,11 @@ void check_paranoid_search(CaseContext& ctx, std::vector<Finding>& out) {
   util::Rng rng = case_rng(ctx, Target::kOptimizerDiff, 1);
 
   NetlistShape shape;
-  shape.max_pis = 4;
+  // Every fourth case draws 7-8 PIs: rows of 2-4 words, where the
+  // production loop rejects offspring on word 0 (EvalJob::early_reject).
+  const bool wide = ctx.index % 4 == 3;
+  shape.min_pis = wide ? 7 : 2;
+  shape.max_pis = wide ? 8 : 4;
   shape.max_gates = 12;
   const rqfp::Netlist start = random_netlist(rng, shape);
   const std::vector<tt::TruthTable> spec = rqfp::simulate(start);

@@ -1,27 +1,21 @@
 #include "mig/mig_resub.hpp"
 
 #include <unordered_map>
+#include <vector>
 
 #include "tt/truth_table.hpp"
-#include "util/rng.hpp"
 
 namespace rcgp::mig {
 
-Mig mig_resubstitute(const Mig& input, const ResubParams& params,
-                     ResubStats* stats) {
+Mig mig_resubstitute(const Mig& input, ResubStats* stats) {
   Mig net = input.cleanup();
   ResubStats local;
   local.nodes_before = net.count_live_majs();
 
-  const bool exhaustive = net.num_pis() <= tt::TruthTable::kMaxVars &&
-                          net.num_pis() <= 14; // keep tables cheap
-  // Per-node functions: exhaustive tables when narrow, random-pattern
-  // signatures otherwise.
-  std::vector<tt::TruthTable> table;
-  std::vector<std::vector<std::uint64_t>> sig;
-  if (exhaustive) {
-    table.assign(net.num_nodes(),
-                 tt::TruthTable::constant(net.num_pis(), false));
+  if (net.num_pis() <= 14) { // keep tables cheap
+    // Per-node functions as exhaustive tables.
+    std::vector<tt::TruthTable> table(
+        net.num_nodes(), tt::TruthTable::constant(net.num_pis(), false));
     for (std::uint32_t i = 0; i < net.num_pis(); ++i) {
       table[net.pi_at(i)] = tt::TruthTable::projection(net.num_pis(), i);
     }
@@ -36,73 +30,37 @@ Mig mig_resubstitute(const Mig& input, const ResubParams& params,
       }
       table[n] = tt::TruthTable::majority(in[0], in[1], in[2]);
     }
-  } else {
-    util::Rng rng(params.seed);
-    sig.assign(net.num_nodes(),
-               std::vector<std::uint64_t>(params.sim_words, 0));
-    for (std::uint32_t i = 0; i < net.num_pis(); ++i) {
-      for (auto& w : sig[net.pi_at(i)]) {
-        w = rng.next();
-      }
-    }
-    for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
-      if (!net.is_maj(n)) {
-        continue;
-      }
-      for (std::size_t w = 0; w < params.sim_words; ++w) {
-        std::uint64_t v[3];
-        for (unsigned i = 0; i < 3; ++i) {
-          const Signal f = net.fanin(n, i);
-          v[i] = sig[f.node()][w] ^ (f.complemented() ? ~0ull : 0);
-        }
-        sig[n][w] = (v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2]);
-      }
-    }
-  }
 
-  // Map from phase-normalized function key to the first node computing it.
-  auto key_of = [&](std::uint32_t n, bool& phase) -> std::uint64_t {
-    if (exhaustive) {
+    // Map from phase-normalized function key to the first node computing
+    // it.
+    auto key_of = [&](std::uint32_t n, bool& phase) -> std::uint64_t {
       phase = table[n].bit(0);
       const auto t = phase ? ~table[n] : table[n];
       return t.hash();
+    };
+    std::unordered_map<std::uint64_t, std::uint32_t> leader;
+    for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
+      if (!net.is_maj(n) || net.is_replaced(n)) {
+        continue;
+      }
+      bool phase_n = false;
+      const auto key = key_of(n, phase_n);
+      const auto it = leader.find(key);
+      if (it == leader.end()) {
+        leader[key] = n;
+        continue;
+      }
+      ++local.candidates;
+      bool phase_l = false;
+      key_of(it->second, phase_l);
+      const bool complemented = phase_n != phase_l;
+      if (table[n] !=
+          (complemented ? ~table[it->second] : table[it->second])) {
+        continue; // a hash collision
+      }
+      net.replace(n, Signal(it->second, complemented));
+      ++local.resubstituted;
     }
-    phase = (sig[n][0] & 1) != 0;
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-    const std::uint64_t flip = phase ? ~0ull : 0;
-    for (const auto w : sig[n]) {
-      h ^= (w ^ flip) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  };
-  auto confirmed_equal = [&](std::uint32_t a, std::uint32_t b, bool compl_b) {
-    if (!exhaustive) {
-      return false; // signatures alone never justify a merge
-    }
-    return table[a] == (compl_b ? ~table[b] : table[b]);
-  };
-
-  std::unordered_map<std::uint64_t, std::uint32_t> leader;
-  for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
-    if (!net.is_maj(n) || net.is_replaced(n)) {
-      continue;
-    }
-    bool phase_n = false;
-    const auto key = key_of(n, phase_n);
-    const auto it = leader.find(key);
-    if (it == leader.end()) {
-      leader[key] = n;
-      continue;
-    }
-    ++local.candidates;
-    bool phase_l = false;
-    key_of(it->second, phase_l);
-    const bool complemented = phase_n != phase_l;
-    if (!confirmed_equal(n, it->second, complemented)) {
-      continue;
-    }
-    net.replace(n, Signal(it->second, complemented));
-    ++local.resubstituted;
   }
 
   Mig out = net.cleanup();

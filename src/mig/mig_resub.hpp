@@ -6,13 +6,6 @@
 
 namespace rcgp::mig {
 
-struct ResubParams {
-  /// Random simulation words per PI for signature-based filtering when the
-  /// network is too wide for exhaustive tables.
-  std::size_t sim_words = 16;
-  std::uint64_t seed = 1;
-};
-
 struct ResubStats {
   std::uint32_t candidates = 0;
   std::uint32_t resubstituted = 0;
@@ -23,11 +16,8 @@ struct ResubStats {
 /// Zero-cost resubstitution: replaces a node with an already-existing
 /// signal (possibly complemented) that computes the same function —
 /// the MIG counterpart of AIG SAT sweeping, proven here by exhaustive
-/// simulation (<= TruthTable::kMaxVars PIs) or accepted from matching
-/// random signatures plus exhaustive confirmation on narrow networks.
-/// Wide networks (> kMaxVars PIs) use signatures only for candidate
-/// pairing and skip unconfirmable merges, so the result is always exact.
-Mig mig_resubstitute(const Mig& input, const ResubParams& params = {},
-                     ResubStats* stats = nullptr);
+/// simulation. A network of more than 14 PIs, whose per-node tables stop
+/// being cheap, comes back cleaned up but unmerged.
+Mig mig_resubstitute(const Mig& input, ResubStats* stats = nullptr);
 
 } // namespace rcgp::mig

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -18,13 +17,9 @@ public:
     l.code_ = code;
     return l;
   }
-  /// DIMACS convention: +v is positive literal of variable v-1.
-  static Lit from_dimacs(int d) { return Lit(std::abs(d) - 1, d < 0); }
-
   int var() const { return code_ >> 1; }
   bool negated() const { return code_ & 1; }
   int code() const { return code_; }
-  int to_dimacs() const { return negated() ? -(var() + 1) : (var() + 1); }
 
   Lit operator~() const { return from_code(code_ ^ 1); }
   bool operator==(const Lit&) const = default;

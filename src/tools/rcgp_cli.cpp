@@ -40,7 +40,7 @@
 //                                hardware threads, the default), capped at
 //                                ⌈λ/4⌉ threads. Results are bit-identical
 //                                for every thread count.
-//   synth --optimizer=NAME       evolve | anneal | window
+//   synth --optimizer=NAME       evolve | anneal
 //
 // Island model (see docs/ISLANDS.md):
 //   synth --islands=N            N decorrelated (1+λ) lineages exchanging
@@ -146,6 +146,19 @@ T flag_number(std::string_view flag, const std::string& value, T min = 0) {
     throw UsageError("bad value for " + std::string(flag) + ": " + value);
   }
   return out;
+}
+
+/// The one conversion of named flag values: `parse` is the value's own
+/// parser, whose std::invalid_argument (it lists the expected names)
+/// becomes a UsageError naming the flag.
+template <typename Parse>
+auto flag_name(std::string_view flag, const std::string& value, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError("bad value for " + std::string(flag) + ": " + value +
+                     "; " + e.what());
+  }
 }
 
 /// Matches `--name=value` (returns true, sets `value`) for option parsing.
@@ -312,7 +325,7 @@ int cmd_synth(const std::vector<std::string>& args) {
                  "usage: rcgp synth <input> [-g N] [-s seed] [-o out.rqfp] "
                  "[--dot out.dot] [--no-cgp] [--polish] [--pack]\n"
                  "                 [--threads=N] "
-                 "[--optimizer=evolve|anneal|window]\n"
+                 "[--optimizer=evolve|anneal]\n"
                  "                 [--islands=N] "
                  "[--topology=none|ring|star|full] [--migration-interval=E] "
                  "[--migration-size=K]\n"
@@ -380,11 +393,11 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else if (opt_value(args[i], "--threads", v)) {
       job.threads = flag_number<unsigned>("--threads", v);
     } else if (opt_value(args[i], "--optimizer", v)) {
-      job.algorithm = core::parse_algorithm(v);
+      job.algorithm = flag_name("--optimizer", v, core::parse_algorithm);
     } else if (opt_value(args[i], "--islands", v)) {
       job.islands = flag_number<unsigned>("--islands", v);
     } else if (opt_value(args[i], "--topology", v)) {
-      job.topology = core::parse_topology(v);
+      job.topology = flag_name("--topology", v, core::parse_topology);
     } else if (opt_value(args[i], "--migration-interval", v)) {
       job.migration_interval =
           flag_number<std::uint64_t>("--migration-interval", v);
@@ -404,11 +417,12 @@ int cmd_synth(const std::vector<std::string>& args) {
     } else if (opt_value(args[i], "--deadline", v)) {
       job.deadline_seconds = flag_number<double>("--deadline", v);
     } else if (opt_value(args[i], "--paranoia", v)) {
-      base.evolve.paranoia = robust::parse_paranoia(v);
+      base.evolve.paranoia =
+          flag_name("--paranoia", v, robust::parse_paranoia);
     } else if (opt_value(args[i], "--cache", cache_path)) {
       // value captured
     } else if (opt_value(args[i], "--cache-policy", v)) {
-      job.cache = core::parse_cache_policy(v);
+      job.cache = flag_name("--cache-policy", v, core::parse_cache_policy);
     } else {
       throw UsageError("unknown option " + args[i]);
     }

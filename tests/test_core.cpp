@@ -809,16 +809,6 @@ TEST(Flow, CostsAreCostOfTheReturnedNetlists) {
   }
 }
 
-TEST(Flow, FraigPhasePreservesCorrectness) {
-  const auto b = benchmarks::get("graycode4");
-  FlowOptions opt;
-  opt.run_fraig = true;
-  opt.run_cgp = false;
-  const auto r = synthesize(b.spec, opt);
-  EXPECT_TRUE(cec::sim_check(r.initial, b.spec).all_match);
-  EXPECT_EQ(r.initial.validate(), "");
-}
-
 TEST(Flow, OptionalPhasesCanBeDisabled) {
   const auto b = benchmarks::get("4gt10");
   FlowOptions opt;

@@ -14,6 +14,7 @@
 #include "fuzz/harness.hpp"
 #include "fuzz/shrink.hpp"
 #include "fuzz/targets.hpp"
+#include "obs/metrics.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/rng.hpp"
 
@@ -131,6 +132,24 @@ TEST(FuzzHarness, DefaultTargetsRunCleanOnTheCurrentTree) {
   EXPECT_EQ(summary.cases_run, 3 * fuzz::default_targets().size());
   EXPECT_EQ(summary.stop_reason, robust::StopReason::kCompleted);
   EXPECT_EQ(slurp(summary.log_path), "");
+}
+
+// Every fourth optimizer-differential case draws 7-8 PIs, so its paranoid
+// evolve and fleet runs have rows of 2-4 words and reach the production
+// early reject, which 1-word rows never do.
+TEST(FuzzHarness, OptimizerDifferentialReachesEarlyReject) {
+  fuzz::FuzzOptions opt;
+  opt.targets = {fuzz::Target::kOptimizerDiff};
+  opt.seed = 2;
+  opt.cases = 8;
+  opt.out_dir = temp_dir("early_reject");
+  const obs::Counter& rejects =
+      obs::registry().counter("evolve.pool.early_rejects");
+  const std::uint64_t before = rejects.value();
+  const auto summary = fuzz::run_fuzz(opt);
+  EXPECT_EQ(summary.findings, 0u);
+  EXPECT_EQ(summary.cases_run, 8u);
+  EXPECT_GT(rejects.value(), before);
 }
 
 TEST(FuzzHarness, SelftestFindingsLogIsBitIdenticalAcrossRuns) {

@@ -258,7 +258,7 @@ TEST(MigResub, MergesFunctionallyEqualNodes) {
   net.add_po(inner);
   const auto before = net.simulate();
   ResubStats stats;
-  const Mig swept = mig_resubstitute(net, {}, &stats);
+  const Mig swept = mig_resubstitute(net, &stats);
   EXPECT_EQ(swept.simulate(), before);
   EXPECT_GE(stats.resubstituted, 1u);
   EXPECT_EQ(swept.count_live_majs(), 1u);
@@ -276,10 +276,47 @@ TEST(MigResub, MergesStructurallyDistinctAnd) {
   ASSERT_NE(x, y);
   const auto before = net.simulate();
   ResubStats stats;
-  const Mig swept = mig_resubstitute(net, {}, &stats);
+  const Mig swept = mig_resubstitute(net, &stats);
   EXPECT_EQ(swept.simulate(), before);
   EXPECT_GE(stats.resubstituted, 1u);
   EXPECT_EQ(swept.count_live_majs(), 1u);
+}
+
+// Above 14 PIs the per-node tables stop being cheap, so the same duplicate
+// that merges at 14 PIs comes back unmerged, node for node.
+TEST(MigResub, WideNetworkIsReturnedUnmerged) {
+  for (const unsigned pis : {14u, 16u}) {
+    Mig net;
+    std::vector<Signal> in;
+    for (unsigned i = 0; i < pis; ++i) {
+      in.push_back(net.create_pi());
+    }
+    const Signal x = net.create_and(in[0], in[pis - 1]);
+    const Signal y = net.create_maj(in[0], x, in[pis - 1]); // ab again
+    net.add_po(x);
+    net.add_po(y);
+    ASSERT_NE(x, y);
+    ResubStats stats;
+    const Mig swept = mig_resubstitute(net, &stats);
+    EXPECT_EQ(swept.simulate(), net.simulate()) << pis;
+    if (pis <= 14) {
+      EXPECT_EQ(stats.resubstituted, 1u);
+      EXPECT_EQ(swept.count_live_majs(), 1u);
+      continue;
+    }
+    EXPECT_EQ(stats.resubstituted, 0u);
+    EXPECT_EQ(stats.nodes_after, stats.nodes_before);
+    ASSERT_EQ(swept.num_nodes(), net.num_nodes());
+    for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
+      ASSERT_EQ(swept.node(n).kind, net.node(n).kind) << n;
+      for (unsigned i = 0; net.is_maj(n) && i < 3; ++i) {
+        EXPECT_EQ(swept.fanin(n, i), net.fanin(n, i)) << n;
+      }
+    }
+    for (std::uint32_t o = 0; o < net.num_pos(); ++o) {
+      EXPECT_EQ(swept.po_at(o), net.po_at(o)) << o;
+    }
+  }
 }
 
 class MigResubProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -287,7 +324,7 @@ class MigResubProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MigResubProperty, PreservesFunctionAndNeverGrows) {
   const Mig net = random_mig(5, 60, 4, GetParam());
   ResubStats stats;
-  const Mig swept = mig_resubstitute(net, {}, &stats);
+  const Mig swept = mig_resubstitute(net, &stats);
   EXPECT_EQ(swept.simulate(), net.simulate());
   EXPECT_LE(stats.nodes_after, stats.nodes_before);
 }

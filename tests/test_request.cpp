@@ -88,6 +88,14 @@ TEST(Request, RejectionsCarryTheEmbeddingFormatContext) {
   expect_request_error("not json at all", "");
 }
 
+// An algorithm the optimizer does not run, such as the windowed sweep's
+// "window", fails to parse, and the error lists the ones it does run.
+TEST(Request, WindowAlgorithmIsRejected) {
+  expect_request_error("{\"schema\":1,\"id\":\"j\",\"circuit\":\"c17\","
+                       "\"algorithm\":\"window\"}",
+                       "evolve|anneal");
+}
+
 // ---------- schema 1 / schema 2 compatibility matrix ----------
 
 TEST(RequestSchema, IslandFreeRequestsStillStampSchemaOne) {

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "sat/cnf.hpp"
-#include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "tt/truth_table.hpp"
 #include "util/rng.hpp"
@@ -19,9 +17,6 @@ TEST(Lit, PackingAndNegation) {
   EXPECT_EQ((~a).var(), 3);
   EXPECT_TRUE((~a).negated());
   EXPECT_EQ(~~a, a);
-  EXPECT_EQ(a.to_dimacs(), 4);
-  EXPECT_EQ((~a).to_dimacs(), -4);
-  EXPECT_EQ(Lit::from_dimacs(-4), ~a);
 }
 
 TEST(Luby, Sequence) {
@@ -330,41 +325,6 @@ TEST(CnfBuilder, ExactlyOne) {
     none.push_back(~l);
   }
   EXPECT_EQ(s.solve(none), SolveResult::kUnsat);
-}
-
-// ---------- DIMACS ----------
-
-TEST(Dimacs, ParseAndSolve) {
-  const std::string text = R"(c example
-p cnf 3 4
-1 2 0
-1 -2 0
--1 3 0
--1 -3 0
-)";
-  const Cnf cnf = parse_dimacs_string(text);
-  EXPECT_EQ(cnf.num_vars, 3);
-  EXPECT_EQ(cnf.clauses.size(), 4u);
-  Solver s;
-  EXPECT_TRUE(load_into_solver(cnf, s));
-  EXPECT_EQ(s.solve(), SolveResult::kUnsat);
-}
-
-TEST(Dimacs, RoundTrip) {
-  Cnf cnf;
-  cnf.num_vars = 2;
-  cnf.clauses = {{1, -2}, {2}};
-  std::ostringstream out;
-  write_dimacs(cnf, out);
-  const Cnf back = parse_dimacs_string(out.str());
-  EXPECT_EQ(back.num_vars, cnf.num_vars);
-  EXPECT_EQ(back.clauses, cnf.clauses);
-}
-
-TEST(Dimacs, Malformed) {
-  EXPECT_THROW(parse_dimacs_string("1 2 0\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs_string("p cnf 1 1\n5 0\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs_string(""), std::runtime_error);
 }
 
 } // namespace

@@ -3,7 +3,6 @@
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sim_cec.hpp"
 #include "core/flow.hpp"
-#include "core/optimizer.hpp"
 #include "core/window.hpp"
 #include "rqfp/simulate.hpp"
 
@@ -15,22 +14,6 @@ rqfp::Netlist init_netlist(const std::string& name) {
   FlowOptions opt;
   opt.run_cgp = false;
   return synthesize(b.spec, opt).initial;
-}
-
-/// Windowed sweep through the Optimizer facade (Algorithm::kWindow); the
-/// per-window (1+λ) parameters ride along in `params.evolve`.
-rqfp::Netlist run_window(const rqfp::Netlist& net,
-                         std::span<const tt::TruthTable> spec,
-                         const WindowParams& params, WindowStats* stats) {
-  OptimizerOptions oo;
-  oo.algorithm = Algorithm::kWindow;
-  oo.window = params;
-  oo.evolve = params.evolve;
-  const auto r = Optimizer(oo).run(net, spec);
-  if (stats != nullptr) {
-    *stats = r.window;
-  }
-  return r.best;
 }
 
 TEST(Window, ExtractCoversGatesAndBoundaries) {
@@ -83,64 +66,6 @@ TEST(Window, SpliceInterfaceMismatchThrows) {
   EXPECT_THROW(splice_window(net, w, wrong), std::invalid_argument);
 }
 
-class WindowOptimize : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(WindowOptimize, PreservesFunctionAndNeverGrows) {
-  const auto b = benchmarks::get(GetParam());
-  const auto net = init_netlist(GetParam());
-  WindowParams params;
-  params.window_gates = 8;
-  params.evolve.generations = 1500;
-  params.evolve.seed = 5;
-  WindowStats stats;
-  const auto optimized = run_window(net, b.spec, params, &stats);
-  EXPECT_EQ(optimized.validate(), "");
-  EXPECT_TRUE(cec::sim_check(optimized, b.spec).all_match) << GetParam();
-  EXPECT_LE(stats.gates_after, stats.gates_before);
-  EXPECT_GT(stats.windows_tried, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Circuits, WindowOptimize,
-                         ::testing::Values("decoder_2_4", "graycode4",
-                                           "intdiv4", "mod5adder"));
-
-TEST(Window, ScalesToCircuitsTooWideForGlobalSimulation) {
-  // Windowing never simulates the whole circuit, so it also works when
-  // the global PI count would make exhaustive global tables expensive.
-  const auto b = benchmarks::get("hwb8");
-  const auto net = init_netlist("hwb8");
-  WindowParams params;
-  params.window_gates = 10;
-  params.max_window_inputs = 8;
-  params.evolve.generations = 300;
-  params.evolve.seed = 1;
-  WindowStats stats;
-  const auto optimized = run_window(net, b.spec, params, &stats);
-  EXPECT_EQ(optimized.validate(), "");
-  EXPECT_TRUE(cec::sim_check(optimized, b.spec).all_match);
-}
-
-TEST(Window, SweepReportsWhyItStopped) {
-  const auto b = benchmarks::get("hwb8");
-  const auto net = init_netlist("hwb8");
-  OptimizerOptions oo;
-  oo.algorithm = Algorithm::kWindow;
-  oo.window.window_gates = 10;
-  oo.window.max_window_inputs = 8;
-  oo.evolve.generations = 50;
-  oo.evolve.seed = 3;
-  EXPECT_EQ(Optimizer(oo).run(net, b.spec).stop_reason,
-            robust::StopReason::kCompleted);
-
-  // A deadline that expires mid-sweep keeps the windows spliced so far and
-  // says so.
-  oo.evolve.generations = 200000;
-  oo.limits.deadline_seconds = 0.2;
-  const auto cut = Optimizer(oo).run(net, b.spec);
-  EXPECT_EQ(cut.stop_reason, robust::StopReason::kTimeLimit);
-  EXPECT_TRUE(cec::sim_check(cut.best, b.spec).all_match);
-}
-
 class ExactPolish : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ExactPolish, ReachesOrBeatsCgpResult) {
@@ -173,21 +98,31 @@ TEST(ExactPolish, DecoderReachesPaperOptimum) {
   EXPECT_TRUE(cec::sim_check(r.optimized, b.spec).all_match);
 }
 
-TEST(Window, MultiplePassesMonotone) {
-  const auto b = benchmarks::get("intdiv4");
-  const auto net = init_netlist("intdiv4");
-  WindowParams one;
-  one.window_gates = 8;
-  one.evolve.generations = 800;
-  one.passes = 1;
-  WindowStats s1;
-  const auto r1 = run_window(net, b.spec, one, &s1);
-  WindowParams two = one;
-  two.passes = 2;
-  WindowStats s2;
-  const auto r2 = run_window(net, b.spec, two, &s2);
-  EXPECT_LE(r2.num_gates(), r1.num_gates());
-  EXPECT_TRUE(cec::sim_check(r2, b.spec).all_match);
+TEST(ExactPolish, SweepReportsWhyItStopped) {
+  const auto b = benchmarks::get("4gt10");
+  const auto net = init_netlist("4gt10");
+  ExactPolishParams params;
+  WindowStats stats;
+  EXPECT_TRUE(cec::sim_check(exact_polish(net, params, &stats), b.spec)
+                  .all_match);
+  EXPECT_EQ(stats.stop_reason, robust::StopReason::kCompleted);
+
+  // A tripped token or an expired deadline stops the sweep before its
+  // next window and keeps what was spliced until then.
+  robust::StopToken stop;
+  stop.request_stop();
+  params.budget.stop = &stop;
+  EXPECT_TRUE(cec::sim_check(exact_polish(net, params, &stats), b.spec)
+                  .all_match);
+  EXPECT_EQ(stats.stop_reason, robust::StopReason::kStopRequested);
+  EXPECT_EQ(stats.windows_tried, 0u);
+
+  params.budget.stop = nullptr;
+  params.budget.deadline_seconds = 1e-9;
+  EXPECT_TRUE(cec::sim_check(exact_polish(net, params, &stats), b.spec)
+                  .all_match);
+  EXPECT_EQ(stats.stop_reason, robust::StopReason::kTimeLimit);
+  EXPECT_EQ(stats.windows_tried, 0u);
 }
 
 } // namespace
