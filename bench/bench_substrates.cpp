@@ -232,8 +232,8 @@ BENCHMARK_CAPTURE(BM_MutateOffspring, hwb8_mu12_worker_map, "hwb8", true,
 
 /// Delta simulation of a λ = 4 block against a built SimCache, cycling
 /// through 64 pre-mutated blocks. With `early_reject` the block is
-/// scored against the row's spec, as evolve scores it: children wrong in
-/// word 0 stop there.
+/// scored against the row's spec, as evolve scores it: a child stops at
+/// its first output wrong in word 0, at every row width.
 void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2,
                    bool early_reject) {
   const Start s = evolve_start(row, table2);
@@ -263,6 +263,7 @@ void BM_DeltaBatch(benchmark::State& state, const char* row, bool table2,
   state.SetItemsProcessed(4 * state.iterations());
 }
 BENCHMARK_CAPTURE(BM_DeltaBatch, alu_mu1, "alu", false, false);
+BENCHMARK_CAPTURE(BM_DeltaBatch, alu_mu1_early_reject, "alu", false, true);
 BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12, "intdiv8", true, false);
 BENCHMARK_CAPTURE(BM_DeltaBatch, intdiv8_mu12_early_reject, "intdiv8", true,
                   true);

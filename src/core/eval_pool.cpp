@@ -21,6 +21,8 @@ struct EvalPool::Scratch {
   rqfp::SimCache cache;
   rqfp::CostCache cost;
   ConsumerMap consumers;
+  /// The EvalJob::parent_version `base` was synced at (0: not numbered).
+  std::uint64_t base_version = 0;
   bool cache_valid = false;
   /// λ-batch scratch: the block's child pointers, their fitness slots, and
   /// the per-child simulation overlays (allocations persist across
@@ -174,6 +176,9 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
   // The cost cache syncs in the same tiers, against the *old* base before
   // it is overwritten. The consumer map is refilled whenever the base
   // changes: one O(n) walk per accepted parent instead of one per child.
+  // A numbered parent the base already holds needs no gene compare.
+  const bool synced = job.parent_version != 0 &&
+                      job.parent_version == scratch.base_version;
   if (!scratch.cache_valid ||
       scratch.base.num_gates() != parent.num_gates() ||
       scratch.base.num_pis() != parent.num_pis()) {
@@ -182,12 +187,13 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
     scratch.base = parent;
     build_consumer_map(parent, scratch.consumers);
     scratch.cache_valid = true;
-  } else if (!(scratch.base == parent)) {
+  } else if (!synced && !(scratch.base == parent)) {
     rqfp::update_sim_cache(scratch.base, parent, scratch.cache);
     rqfp::update_cost_cache(scratch.base, parent, scratch.cost);
     scratch.base = parent;
     build_consumer_map(parent, scratch.consumers);
   }
+  scratch.base_version = job.parent_version;
 
   // Offspring k is a pure function of (seed, generation, k, parent): its
   // own counter-based RNG stream makes the result independent of which

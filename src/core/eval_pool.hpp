@@ -34,13 +34,21 @@ struct EvalJob {
   std::uint64_t seed = 0;
   std::uint64_t generation = 0;
   unsigned lambda = 0;
-  /// Stop simulating a child whose outputs already differ from the spec
-  /// in word 0 (core::evaluate_delta_batch): its Fitness is that of a
-  /// wrong child, with the word-0 success rate. Selection never takes a
-  /// wrong child over the correct parent, so a lineage is unchanged; only
-  /// detail::continue_lineage sets it. Callers that compare every
-  /// child's success_rate with a full evaluation leave it off.
+  /// Stop simulating a child at its first output, in port order, that
+  /// differs from the spec in word 0 (core::evaluate_delta_batch): its
+  /// Fitness is that of a wrong child, with a success rate from that
+  /// output alone. Selection never takes a wrong child over the correct
+  /// parent, so a lineage is unchanged; only detail::continue_lineage
+  /// sets it. Callers that compare every child's success_rate with a full
+  /// evaluation leave it off.
   bool early_reject = false;
+  /// Numbers `*parent` within one lineage, from 1 and new whenever the
+  /// parent changes, so a worker whose base already holds that number
+  /// skips comparing it with the parent gene by gene. 0 means "not
+  /// numbered": the worker compares, as a caller that swaps parents under
+  /// one pointer needs. Only detail::continue_lineage numbers its
+  /// parents, and a pool must see one numbering.
+  std::uint64_t parent_version = 0;
   /// Polled between offspring on every worker. Once it returns true the
   /// remaining offspring are skipped, evaluate_generation returns false,
   /// and the partially-filled results must be discarded — the abort
@@ -71,8 +79,11 @@ struct EvalJob {
 /// gates and their cone, reading the shared base rows and private
 /// overlay rows, with no per-sibling undo/restore. Each child is mutated
 /// from a copy of the worker's consumer map of the base, kept with the
-/// caches, instead of a walk over the whole netlist. With
-/// EvalJob::early_reject, a child wrong in word 0 is simulated no further
+/// caches, instead of a walk over the whole netlist. A worker compares its
+/// base with the parent gene by gene and re-syncs its caches when they
+/// differ, unless EvalJob::parent_version numbers a parent its base
+/// already holds. With EvalJob::early_reject, a child is simulated no
+/// further than its first output wrong in word 0
 /// (evolve.pool.early_rejects counts them). Block partitioning cannot affect
 /// results — each offspring is a pure function of (seed, g, k, parent) and
 /// the batched simulation is bit-identical to a from-scratch one — so any

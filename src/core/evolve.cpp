@@ -154,6 +154,9 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
 
   EvalPool pool(EvalPool::resolve_threads(params.threads, params.lambda));
   std::vector<OffspringResult> offspring(params.lambda);
+  // Bumped on every accept, so a worker whose base holds the current
+  // parent skips comparing the two gene by gene.
+  std::uint64_t parent_version = 1;
 
   if (trace) {
     auto ev = trace->event("run_start");
@@ -198,8 +201,9 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
     job.seed = params.seed;
     job.generation = gen;
     job.lambda = params.lambda;
+    job.parent_version = parent_version;
     // Selection below never takes a wrong child over the correct parent,
-    // so a child wrong in word 0 need not be simulated further.
+    // so a child need not be simulated past its first wrong output.
     job.early_reject = true;
     // Polled between offspring on every worker, so a deadline or a SIGINT
     // is honored within one evaluation even for SAT-heavy configurations.
@@ -250,6 +254,7 @@ EvolveResult continue_lineage(robust::EvolveCheckpoint state,
         parent = params.disable_shrink ? std::move(best_child)
                                        : shrink(best_child);
         parent_fit = best_child_fit;
+        ++parent_version;
         state.mutations_accepted.add(offspring[best_k].stats);
         if (params.paranoia == robust::ParanoiaLevel::kEveryAcceptance) {
           robust::enforce_integrity(

@@ -82,8 +82,8 @@ void evaluate_delta_batch(const rqfp::Netlist& base,
     Fitness f;
     f.objective = options.objective;
     if (batch.children[c].rejected) {
-      // The matching share of the one word simulated: below 1, as the
-      // child is wrong there.
+      // Below 1: the first wrong PO's differing bits of word 0, over the
+      // bits of word 0 of every PO.
       f.success_rate =
           1.0 - static_cast<double>(batch.children[c].word0_mismatches) /
                     (64.0 * static_cast<double>(spec.size()));

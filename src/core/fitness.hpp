@@ -31,9 +31,9 @@ enum class Objective {
 struct Fitness {
   /// Share of output bits that match the spec over every assignment —
   /// except for a child evaluate_delta_batch rejected early, where it is
-  /// the share over the one word it simulated (still below 1). Only a
-  /// rate of exactly 1 ranks above the parent, so no (1+λ) decision reads
-  /// the difference.
+  /// 1 − (bits in which its first wrong PO differs in word 0) / (64 ×
+  /// POs), still below 1. Only a rate of exactly 1 ranks above the
+  /// parent, so no (1+λ) decision reads the difference.
   double success_rate = 0.0;
   std::uint32_t n_r = 0;
   std::uint32_t n_g = 0;
@@ -81,11 +81,13 @@ Fitness evaluate(const rqfp::Netlist& net,
 /// evaluate(*children[c], spec, options). out_fitness must provide
 /// children.size() slots; `batch` is reusable scratch.
 ///
-/// With `early_reject`, simulation stops at word 0 for children wrong
-/// there (rqfp::simulate_delta_batch's spec): batch.children[c].rejected
-/// is set and the Fitness is that of a wrong child whose success_rate is
-/// the word-0 share. Every other child's Fitness is still bit-identical
-/// to evaluate. Only the production (1+λ) loop sets it.
+/// With `early_reject`, simulation stops at the first PO, in port order,
+/// that differs from the spec in word 0 (rqfp::simulate_delta_batch's
+/// spec): batch.children[c].rejected is set and the Fitness is that of a
+/// wrong child, with the success_rate above. With one-word rows a child
+/// is rejected exactly when it is wrong. Every other child's Fitness is
+/// still bit-identical to evaluate. Only the production (1+λ) loop sets
+/// it.
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,

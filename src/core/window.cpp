@@ -1,5 +1,6 @@
 #include "core/window.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -180,7 +181,6 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
                            WindowStats* stats) {
   WindowStats local;
   rqfp::Netlist net = input.remove_dead_gates();
-  local.gates_before = net.num_gates();
   util::Stopwatch watch;
   auto& reason = local.stop_reason;
 
@@ -189,7 +189,8 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
        ++pass) {
     std::uint32_t start = 0;
     while (start < net.num_gates()) {
-      if (const auto stop = params.budget.interrupted(watch.seconds())) {
+      const double elapsed = watch.seconds();
+      if (const auto stop = params.budget.interrupted(elapsed)) {
         reason = *stop;
         break;
       }
@@ -205,7 +206,6 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
         count /= 2;
       }
       if (!ok) {
-        ++local.windows_skipped;
         ++start;
         continue;
       }
@@ -215,12 +215,20 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
       // Only gate counts strictly below the window size are interesting.
       ep.max_gates = window.sub.num_gates() - 1;
       ep.time_limit_seconds = params.seconds_per_window;
+      if (params.budget.deadline_seconds > 0.0) {
+        // The window gets no more than the sweep has left (not interrupted
+        // means elapsed <= deadline; a limit of 0 would mean none).
+        const double left =
+            std::max(params.budget.deadline_seconds - elapsed, 1e-6);
+        if (ep.time_limit_seconds <= 0.0 || left < ep.time_limit_seconds) {
+          ep.time_limit_seconds = left;
+        }
+      }
       ep.conflicts_per_call = params.conflicts_per_call;
       ep.minimize_garbage = false; // size is the objective here
       const auto result = exact::exact_synthesize(spec, ep);
       if (result.status == exact::ExactStatus::kSolved &&
           result.netlist->num_gates() < window.sub.num_gates()) {
-        ++local.windows_improved;
         net = splice_window(net, window, *result.netlist);
         net = net.remove_dead_gates();
       }
@@ -228,7 +236,6 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
     }
   }
 
-  local.gates_after = net.num_gates();
   if (stats) {
     *stats = local;
   }

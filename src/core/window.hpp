@@ -17,10 +17,6 @@ namespace rcgp::core {
 /// What one sweep did, and why it stopped.
 struct WindowStats {
   std::uint32_t windows_tried = 0;
-  std::uint32_t windows_skipped = 0;
-  std::uint32_t windows_improved = 0;
-  std::uint32_t gates_before = 0;
-  std::uint32_t gates_after = 0;
   /// kStopRequested or kTimeLimit when the budget cut the sweep short
   /// (the windows spliced until then are kept), else kCompleted.
   robust::StopReason stop_reason = robust::StopReason::kCompleted;
@@ -54,12 +50,14 @@ struct ExactPolishParams {
   /// the SAT-based exact synthesizer. Both bounds keep the encoding tiny.
   std::uint32_t window_gates = 6;
   unsigned max_window_inputs = 4;
-  /// Per-window exact budget.
+  /// Per-window exact budget, cut to the time the budget's deadline
+  /// leaves.
   double seconds_per_window = 5.0;
   std::uint64_t conflicts_per_call = 200000;
   unsigned passes = 1;
-  /// Sweep-level stop token / deadline, checked between windows (a window
-  /// already in the SAT solver is bounded by seconds_per_window).
+  /// Sweep-level stop token / deadline, checked between windows. A window
+  /// already in the SAT solver is bounded by seconds_per_window and the
+  /// deadline; the token reaches it only at its end.
   robust::RunBudget budget;
 };
 

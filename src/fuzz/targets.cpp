@@ -646,7 +646,8 @@ void check_paranoid_search(CaseContext& ctx, std::vector<Finding>& out) {
 
   NetlistShape shape;
   // Every fourth case draws 7-8 PIs: rows of 2-4 words, where the
-  // production loop rejects offspring on word 0 (EvalJob::early_reject).
+  // production loop's early reject (EvalJob::early_reject) runs its word-0
+  // pass before the full one; the others have rows of one word.
   const bool wide = ctx.index % 4 == 3;
   shape.min_pis = wide ? 7 : 2;
   shape.max_pis = wide ? 8 : 4;

@@ -151,6 +151,13 @@ void ready_scratch(DeltaBatch& s, const Netlist& net,
   }
 }
 
+/// What a forward pass did: the gates it evaluated, and the differing
+/// bits of the PO check it stopped at (0 when it ran to the end).
+struct PassResult {
+  std::uint64_t evaluated = 0;
+  std::uint64_t mismatches = 0;
+};
+
 /// The delta engine: one pass over the gates of `child` in index order
 /// against `base`, whose rows `rows` holds. Rows are `stride` words apart
 /// (S, or row_words when S is 0) and the kernels run on the first W words
@@ -162,13 +169,16 @@ void ready_scratch(DeltaBatch& s, const Netlist& net,
 /// read. With kCommit, `dense` is `rows` itself: outputs go to
 /// s.overlay's first three rows and are committed in place, which is safe
 /// because a gate's inputs precede it. An output equal to its base row,
-/// over the words simulated, is no change. Returns the number of gates
-/// evaluated.
+/// over the words simulated, is no change. `checks`, sorted by port, are
+/// compared with word 0 under `mask` as soon as their port has its value;
+/// the pass returns at the first that differs.
 template <std::size_t W, bool kCommit, std::size_t S = W>
-std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
-                           const std::uint64_t* rows, std::uint64_t* dense,
-                           std::size_t row_words,
-                           const simd::Kernels& kernels, DeltaBatch& s) {
+PassResult forward_pass(const Netlist& base, const Netlist& child,
+                        const std::uint64_t* rows, std::uint64_t* dense,
+                        std::size_t row_words, const simd::Kernels& kernels,
+                        DeltaBatch& s,
+                        std::span<const DeltaBatch::PoCheck> checks = {},
+                        std::uint64_t mask = 0) {
   const std::size_t stride = S != 0 ? S : row_words;
   const std::size_t words = W != 0 ? W : row_words;
   const auto bg = base.gates();
@@ -176,8 +186,24 @@ std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
   std::uint8_t* const changed = s.changed.data();
   const std::uint64_t* const origin[2] = {rows, dense};
   const auto in_row = [&](Port p) { return origin[changed[p]] + p * stride; };
-  std::uint64_t evaluated = 0;
+  const DeltaBatch::PoCheck* next = checks.data();
+  const DeltaBatch::PoCheck* const end = next + checks.size();
+  PassResult r;
+  // Checks the POs on ports below `bound`; true at the first that differs.
+  const auto wrong_below = [&](Port bound) {
+    for (; next != end && next->port < bound; ++next) {
+      const std::uint64_t diff = (in_row(next->port)[0] ^ next->want) & mask;
+      if (diff != 0) {
+        r.mismatches = static_cast<std::uint64_t>(std::popcount(diff));
+        return true;
+      }
+    }
+    return false;
+  };
   Port p0 = base.port_of(0, 0);
+  if (wrong_below(p0)) {
+    return r;
+  }
   for (std::size_t g = 0; g < cg.size(); ++g, p0 += 3) {
     const Netlist::Gate& x = bg[g];
     const Netlist::Gate& y = cg[g];
@@ -189,24 +215,41 @@ std::uint64_t forward_pass(const Netlist& base, const Netlist& child,
         changed[y.in[0]] | changed[y.in[1]] | changed[y.in[2]];
     if (dirty == 0) {
       changed[p0] = changed[p0 + 1] = changed[p0 + 2] = 0;
-      continue;
-    }
-    ++evaluated;
-    std::uint64_t* out = kCommit ? s.overlay.data() : dense + p0 * stride;
-    gate3_rows<W>(kernels, y.config.bits(), in_row(y.in[0]), in_row(y.in[1]),
-                  in_row(y.in[2]), out, out + stride, out + 2 * stride,
-                  words);
-    const std::uint64_t* old = rows + p0 * stride;
-    for (unsigned k = 0; k < 3; ++k) {
-      const bool differs =
-          !rows_equal<W>(out + k * stride, old + k * stride, words);
-      changed[p0 + k] = differs;
-      if (kCommit && differs) {
-        std::copy_n(out + k * stride, words, dense + (p0 + k) * stride);
+    } else {
+      ++r.evaluated;
+      std::uint64_t* out = kCommit ? s.overlay.data() : dense + p0 * stride;
+      gate3_rows<W>(kernels, y.config.bits(), in_row(y.in[0]),
+                    in_row(y.in[1]), in_row(y.in[2]), out, out + stride,
+                    out + 2 * stride, words);
+      const std::uint64_t* old = rows + p0 * stride;
+      for (unsigned k = 0; k < 3; ++k) {
+        const bool differs =
+            !rows_equal<W>(out + k * stride, old + k * stride, words);
+        changed[p0 + k] = differs;
+        if (kCommit && differs) {
+          std::copy_n(out + k * stride, words, dense + (p0 + k) * stride);
+        }
       }
     }
+    if (next != end && next->port < p0 + 3 && wrong_below(p0 + 3)) {
+      return r;
+    }
   }
-  return evaluated;
+  return r;
+}
+
+/// Fills `checks` with the POs of `child` in port order, ties in PO
+/// order, each with the spec's word 0.
+void sort_po_checks(const Netlist& child,
+                    std::span<const tt::TruthTable> spec,
+                    std::vector<DeltaBatch::PoCheck>& checks) {
+  checks.clear();
+  for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
+    checks.push_back({child.po_at(i), i, spec[i].data()[0]});
+  }
+  std::sort(checks.begin(), checks.end(), [](const auto& a, const auto& b) {
+    return a.port != b.port ? a.port < b.port : a.po < b.po;
+  });
 }
 
 } // namespace
@@ -278,8 +321,9 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
   std::uint64_t evaluated = 0;
   with_row_width(cache.words, [&](auto width) {
     evaluated = forward_pass<decltype(width)::value, true>(
-        from, to, cache.rows.data(), cache.rows.data(), cache.words,
-        simd::kernels(), scratch);
+                    from, to, cache.rows.data(), cache.rows.data(),
+                    cache.words, simd::kernels(), scratch)
+                    .evaluated;
   });
   if (evaluated != 0) {
     count_sim_words(evaluated, cache.words);
@@ -309,8 +353,10 @@ void simulate_delta_batch(const Netlist& base,
   }
   ready_scratch(batch, base, cache.rows.size());
   const auto& kernels = simd::kernels();
-  // One-word rows have nothing to save: their first stage is the pass.
-  const bool two_stage = !spec.empty() && cache.words > 1;
+  // Below 6 PIs a row repeats its 2^n-bit table, a spec table does not.
+  const std::uint64_t mask =
+      cache.num_pis >= 6 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << (1u << cache.num_pis)) - 1;
   std::uint64_t first_stage = 0;
   std::uint64_t evaluated = 0;
   with_row_width(cache.words, [&](auto width) {
@@ -322,23 +368,25 @@ void simulate_delta_batch(const Netlist& base,
       DeltaBatch::Child& out = batch.children[c];
       out.rejected = false;
       out.word0_mismatches = 0;
-      if (two_stage) {
-        first_stage += forward_pass<1, false, 0>(
+      if (!spec.empty()) {
+        // Word 0 with the PO checks; with one-word rows the whole pass.
+        sort_po_checks(child, spec, batch.checks);
+        const PassResult first = forward_pass<1, false, W == 1 ? 1 : 0>(
             base, child, cache.rows.data(), batch.overlay.data(),
-            cache.words, kernels, batch);
-        for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
-          const Port p = child.po_at(i);
-          out.word0_mismatches += static_cast<std::uint64_t>(std::popcount(
-              origin[batch.changed[p]][p * cache.words] ^ spec[i].data()[0]));
-        }
-        if (out.word0_mismatches != 0) {
+            cache.words, kernels, batch, batch.checks, mask);
+        first_stage += first.evaluated;
+        if (first.mismatches != 0) {
           out.rejected = true;
+          out.word0_mismatches = first.mismatches;
           continue;
         }
       }
-      evaluated += forward_pass<W, false>(base, child, cache.rows.data(),
-                                          batch.overlay.data(), cache.words,
-                                          kernels, batch);
+      if (spec.empty() || cache.words > 1) {
+        evaluated += forward_pass<W, false>(base, child, cache.rows.data(),
+                                            batch.overlay.data(), cache.words,
+                                            kernels, batch)
+                         .evaluated;
+      }
       out.po.resize(child.num_pos());
       for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
         const Port p = child.po_at(i);

@@ -26,17 +26,27 @@ struct DeltaBatch {
     /// Set only by a call with a spec: some PO differs from it in word 0.
     /// `po` is then left as an earlier call wrote it.
     bool rejected = false;
-    /// Bits of word 0, over all POs, that differ from the spec (0 unless
-    /// rejected).
+    /// Bits of word 0 in which the first wrong PO, in port order, differs
+    /// from the spec (0 unless rejected).
     std::uint64_t word0_mismatches = 0;
   };
   std::vector<Child> children;
+
+  /// A PO the pass compares with the spec as soon as its port holds its
+  /// value: `want` is the spec's word 0, `po` breaks ties between POs on
+  /// one port.
+  struct PoCheck {
+    Port port;
+    std::uint32_t po;
+    std::uint64_t want;
+  };
 
   // --- scratch internals, shared by the children of a call ---
   std::vector<std::uint64_t> overlay; // the child's rows, laid out like
                                       // SimCache::rows
   std::vector<std::uint8_t> changed;  // per port: its overlay row is the
                                       // child's value
+  std::vector<PoCheck> checks;        // the child's POs, sorted by port
 };
 
 /// Exhaustive per-port simulation state of a base netlist for the delta
@@ -88,12 +98,18 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
 /// per child.
 ///
 /// Early reject: given `spec` (one table per PO over the cache's PIs),
-/// a child whose rows are wider than one word first runs the same pass
-/// on word 0 only. If any PO's word 0 differs from the spec, the child is
-/// marked rejected and simulated no further; otherwise the full pass
-/// follows. sim.words counts the words both stages simulated. Without a
-/// spec (or with one-word rows) nothing is rejected and the call is
-/// exactly the single full pass.
+/// the pass checks the child's POs in port order (ties in PO order)
+/// against the spec's word 0, each as soon as its port holds its value:
+/// POs on the constant or a PI port before the first gate, the others
+/// right after their gate. With fewer than 6 PIs a row repeats its table
+/// across the word, so only the low 2^n bits are compared. At the first
+/// PO that differs the child is marked rejected and no later gate is
+/// simulated. With one-word rows that pass is the whole simulation, so a
+/// child that is not rejected is correct. Wider rows run it on word 0
+/// only, and a child that is not rejected then runs the full pass. sim.words
+/// counts the words of the gates evaluated up to the stop, in both
+/// passes. Without a spec nothing is rejected and the call is exactly the
+/// single full pass.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch,

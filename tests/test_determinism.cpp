@@ -245,9 +245,10 @@ TEST(Determinism, SimdTierDoesNotChangeEvolveResult) {
 }
 
 /// evolve's generation loop written out over an EvalPool that simulates
-/// every child in full (EvalJob::early_reject off): the same jobs, the
-/// selection scan in offspring order with later ties winning, acceptance
-/// of a better-or-equal child, shrink, and every counter of the result.
+/// every child in full (EvalJob::early_reject off) and numbers no parent
+/// (EvalJob::parent_version 0): the same jobs, the selection scan in
+/// offspring order with later ties winning, acceptance of a
+/// better-or-equal child, shrink, and every counter of the result.
 /// Each pooled child must also be the one the 3-argument mutate makes
 /// from the parent, so the worker's consumer map cannot go stale.
 EvolveResult full_rate_lineage(const rqfp::Netlist& initial,
@@ -299,12 +300,15 @@ EvolveResult full_rate_lineage(const rqfp::Netlist& initial,
 }
 
 TEST(Determinism, EarlyRejectKeepsTheLineage) {
-  // evolve stops simulating a child at word 0 when it is wrong there;
-  // intdiv8 and intdiv10 have rows of 4 and 16 words, so most children
-  // stop early. Selection never takes a wrong child over the correct
-  // parent, so every field of the result must equal the full-rate loop.
+  // evolve stops simulating a child at its first output wrong in word 0;
+  // intdiv8 and intdiv10 have rows of 4 and 16 words, alu rows of one
+  // word, where a child is rejected exactly when it is wrong. Selection
+  // never takes a wrong child over the correct parent, so every field of
+  // the result must equal the full-rate loop. That loop sends jobs
+  // without a parent version, so its workers compare the parent gene by
+  // gene where evolve's skip the compare for a parent they hold.
   obs::Counter& rejects = obs::registry().counter("evolve.pool.early_rejects");
-  for (const std::string row : {"intdiv8", "intdiv10"}) {
+  for (const std::string row : {"intdiv8", "intdiv10", "alu"}) {
     const auto b = benchmarks::get(row);
     const auto initial = init_netlist(row);
     for (const unsigned lambda : kLambdas) {

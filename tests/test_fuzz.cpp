@@ -136,7 +136,7 @@ TEST(FuzzHarness, DefaultTargetsRunCleanOnTheCurrentTree) {
 
 // Every fourth optimizer-differential case draws 7-8 PIs, so its paranoid
 // evolve and fleet runs have rows of 2-4 words and reach the production
-// early reject, which 1-word rows never do.
+// early reject's word-0 pass; the other cases reject on rows of one word.
 TEST(FuzzHarness, OptimizerDifferentialReachesEarlyReject) {
   fuzz::FuzzOptions opt;
   opt.targets = {fuzz::Target::kOptimizerDiff};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -500,42 +501,71 @@ Netlist evolve_start(const std::string& row) {
 }
 
 /// The sim.words the first stage of an early-reject pass counts: one
-/// word for each gate whose gene differs from the base's or whose inputs
-/// differ from the base's in word 0.
+/// word for each of the first `gates` gates whose gene differs from the
+/// base's or whose inputs differ from the base's in word 0.
 std::uint64_t reference_word0_cone_words(const Netlist& base,
-                                         const Netlist& child) {
+                                         const Netlist& child,
+                                         std::uint32_t gates) {
   const auto b = reference_ports(base);
   const auto c = reference_ports(child);
-  std::uint64_t gates = 0;
-  for (std::uint32_t g = 0; g < child.num_gates(); ++g) {
+  std::uint64_t evaluated_gates = 0;
+  for (std::uint32_t g = 0; g < gates; ++g) {
     const auto& gate = child.gate(g);
     bool evaluated = !(gate == base.gate(g));
     for (const Port p : gate.in) {
       evaluated = evaluated || c[p].data()[0] != b[p].data()[0];
     }
-    gates += evaluated ? 1 : 0;
+    evaluated_gates += evaluated ? 1 : 0;
   }
-  return 3 * gates;
+  return 3 * evaluated_gates;
+}
+
+/// The PO early reject stops `child` at: the first, in port order with
+/// ties in PO order, whose word 0 in `full` (simulate(child)) differs from
+/// the spec's; num_pos() when none does.
+std::uint32_t reference_first_wrong_po(const Netlist& child,
+                                       const std::vector<tt::TruthTable>& full,
+                                       std::span<const tt::TruthTable> spec) {
+  std::vector<std::uint32_t> order(child.num_pos());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return child.po_at(a) < child.po_at(b);
+                   });
+  for (const std::uint32_t i : order) {
+    if (full[i].data()[0] != spec[i].data()[0]) {
+      return i;
+    }
+  }
+  return child.num_pos();
 }
 
 TEST(Simulate, EarlyRejectFlagsExactlyTheChildrenWrongInWord0) {
-  // intdiv7, intdiv8 and intdiv10 have rows of 2, 4 and 16 words. Each
-  // block holds the unmutated parent and children at the row's workload
-  // μ and at μ = 1. The second spec differs from the parent's function in
-  // the last word only, so a child can pass word 0 and still be wrong.
+  // intdiv7, intdiv8 and intdiv10 have rows of 2, 4 and 16 words; alu (5
+  // PIs, so only the low 32 bits of a row count) and mux4 (6 PIs) have
+  // rows of one word, where the pass is the whole simulation. Each block
+  // holds the unmutated parent, children at the row's workload μ and at
+  // μ = 1, and two children whose first PO reads the constant port or
+  // PI 0, which the pass checks before the first gate. The second spec
+  // differs from the parent's function in the last word only, so a child
+  // with wider rows can pass word 0 and still be wrong.
   DeltaBatch batch;
-  for (const std::string row : {"intdiv7", "intdiv8", "intdiv10"}) {
+  for (const std::string row :
+       {"intdiv7", "intdiv8", "intdiv10", "alu", "mux4"}) {
     const Netlist parent = evolve_start(row);
     SimCache cache;
     build_sim_cache(parent, cache);
-    ASSERT_GT(cache.words, 1u) << row;
-    std::vector<Netlist> children(12, parent);
-    for (std::size_t k = 1; k < children.size(); ++k) {
+    const bool one_word = cache.words == 1;
+    ASSERT_EQ(one_word, row == "alu" || row == "mux4") << row;
+    std::vector<Netlist> children(14, parent);
+    for (std::size_t k = 1; k < 12; ++k) {
       core::MutationParams mp;
       mp.mu = k % 3 == 0 ? 1.0 : 12.0 / core::num_genes(parent);
       util::Rng rng = util::Rng::stream(26, 0, k);
       core::mutate(children[k], rng, mp);
     }
+    core::reconnect_po(children[12], 0, kConstPort);
+    core::reconnect_po(children[13], 0, 1);
     std::vector<const Netlist*> ptrs;
     for (const Netlist& child : children) {
       ptrs.push_back(&child);
@@ -545,21 +575,25 @@ TEST(Simulate, EarlyRejectFlagsExactlyTheChildrenWrongInWord0) {
     std::vector<tt::TruthTable> late_spec = simulate(parent);
     late_spec[0].data()[late_spec[0].num_words() - 1] ^= 1;
     unsigned rejected = 0;
+    unsigned passed = 0;
     unsigned passed_wrong = 0;
     for (const auto& spec : {benchmarks::get(row).spec, late_spec}) {
-      // Both stages count their words: word 0 of every child's cone, and
-      // the whole cone of every child that passes word 0.
-      std::vector<bool> wrong_in_word0;
+      // The first stage counts word 0 of every gate of the child's cone up
+      // to the gate that drives its first wrong PO; a child with no wrong
+      // PO and rows of 2+ words then counts its whole cone.
+      std::vector<std::uint32_t> first_wrong;
       std::uint64_t want_words = 0;
       for (const Netlist& child : children) {
         const auto full = simulate(child);
-        bool wrong = false;
-        for (std::size_t i = 0; i < spec.size(); ++i) {
-          wrong = wrong || full[i].data()[0] != spec[i].data()[0];
+        const std::uint32_t po = reference_first_wrong_po(child, full, spec);
+        first_wrong.push_back(po);
+        std::uint32_t gates = child.num_gates();
+        if (po < child.num_pos()) {
+          const Port p = child.po_at(po);
+          gates = p < child.port_of(0, 0) ? 0 : child.gate_of_port(p) + 1;
         }
-        wrong_in_word0.push_back(wrong);
-        want_words += reference_word0_cone_words(parent, child);
-        if (!wrong) {
+        want_words += reference_word0_cone_words(parent, child, gates);
+        if (po == child.num_pos() && !one_word) {
           want_words += reference_cone_words(parent, child);
         }
       }
@@ -570,15 +604,19 @@ TEST(Simulate, EarlyRejectFlagsExactlyTheChildrenWrongInWord0) {
         const std::string what = row + ", child " + std::to_string(k);
         const auto& got = batch.children[k];
         const auto full = simulate(children[k]);
-        ASSERT_EQ(got.rejected, wrong_in_word0[k]) << what;
+        const bool wrong_in_word0 = first_wrong[k] < children[k].num_pos();
+        ASSERT_EQ(got.rejected, wrong_in_word0) << what;
+        if (one_word) {
+          ASSERT_EQ(got.rejected, full != spec) << what;
+        }
         if (got.rejected) {
           ++rejected;
-          std::uint64_t bits = 0;
-          for (std::size_t i = 0; i < spec.size(); ++i) {
-            bits += std::popcount(full[i].data()[0] ^ spec[i].data()[0]);
-          }
-          EXPECT_EQ(got.word0_mismatches, bits) << what;
+          const std::uint32_t i = first_wrong[k];
+          EXPECT_EQ(got.word0_mismatches,
+                    std::popcount(full[i].data()[0] ^ spec[i].data()[0]))
+              << what;
         } else {
+          ++passed;
           EXPECT_EQ(got.word0_mismatches, 0u) << what;
           EXPECT_EQ(got.po, full) << what;
           passed_wrong += full != spec ? 1 : 0;
@@ -586,7 +624,10 @@ TEST(Simulate, EarlyRejectFlagsExactlyTheChildrenWrongInWord0) {
       }
     }
     EXPECT_GT(rejected, 0u) << row;
-    EXPECT_GT(passed_wrong, 0u) << row << ": no child wrong past word 0";
+    EXPECT_GT(passed, 0u) << row;
+    if (!one_word) {
+      EXPECT_GT(passed_wrong, 0u) << row << ": no child wrong past word 0";
+    }
 
     // Without the spec the call is the single full pass: nothing
     // rejected, every table and the word count as before.

@@ -4,7 +4,9 @@
 #include "cec/sim_cec.hpp"
 #include "core/flow.hpp"
 #include "core/window.hpp"
+#include "io/rqfp_writer.hpp"
 #include "rqfp/simulate.hpp"
+#include "util/stopwatch.hpp"
 
 namespace rcgp::core {
 namespace {
@@ -123,6 +125,40 @@ TEST(ExactPolish, SweepReportsWhyItStopped) {
                   .all_match);
   EXPECT_EQ(stats.stop_reason, robust::StopReason::kTimeLimit);
   EXPECT_EQ(stats.windows_tried, 0u);
+}
+
+TEST(ExactPolish, WindowsKeepTheSweepDeadline) {
+  // The netlist that `rcgp fuzz --targets=optimizer-differential --seed=26
+  // --case=0` hands to exact-polish: one of its windows keeps the exact
+  // search busy for the whole per-window budget (5 s). A 0.5 s sweep
+  // deadline must bound that window too.
+  const rqfp::Netlist net = io::parse_rqfp_string(R"(.rqfp 1
+.pis 3 x0 x1 x2
+.pos 2
+gate 1 0 0 001-001-001
+gate 0 2 0 001-001-001
+gate 0 3 0 001-001-001
+gate 0 4 7 000-000-110
+gate 0 15 0 001-001-001
+gate 0 10 16 001-111-101
+gate 12 5 8 001-111-101
+gate 0 21 24 101-111-101
+gate 0 9 11 011-100-110
+gate 0 17 30 100-010-000
+po 27 y0
+po 33 y1
+.end
+)");
+  const auto spec = rqfp::simulate(net);
+  ExactPolishParams params;
+  params.budget.deadline_seconds = 0.5;
+  WindowStats stats;
+  util::Stopwatch watch;
+  const rqfp::Netlist polished = exact_polish(net, params, &stats);
+  EXPECT_LT(watch.seconds(), 2.0);
+  EXPECT_GT(stats.windows_tried, 0u);
+  EXPECT_TRUE(cec::sim_check(polished, spec).all_match);
+  EXPECT_LE(polished.num_gates(), net.num_gates());
 }
 
 } // namespace
