@@ -4,9 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "aig/balance.hpp"
 #include "aig/cuts.hpp"
@@ -14,14 +18,19 @@
 #include "aig/resyn.hpp"
 #include "aig/rewrite.hpp"
 #include "benchmarks/benchmarks.hpp"
+#include "cache/key.hpp"
+#include "cache/store.hpp"
 #include "cec/sat_cec.hpp"
 #include "cec/sim_cec.hpp"
 #include "core/chromosome.hpp"
 #include "core/flow.hpp"
 #include "core/mutation.hpp"
+#include "core/request.hpp"
 #include "core/shrink.hpp"
 #include "rqfp/simulate.hpp"
 #include "sat/cnf.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "tt/isop.hpp"
 #include "tt/npn.hpp"
 #include "util/rng.hpp"
@@ -292,6 +301,98 @@ void BM_SatCecProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SatCecProof);
+
+/// A store holding 10 CGP results for random 4-input, 2-output classes,
+/// and 40 request lines for NPN variants of them (permuted and
+/// complemented inputs, complemented outputs): the hits of flowbench's
+/// serve_mixed workload.
+struct HitFixture {
+  cache::Store store;
+  std::vector<std::vector<tt::TruthTable>> variants;
+  std::vector<std::string> lines;
+};
+
+HitFixture& hit_fixture() {
+  static HitFixture fixture = [] {
+    HitFixture f;
+    util::Rng rng(2024);
+    core::FlowOptions opt;
+    opt.evolve.generations = 2000;
+    std::vector<std::vector<tt::TruthTable>> classes;
+    while (classes.size() < 10) {
+      std::vector<tt::TruthTable> spec;
+      while (spec.size() < 2) {
+        tt::TruthTable t = random_table(4, rng);
+        if (!t.is_constant0() && !t.is_constant1()) {
+          spec.push_back(std::move(t));
+        }
+      }
+      if (f.store.contains(cache::canonicalize(spec).key)) {
+        continue;
+      }
+      f.store.insert(spec, core::synthesize(spec, opt).optimized, "cgp");
+      classes.push_back(std::move(spec));
+    }
+    for (unsigned i = 0; i < 40; ++i) {
+      cache::SpecTransform t;
+      for (unsigned v = 4; v > 1; --v) {
+        std::swap(t.perm[v - 1], t.perm[rng.below(v)]);
+      }
+      t.input_phase = static_cast<unsigned>(rng.below(16));
+      t.output_phase = static_cast<std::uint32_t>(rng.below(4));
+      core::SynthesisRequest r;
+      r.id = "hit" + std::to_string(i);
+      r.spec = cache::apply(classes[i % classes.size()], t);
+      f.lines.push_back(core::to_json(r));
+      f.variants.push_back(std::move(r.spec));
+    }
+    return f;
+  }();
+  return fixture;
+}
+
+/// The store's side of a hit: canonicalize, de-canonicalize the stored
+/// netlist, re-check it by simulation, cost it.
+void BM_StoreLookupHit(benchmark::State& state) {
+  cache::Store& store = hit_fixture().store;
+  const auto& variants = hit_fixture().variants;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.lookup(variants[i++ % variants.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreLookupHit);
+
+/// One hit as a client sees it: request line out over a Unix socket to an
+/// in-process daemon, parse, lookup, encode, response line back.
+void BM_ServeHitRoundTrip(benchmark::State& state) {
+  HitFixture& f = hit_fixture();
+  serve::ServeOptions so;
+  so.socket_path = (std::filesystem::temp_directory_path() /
+                    ("rcgp_bench_" + std::to_string(::getpid()) + ".sock"))
+                       .string();
+  so.workers = 1;
+  so.execute.cache = &f.store;
+  serve::Server server(std::move(so));
+  server.start();
+  {
+    serve::Client client(server.bound_address());
+    std::size_t i = 0;
+    for (auto _ : state) {
+      const core::SynthesisResponse resp =
+          client.submit_line(f.lines[i++ % f.lines.size()]);
+      benchmark::DoNotOptimize(resp);
+      if (!resp.cached) {
+        state.SkipWithError("a variant of a cached class missed");
+        break;
+      }
+    }
+  }
+  server.stop();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeHitRoundTrip)->UseRealTime();
 
 } // namespace
 

@@ -14,8 +14,9 @@
 #   5. SIGKILL the daemon, assert the store on disk still verifies (saves
 #      are atomic and write-through), restart, and assert the new daemon
 #      answers the whole manifest from the persisted cache,
-#   6. shut down cleanly (SIGTERM) and validate the serve.*/cache.*
-#      telemetry invariants with scripts/check_telemetry.py.
+#   6. shut down cleanly (SIGTERM), validate the serve.*/cache.*
+#      telemetry invariants with scripts/check_telemetry.py, and check
+#      that `rcgp report` prints the service section of those metrics.
 #
 # Usage: scripts/serve_smoke.sh [path-to-rcgp-binary]
 # Tunables: RCGP_SRV_GENERATIONS (per-job budget, default 5000).
@@ -159,5 +160,11 @@ wait "$DAEMON_PID" || { echo "FAIL: daemon exited non-zero" >&2; exit 1; }
 DAEMON_PID=""
 cat "$WORKDIR/daemon.out"
 python3 scripts/check_telemetry.py --metrics "$WORKDIR/serve-metrics.json"
+"$RCGP" report --metrics="$WORKDIR/serve-metrics.json" > "$WORKDIR/report.txt"
+cat "$WORKDIR/report.txt"
+for want in "service:" "cache hit share" "request latency" "hit latency"; do
+  grep -q "$want" "$WORKDIR/report.txt" \
+    || { echo "FAIL: rcgp report shows no '$want' line" >&2; exit 1; }
+done
 
 echo "PASS: serve smoke test"

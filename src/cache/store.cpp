@@ -46,12 +46,6 @@ std::string sanitize_origin(const std::string& origin) {
   return out;
 }
 
-obs::Histogram& hit_histogram() {
-  static constexpr double kBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
-                                       1e-2, 1e-1, 1.0};
-  return obs::registry().histogram("cache.hit.seconds", kBounds);
-}
-
 bool implements(const rqfp::Netlist& net,
                 std::span<const tt::TruthTable> tables) {
   if (tables.empty() || net.num_pis() != tables[0].num_vars() ||
@@ -61,9 +55,12 @@ bool implements(const rqfp::Netlist& net,
   if (!net.validate().empty()) {
     return false;
   }
-  const auto sim = rqfp::simulate(net);
+  // One reused row buffer per thread rather than rqfp::simulate's heap
+  // table per port: every hit runs this re-check.
+  thread_local rqfp::SimCache sim;
+  rqfp::build_sim_cache(net, sim);
   for (std::size_t o = 0; o < tables.size(); ++o) {
-    if (sim[o] != tables[o]) {
+    if (sim.table(net.po_at(o)) != tables[o]) {
       return false;
     }
   }
@@ -107,38 +104,48 @@ bool Store::contains(const std::string& key) const {
 }
 
 std::optional<Hit> Store::lookup(std::span<const tt::TruthTable> spec) {
+  // Resolved once: a registry lookup by name takes a mutex and searches
+  // a map, and a hit takes microseconds.
+  static constexpr double kHitBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
+                                          1e-2, 1e-1, 1.0};
+  static obs::Counter& lookups = obs::registry().counter("cache.lookups");
+  static obs::Counter& hits = obs::registry().counter("cache.hits");
+  static obs::Counter& misses = obs::registry().counter("cache.misses");
+  static obs::Histogram& hit_seconds =
+      obs::registry().histogram("cache.hit.seconds", kHitBounds);
   obs::Span span("cache.lookup");
   util::Stopwatch watch;
-  auto& reg = obs::registry();
-  reg.counter("cache.lookups").inc();
+  lookups.inc();
   const CanonicalSpec canon = canonicalize(spec);
-  Entry entry;
+  Hit hit;
   {
+    // De-canonicalize straight from the stored entry: the hit returns a
+    // rewritten netlist, so a copy of the entry would be thrown away.
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(canon.key);
     if (it == entries_.end()) {
-      reg.counter("cache.misses").inc();
+      misses.inc();
       return std::nullopt;
     }
-    entry = it->second;
+    hit.netlist = decanonicalize_netlist(it->second.netlist, canon.transform);
+    hit.origin = it->second.origin;
   }
-  Hit hit;
-  hit.netlist = decanonicalize_netlist(entry.netlist, canon.transform);
   if (!implements(hit.netlist, spec)) {
     // Poisoned or stale entry: drop it and report a miss rather than
     // serving a wrong circuit.
+    auto& reg = obs::registry();
     reg.counter("cache.verify.failures").inc();
-    reg.counter("cache.misses").inc();
+    misses.inc();
     std::lock_guard<std::mutex> lock(mu_);
     entries_.erase(canon.key);
     reg.gauge("cache.entries").set(static_cast<double>(entries_.size()));
     return std::nullopt;
   }
+  // Not the stored cost: de-canonicalization may add an inverter gate.
   hit.cost = rqfp::cost_of(hit.netlist);
-  hit.origin = entry.origin;
   hit.key = canon.key;
-  reg.counter("cache.hits").inc();
-  hit_histogram().observe(watch.seconds());
+  hits.inc();
+  hit_seconds.observe(watch.seconds());
   return hit;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -46,6 +45,20 @@ bool bool_member(const obs::json::Value& v, std::string_view key) {
   return v.as_bool();
 }
 
+/// True when member `i` of `members` repeats the key of an earlier one.
+/// The member loops below stop at the first unknown key, so the members
+/// before `i` are distinct known keys and this scan stays short.
+bool repeats_earlier_key(
+    const std::vector<std::pair<std::string, obs::json::Value>>& members,
+    std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j) {
+    if (members[j].first == members[i].first) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Parses `text` as a single JSON object and walks its members through
 /// `on_member`, rejecting duplicates. The member callback throws
 /// std::invalid_argument for bad keys/values; the error is rethrown as a
@@ -61,9 +74,10 @@ void scan_object(const std::string& text, const char* format,
   if (!doc->is_object()) {
     fail(format, source, lineno, "line must be a JSON object");
   }
-  std::set<std::string> seen;
-  for (const auto& [key, value] : doc->members()) {
-    if (!seen.insert(key).second) {
+  const auto& members = doc->members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto& [key, value] = members[i];
+    if (repeats_earlier_key(members, i)) {
       fail(format, source, lineno, "duplicate key \"" + key + "\"");
     }
     try {
@@ -421,9 +435,10 @@ SynthesisResponse parse_response(const std::string& text,
   if (!doc || !doc->is_object()) {
     io::fail_parse("response", source, lineno, "malformed JSON object");
   }
-  std::set<std::string> seen;
-  for (const auto& [key, v] : doc->members()) {
-    if (!seen.insert(key).second) {
+  const auto& members = doc->members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto& [key, v] = members[i];
+    if (repeats_earlier_key(members, i)) {
       io::fail_parse("response", source, lineno,
                      "duplicate key \"" + key + "\"");
     }

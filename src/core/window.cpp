@@ -225,6 +225,7 @@ rqfp::Netlist exact_polish(const rqfp::Netlist& input,
         }
       }
       ep.conflicts_per_call = params.conflicts_per_call;
+      ep.stop = params.budget.stop;
       ep.minimize_garbage = false; // size is the objective here
       const auto result = exact::exact_synthesize(spec, ep);
       if (result.status == exact::ExactStatus::kSolved &&

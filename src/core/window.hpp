@@ -57,7 +57,7 @@ struct ExactPolishParams {
   unsigned passes = 1;
   /// Sweep-level stop token / deadline, checked between windows. A window
   /// already in the SAT solver is bounded by seconds_per_window and the
-  /// deadline; the token reaches it only at its end.
+  /// deadline, and the solver polls the token too.
   robust::RunBudget budget;
 };
 

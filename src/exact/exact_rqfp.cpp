@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "cec/sim_cec.hpp"
+#include "robust/stop.hpp"
 #include "sat/cnf.hpp"
 #include "util/stopwatch.hpp"
 
@@ -307,6 +308,7 @@ ExactResult exact_try(std::span<const tt::TruthTable> spec,
   sat::SolveLimits limits;
   limits.max_conflicts = params.conflicts_per_call;
   limits.max_seconds = params.time_limit_seconds;
+  limits.stop = params.stop;
   const auto verdict = enc.solver().solve({}, limits);
   result.sat_calls = 1;
   result.seconds = watch.seconds();
@@ -337,13 +339,14 @@ ExactResult exact_synthesize(std::span<const tt::TruthTable> spec,
                              const ExactParams& params) {
   util::Stopwatch watch;
   ExactResult overall;
-  auto out_of_time = [&]() {
-    return params.time_limit_seconds > 0.0 &&
-           watch.seconds() > params.time_limit_seconds;
+  auto budget_spent = [&]() {
+    return (params.stop != nullptr && params.stop->stop_requested()) ||
+           (params.time_limit_seconds > 0.0 &&
+            watch.seconds() > params.time_limit_seconds);
   };
 
   for (std::uint32_t r = 0; r <= params.max_gates; ++r) {
-    if (out_of_time()) {
+    if (budget_spent()) {
       overall.status = ExactStatus::kTimeout;
       break;
     }
@@ -368,7 +371,7 @@ ExactResult exact_synthesize(std::span<const tt::TruthTable> spec,
     overall = res;
     if (params.minimize_garbage && res.netlist) {
       std::uint32_t best_g = res.garbage;
-      while (best_g > 0 && !out_of_time()) {
+      while (best_g > 0 && !budget_spent()) {
         ExactParams tight_step = params;
         if (params.time_limit_seconds > 0.0) {
           tight_step.time_limit_seconds =

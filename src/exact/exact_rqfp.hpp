@@ -8,6 +8,10 @@
 #include "rqfp/netlist.hpp"
 #include "tt/truth_table.hpp"
 
+namespace rcgp::robust {
+class StopToken;
+}
+
 namespace rcgp::exact {
 
 struct ExactParams {
@@ -17,6 +21,10 @@ struct ExactParams {
   std::uint64_t conflicts_per_call = 2000000;
   /// Wall-clock budget for the whole search in seconds (0 = unlimited).
   double time_limit_seconds = 0.0;
+  /// Cooperative stop (not owned; nullptr = never stops), checked between
+  /// SAT calls and polled inside each one. A tripped token ends the
+  /// search like a spent time budget.
+  const robust::StopToken* stop = nullptr;
   /// Also minimize garbage outputs once the gate count is optimal (the
   /// method of paper [15] optimizes both).
   bool minimize_garbage = true;

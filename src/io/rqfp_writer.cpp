@@ -1,5 +1,6 @@
 #include "io/rqfp_writer.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,30 +11,55 @@
 
 namespace rcgp::io {
 
+namespace {
+
+void append_number(std::string& out, std::uint32_t v) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+} // namespace
+
 void write_rqfp(const rqfp::Netlist& net, std::ostream& out) {
-  out << ".rqfp 1\n";
-  out << ".pis " << net.num_pis();
-  if (net.has_pi_names()) {
-    for (std::uint32_t i = 0; i < net.num_pis(); ++i) {
-      out << ' ' << net.pi_name(i);
-    }
-  }
-  out << "\n.pos " << net.num_pos() << '\n';
-  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
-    const auto& gate = net.gate(g);
-    out << "gate " << gate.in[0] << ' ' << gate.in[1] << ' ' << gate.in[2]
-        << ' ' << gate.config.to_string() << '\n';
-  }
-  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
-    out << "po " << net.po_at(i) << ' ' << net.po_name(i) << '\n';
-  }
-  out << ".end\n";
+  out << write_rqfp_string(net);
 }
 
 std::string write_rqfp_string(const rqfp::Netlist& net) {
-  std::ostringstream out;
-  write_rqfp(net, out);
-  return out.str();
+  // One reserved buffer and std::to_chars: every checkpoint, store save
+  // and cache-hit response writes its netlist through here.
+  std::string out;
+  out.reserve(32 + 36 * std::size_t{net.num_gates()} +
+              16 * std::size_t{net.num_pos()});
+  out += ".rqfp 1\n.pis ";
+  append_number(out, net.num_pis());
+  if (net.has_pi_names()) {
+    for (std::uint32_t i = 0; i < net.num_pis(); ++i) {
+      out += ' ';
+      out += net.pi_name(i);
+    }
+  }
+  out += "\n.pos ";
+  append_number(out, net.num_pos());
+  out += '\n';
+  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
+    const auto& gate = net.gate(g);
+    out += "gate ";
+    for (const rqfp::Port in : gate.in) {
+      append_number(out, in);
+      out += ' ';
+    }
+    out += gate.config.to_string();
+    out += '\n';
+  }
+  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
+    out += "po ";
+    append_number(out, net.po_at(i));
+    out += ' ';
+    out += net.po_name(i);
+    out += '\n';
+  }
+  out += ".end\n";
+  return out;
 }
 
 rqfp::Netlist parse_rqfp(std::istream& in, const std::string& source) {

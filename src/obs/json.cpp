@@ -2,17 +2,28 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace rcgp::obs::json {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
+namespace {
+
+/// Appends `s` escaped for a JSON string, copying runs that need no
+/// escape in one piece.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u != '"' && u != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (u) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\b': out += "\\b"; break;
@@ -21,15 +32,26 @@ std::string escape(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[u >> 4];
+        out += kHex[u & 0xf];
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+template <typename T>
+void append_chars(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+} // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
@@ -81,7 +103,7 @@ Writer& Writer::end_array() {
 Writer& Writer::key(std::string_view k) {
   comma();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
   return *this;
@@ -90,7 +112,7 @@ Writer& Writer::key(std::string_view k) {
 Writer& Writer::value(std::string_view v) {
   comma();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   return *this;
 }
@@ -107,21 +129,24 @@ Writer& Writer::value(double v) {
     out_ += "null";
     return *this;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out_ += buf;
+  // Precision 17 prints exactly what "%.17g" prints; to_chars without a
+  // precision would print the shortest round-trip form, other bytes.
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17)
+                       .ptr);
   return *this;
 }
 
 Writer& Writer::value(std::uint64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   return *this;
 }
 
@@ -378,9 +403,14 @@ struct ValueParser {
         const std::size_t start = p.pos;
         ok = p.parse_number();
         if (ok) {
-          out.number_ =
-              std::strtod(std::string(p.s.substr(start, p.pos - start)).c_str(),
-                          nullptr);
+          // from_chars rounds as strtod does; it leaves overflow and
+          // underflow to strtod, which saturates them.
+          const char* first = p.s.data() + start;
+          const char* last = p.s.data() + p.pos;
+          if (std::from_chars(first, last, out.number_).ec != std::errc()) {
+            out.number_ =
+                std::strtod(std::string(first, last).c_str(), nullptr);
+          }
         }
         break;
       }
@@ -396,33 +426,38 @@ struct ValueParser {
     }
     const std::string_view raw = p.s.substr(start + 1, p.pos - start - 2);
     out.clear();
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      char c = raw[i];
-      if (c == '\\' && i + 1 < raw.size()) {
-        const char e = raw[++i];
-        switch (e) {
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            // Decode only the Latin-1 subset; anything above U+00FF keeps
-            // a '?' placeholder (report inputs are ASCII in practice).
-            unsigned code = 0;
-            for (int k = 0; k < 4 && i + 1 < raw.size(); ++k) {
-              code = code * 16 +
-                     (std::isdigit(static_cast<unsigned char>(raw[i + 1]))
-                          ? static_cast<unsigned>(raw[i + 1] - '0')
-                          : static_cast<unsigned>(
-                                std::tolower(raw[i + 1]) - 'a' + 10));
-              ++i;
-            }
-            c = code <= 0xFF ? static_cast<char>(code) : '?';
-            break;
+    std::size_t i = 0;
+    while (i < raw.size()) {
+      // parse_string accepted the token, so every backslash starts a
+      // whole escape: copy the run up to the next one in one piece.
+      const std::size_t esc = std::min(raw.find('\\', i), raw.size());
+      out.append(raw, i, esc - i);
+      if (esc == raw.size()) {
+        break;
+      }
+      i = esc + 1;
+      char c = raw[i++];
+      switch (c) {
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
+        case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
+        case 't': c = '\t'; break;
+        case 'u': {
+          // Decode only the Latin-1 subset; anything above U+00FF keeps
+          // a '?' placeholder (report inputs are ASCII in practice).
+          unsigned code = 0;
+          for (int k = 0; k < 4 && i < raw.size(); ++k, ++i) {
+            code = code * 16 +
+                   (std::isdigit(static_cast<unsigned char>(raw[i]))
+                        ? static_cast<unsigned>(raw[i] - '0')
+                        : static_cast<unsigned>(std::tolower(raw[i]) - 'a' +
+                                                10));
           }
-          default: c = e; break; // '"', '\\', '/'
+          c = code <= 0xFF ? static_cast<char>(code) : '?';
+          break;
         }
+        default: break; // '"', '\\', '/' stand for themselves
       }
       out += c;
     }

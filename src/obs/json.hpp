@@ -50,7 +50,7 @@ private:
   void comma();
 
   std::string out_;
-  std::vector<char> open_; // '{' or '['
+  std::string open_; // '{' or '[' per open scope (short: no allocation)
   bool need_comma_ = false;
   bool after_key_ = false;
 };

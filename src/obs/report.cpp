@@ -341,6 +341,56 @@ void report_trace(std::string& out, const std::string& path) {
 // ---------------------------------------------------------------------------
 // Metrics section (registry snapshot, bare or CLI-wrapped)
 
+/// The q-quantile of an exported histogram, re-derived from its buckets
+/// (NaN when it has no observations).
+double histogram_quantile(const json::Value& h, double q) {
+  std::vector<double> bounds;
+  std::vector<std::uint64_t> counts;
+  if (const json::Value* buckets = h.find("buckets")) {
+    for (const auto& b : buckets->items()) {
+      const json::Value* le = b.find("le");
+      if (le && le->is_number()) {
+        bounds.push_back(le->as_number());
+      }
+      counts.push_back(static_cast<std::uint64_t>(b.number_or("count", 0)));
+    }
+  }
+  return quantile_from_buckets(bounds, counts, q);
+}
+
+/// Service digest (docs/SERVICE.md) of a `rcgp serve --metrics-out`
+/// snapshot: traffic, the cache's hit share, and request and hit latency.
+void report_service(std::string& out, const json::Value& registry) {
+  const json::Value* counters = registry.find("counters");
+  const json::Value* requests =
+      counters ? counters->find("serve.requests") : nullptr;
+  if (requests == nullptr) {
+    return;
+  }
+  out += "  service:\n";
+  appendf(out, "    requests            %.0f (%.0f errors)\n",
+          requests->as_number(), counters->number_or("serve.errors", 0));
+  const double lookups = counters->number_or("cache.lookups", 0);
+  if (lookups > 0) {
+    const double hits = counters->number_or("cache.hits", 0);
+    appendf(out, "    cache hit share     %.1f%% (%.0f of %.0f lookups)\n",
+            100.0 * hits / lookups, hits, lookups);
+  }
+  const json::Value* hists = registry.find("histograms");
+  const std::pair<const char*, const char*> latencies[] = {
+      {"request latency", "serve.request.seconds"},
+      {"hit latency", "cache.hit.seconds"}};
+  for (const auto& [label, name] : latencies) {
+    const json::Value* h = hists ? hists->find(name) : nullptr;
+    if (h == nullptr || h->number_or("count", 0) <= 0) {
+      continue;
+    }
+    appendf(out, "    %-19s p50 %s  p90 %s  (%s)\n", label,
+            fmt_seconds(histogram_quantile(*h, 0.50)).c_str(),
+            fmt_seconds(histogram_quantile(*h, 0.90)).c_str(), name);
+  }
+}
+
 void report_metrics(std::string& out, const std::string& path) {
   const auto doc = json::parse(read_file(path));
   if (!doc || !doc->is_object()) {
@@ -405,6 +455,8 @@ void report_metrics(std::string& out, const std::string& path) {
     }
   }
 
+  report_service(out, *registry);
+
   // Island digest (docs/ISLANDS.md): fleet shape, migration traffic, and
   // the per-island best costs and immigrant tallies.
   {
@@ -463,24 +515,14 @@ void report_metrics(std::string& out, const std::string& path) {
       if (!buckets || !buckets->is_array()) {
         continue;
       }
-      std::vector<double> bounds;
-      std::vector<std::uint64_t> counts;
-      for (const auto& b : buckets->items()) {
-        const json::Value* le = b.find("le");
-        if (le && le->is_number()) {
-          bounds.push_back(le->as_number());
-        }
-        counts.push_back(
-            static_cast<std::uint64_t>(b.number_or("count", 0)));
-      }
       const double count = h.number_or("count", 0);
       if (count <= 0) {
         continue;
       }
       const double mean = h.number_or("sum", 0) / count;
-      const double p50 = quantile_from_buckets(bounds, counts, 0.50);
-      const double p95 = quantile_from_buckets(bounds, counts, 0.95);
-      const double p99 = quantile_from_buckets(bounds, counts, 0.99);
+      const double p50 = histogram_quantile(h, 0.50);
+      const double p95 = histogram_quantile(h, 0.95);
+      const double p99 = histogram_quantile(h, 0.99);
       appendf(out,
               "  %-40s n=%-8.0f mean=%-10g p50=%-10g p95=%-10g p99=%g\n",
               name.c_str(), count, mean, p50, p95, p99);

@@ -17,8 +17,9 @@ struct RunReportInputs {
 /// Renders the human-readable run report: per-phase time tree and
 /// per-worker utilization (profile), span-latency percentiles (profile),
 /// convergence summary and stagnation histogram (trace), and histogram
-/// quantiles / phase gauges (metrics). Throws std::runtime_error on an
-/// unreadable or malformed input file.
+/// quantiles / phase gauges plus the simulation, service and island
+/// digests (metrics). Throws std::runtime_error on an unreadable or
+/// malformed input file.
 std::string run_report(const RunReportInputs& inputs);
 
 } // namespace rcgp::obs

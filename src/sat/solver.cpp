@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "robust/stop.hpp"
 
 namespace rcgp::sat {
 
@@ -493,10 +494,12 @@ SolveResult Solver::solve(std::span<const Lit> assumptions,
       backtrack(0);
       return SolveResult::kUnknown;
     }
-    if (limits.max_seconds > 0.0 && (++loop_ticks & 511) == 0) {
+    if ((limits.max_seconds > 0.0 || limits.stop != nullptr) &&
+        (++loop_ticks & 511) == 0) {
       const std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start_time;
-      if (elapsed.count() > limits.max_seconds) {
+      if ((limits.stop != nullptr && limits.stop->stop_requested()) ||
+          (limits.max_seconds > 0.0 && elapsed.count() > limits.max_seconds)) {
         backtrack(0);
         return SolveResult::kUnknown;
       }

@@ -4,6 +4,10 @@
 #include <span>
 #include <vector>
 
+namespace rcgp::robust {
+class StopToken;
+}
+
 namespace rcgp::sat {
 
 /// A literal is a variable with a sign, packed as 2*var + (negated ? 1 : 0).
@@ -34,8 +38,11 @@ enum class SolveResult { kSat, kUnsat, kUnknown };
 struct SolveLimits {
   std::uint64_t max_conflicts = 0;
   std::uint64_t max_propagations = 0;
-  /// Wall-clock cap, checked every few hundred conflicts.
+  /// Wall-clock cap, checked every 512 decisions.
   double max_seconds = 0.0;
+  /// Cooperative stop, polled with max_seconds (not owned; nullptr =
+  /// never stops). A tripped token ends the call with kUnknown.
+  const robust::StopToken* stop = nullptr;
 };
 
 /// Conflict-driven clause-learning SAT solver.

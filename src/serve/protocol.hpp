@@ -5,6 +5,8 @@
 #include <string>
 #include <string_view>
 
+#include <sys/types.h>
+
 namespace rcgp::serve {
 
 /// RAII Unix file descriptor (sockets here, but any fd works).
@@ -93,16 +95,22 @@ bool write_line(int fd, std::string_view line);
 
 /// Incremental newline-delimited reader over a socket fd. next() returns
 /// false on EOF with no buffered line; lines arriving split across reads
-/// are reassembled.
+/// are reassembled. Both ends of the serve protocol read through it.
 class LineReader {
 public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Blocks until one full line is available (stripping the '\n') or the
-  /// peer closes. Returns false on EOF/error.
+  /// Waits until one full line is available (stripping the '\n') or the
+  /// peer closes. Returns false on EOF/error. Each read polls the socket
+  /// for a short fixed window (kPollWindow in protocol.cpp) before it
+  /// blocks, so a reply that is already on its way costs no wake-up.
   bool next(std::string& line);
 
 private:
+  /// One recv into `chunk`: non-blocking attempts for the poll window,
+  /// then a blocking one. Returns what recv returns.
+  ssize_t receive(char* chunk, std::size_t size);
+
   int fd_;
   std::string buf_;
   bool eof_ = false;

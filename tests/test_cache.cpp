@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -542,6 +543,33 @@ TEST(Store, LookupCountsTelemetry) {
 
   EXPECT_EQ(reg.counter("cache.misses").value(), misses0 + 1);
   EXPECT_EQ(reg.counter("cache.hits").value(), hits0 + 1);
+}
+
+TEST(Store, LookupDropsAnEntryThatFailsItsRecheck) {
+  // A store whose one entry claims the AND class but holds the netlist
+  // y = x0, with a valid CRC: what a hand edit or a drifted rewrite could
+  // leave on disk. A lookup must re-check it by simulation, drop it and
+  // miss, never serve it.
+  const std::vector<tt::TruthTable> spec = {tt::TruthTable::from_hex(2, "8")};
+  const CanonicalSpec canon = canonicalize(spec);
+  const std::string body = "entries 1\nentry 2 1 cgp\ntables " +
+                           canon.tables[0].to_hex() +
+                           "\n.rqfp 1\n.pis 2\n.pos 1\npo 1 y0\n.end\n"
+                           "end-entry\nend-cache\n";
+  char header[64];
+  std::snprintf(header, sizeof(header), "rcgp-cache 1 %08x\n",
+                util::crc32(body));
+  Store store = Store::parse(header + body, "poisoned");
+  ASSERT_EQ(store.size(), 1u);
+  ASSERT_FALSE(store.verify().empty());
+
+  auto& reg = obs::registry();
+  const std::uint64_t failures0 = reg.counter("cache.verify.failures").value();
+  const std::uint64_t misses0 = reg.counter("cache.misses").value();
+  EXPECT_FALSE(store.lookup(spec).has_value());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(reg.counter("cache.verify.failures").value(), failures0 + 1);
+  EXPECT_EQ(reg.counter("cache.misses").value(), misses0 + 1);
 }
 
 // ---------- warmer ----------

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "aig/aig_simulate.hpp"
+#include "fuzz/generator.hpp"
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "io/io.hpp"
@@ -601,6 +602,53 @@ TEST(RqfpFormat, RoundTrip) {
   EXPECT_EQ(back.po_name(0), "f");
   EXPECT_EQ(rqfp::simulate(back), rqfp::simulate(net));
   EXPECT_EQ(back.gate(0).config, net.gate(0).config);
+}
+
+/// The stream writer `write_rqfp_string` replaced: the reference its
+/// bytes are checked against.
+std::string reference_rqfp_text(const rqfp::Netlist& net) {
+  std::ostringstream out;
+  out << ".rqfp 1\n";
+  out << ".pis " << net.num_pis();
+  if (net.has_pi_names()) {
+    for (std::uint32_t i = 0; i < net.num_pis(); ++i) {
+      out << ' ' << net.pi_name(i);
+    }
+  }
+  out << "\n.pos " << net.num_pos() << '\n';
+  for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
+    const auto& gate = net.gate(g);
+    out << "gate " << gate.in[0] << ' ' << gate.in[1] << ' ' << gate.in[2]
+        << ' ' << gate.config.to_string() << '\n';
+  }
+  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
+    out << "po " << net.po_at(i) << ' ' << net.po_name(i) << '\n';
+  }
+  out << ".end\n";
+  return out.str();
+}
+
+TEST(RqfpFormat, StringWriterMatchesTheStreamWriter) {
+  util::Rng rng(4242);
+  fuzz::NetlistShape shape;
+  shape.max_pis = 10;
+  shape.max_pos = 6;
+  shape.max_gates = 200;
+  for (int i = 0; i < 500; ++i) {
+    rqfp::Netlist net = fuzz::random_netlist(rng, shape);
+    if (i % 2 == 1) {
+      std::vector<std::string> names;
+      for (std::uint32_t p = 0; p < net.num_pis(); ++p) {
+        names.push_back("in_" + std::to_string(p));
+      }
+      net.set_pi_names(std::move(names));
+    }
+    const std::string text = write_rqfp_string(net);
+    ASSERT_EQ(text, reference_rqfp_text(net)) << "netlist " << i;
+    std::ostringstream streamed;
+    write_rqfp(net, streamed);
+    ASSERT_EQ(streamed.str(), text) << "netlist " << i;
+  }
 }
 
 TEST(RqfpFormat, MalformedInput) {

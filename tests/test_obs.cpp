@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace rcgp::obs {
 namespace {
@@ -68,6 +71,108 @@ TEST(Json, NonFiniteDoublesBecomeNull) {
       .end_object();
   EXPECT_TRUE(json::validate(w.str()));
   EXPECT_EQ(w.str(), "{\"inf\":null,\"nan\":null}");
+}
+
+TEST(Json, WriterBytesArePinned) {
+  // The bytes the snprintf/ostringstream writer printed for this document:
+  // escapes, every control character, raw high bytes, "%.17g" doubles and
+  // 64-bit integers.
+  std::string ctl;
+  for (int c = 1; c < 0x20; ++c) {
+    ctl += static_cast<char>(c);
+  }
+  json::Writer w;
+  w.begin_object()
+      .field("quote\"back\\slash", "tab\tnl\nret\rbs\bff\f/")
+      .field("ctl", std::string_view(ctl))
+      .field("nul", std::string_view("a\0b", 3))
+      .field("high", "caf\xc3\xa9 \x7f")
+      .key("doubles")
+      .begin_array()
+      .value(0.1)
+      .value(1.0 / 3.0)
+      .value(1e-300)
+      .value(5e-324)
+      .value(1.7976931348623157e308)
+      .value(-2.5)
+      .value(0.0)
+      .value(-0.0)
+      .value(1e21)
+      .value(123456789012345678.0)
+      .value(1e-5)
+      .value(0.000123)
+      .value(std::nan(""))
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .end_array()
+      .key("ints")
+      .begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::numeric_limits<std::int64_t>::max())
+      .value(std::uint64_t{0})
+      .value(-1)
+      .value(42u)
+      .end_array()
+      .key("empty")
+      .begin_object()
+      .end_object()
+      .key("nested")
+      .begin_array()
+      .begin_array()
+      .end_array()
+      .null()
+      .value(true)
+      .value(false)
+      .end_array()
+      .end_object();
+  EXPECT_EQ(
+      w.str(),
+      "{\"quote\\\"back\\\\slash\":\"tab\\tnl\\nret\\rbs\\bff\\f/\",\"ctl\":"
+      "\"\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\b\\t\\n\\u000b\\f"
+      "\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016"
+      "\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\","
+      "\"nul\":\"a\\u0000b\",\"high\":\"caf\xc3\xa9 \x7f\",\"doubles\":["
+      "0.10000000000000001,0.33333333333333331,1e-300,"
+      "4.9406564584124654e-324,1.7976931348623157e+308,-2.5,0,-0,1e+21,"
+      "1.2345678901234568e+17,1.0000000000000001e-05,0.00012300000000000001,"
+      "null,null,null],\"ints\":[18446744073709551615,-9223372036854775808,"
+      "9223372036854775807,0,-1,42],\"empty\":{},\"nested\":[[],null,true,"
+      "false]}");
+  EXPECT_TRUE(json::validate(w.str()));
+}
+
+TEST(Json, DoublesPrintAsPercent17g) {
+  // Every bit pattern class (subnormals, huge, NaN payloads) and decimal
+  // values of the kind timings and rates take.
+  util::Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    double v = 0.0;
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng.next();
+      std::memcpy(&v, &bits, sizeof(v));
+    } else {
+      v = static_cast<double>(rng.below(1000000)) *
+          std::pow(10.0, static_cast<int>(rng.below(40)) - 20);
+    }
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "%.17g", v);
+    json::Writer w;
+    w.value(v);
+    ASSERT_EQ(w.str(), std::isfinite(v) ? expected : "null") << expected;
+  }
+}
+
+TEST(Json, ParseDecodesEscapesBetweenRuns) {
+  const std::string doc =
+      "\"run one\\nrun \\\"two\\\"\\t\\u0041\\u00e9\\u20ac\\\\/\\/end\"";
+  const auto v = json::parse(doc);
+  ASSERT_TRUE(v && v->is_string());
+  EXPECT_EQ(v->as_string(),
+            "run one\nrun \"two\"\tA\xe9?\\//end");
+  json::Writer w;
+  w.value(v->as_string());
+  EXPECT_EQ(json::parse(w.str())->as_string(), v->as_string());
 }
 
 TEST(Json, ValidateAcceptsWellFormed) {
@@ -627,6 +732,49 @@ TEST(Report, RendersAllThreeSections) {
   std::remove(profile_path.c_str());
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+TEST(Report, ServiceSectionReadsADaemonsMetrics) {
+  // The registry shape `rcgp serve --metrics-out` writes: 40 requests, 1
+  // error, 24 of 32 lookups hit.
+  const std::string path =
+      ::testing::TempDir() + "rcgp_report_serve_metrics.json";
+  std::ofstream(path)
+      << "{\"counters\":{\"cache.hits\":24,\"cache.lookups\":32,"
+         "\"cache.misses\":8,\"serve.errors\":1,\"serve.requests\":40},"
+         "\"gauges\":{},\"histograms\":{"
+         "\"cache.hit.seconds\":{\"count\":30,\"sum\":0.0006,\"buckets\":["
+         "{\"le\":1e-06,\"count\":0},{\"le\":1e-05,\"count\":20},"
+         "{\"le\":0.0001,\"count\":10},{\"count\":0}]},"
+         "\"serve.request.seconds\":{\"count\":40,\"sum\":0.05,\"buckets\":["
+         "{\"le\":0.0001,\"count\":30},{\"le\":0.001,\"count\":0},"
+         "{\"le\":0.01,\"count\":10},{\"count\":0}]}}}";
+  const std::string report = run_report({"", "", path});
+  EXPECT_NE(report.find("service:"), std::string::npos) << report;
+  EXPECT_NE(report.find("requests            40 (1 errors)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("cache hit share     75.0% (24 of 32 lookups)"),
+            std::string::npos)
+      << report;
+  // Request p50: rank 20 of the 30 in (0, 100us] -> 67us; p90: rank 36,
+  // the 6th of 10 in (1ms, 10ms] -> 6.40ms. Hit p50: rank 15 of the 20 in
+  // (1us, 10us] -> 7.75us; p90: rank 27, the 7th of 10 in (10us, 100us]
+  // -> 73us.
+  EXPECT_NE(report.find("request latency     p50 67us  p90 6.40ms  "
+                        "(serve.request.seconds)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("hit latency         p50 8us  p90 73us  "
+                        "(cache.hit.seconds)"),
+            std::string::npos)
+      << report;
+  std::remove(path.c_str());
+
+  // A run that served nothing shows no service section.
+  std::ofstream(path) << "{\"counters\":{\"cache.lookups\":3}}";
+  EXPECT_EQ(run_report({"", "", path}).find("service:"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(Report, ThrowsOnMissingOrMalformedInput) {

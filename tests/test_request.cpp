@@ -322,6 +322,60 @@ TEST(Response, ParseRejectsGarbageWithContext) {
   }
 }
 
+TEST(Response, EncodedBytesArePinned) {
+  // The line the ostringstream/snprintf encoders wrote for this response.
+  SynthesisResponse r;
+  r.id = "hit-1";
+  r.ok = true;
+  r.cached = true;
+  r.verified = true;
+  r.stop_reason = "completed";
+  r.cost.n_r = 7;
+  r.cost.n_b = 3;
+  r.cost.jjs = 120;
+  r.cost.n_d = 4;
+  r.cost.n_g = 5;
+  r.seconds = 2.3456e-5;
+  r.netlist = ".rqfp 1\n.pis 2\n.pos 1\ngate 1 2 0 000-000-000\npo 3 \n.end\n";
+  const std::string line = to_json(r);
+  EXPECT_EQ(line,
+            "{\"schema\":1,\"id\":\"hit-1\",\"ok\":true,\"cached\":true,"
+            "\"stop_reason\":\"completed\",\"verified\":true,\"n_r\":7,"
+            "\"n_b\":3,\"jjs\":120,\"n_d\":4,\"n_g\":5,\"seconds\":2.3456e-05,"
+            "\"netlist\":\".rqfp 1\\n.pis 2\\n.pos 1\\ngate 1 2 0 "
+            "000-000-000\\npo 3 \\n.end\\n\"}");
+  EXPECT_EQ(parse_response(line), r);
+}
+
+TEST(Request, DuplicateAndUnknownKeyErrorsKeepTheirMessages) {
+  const auto message = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const io::ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto request = [&](const char* line) {
+    return message([&] { parse_request(line, "socket", 3, "serve"); });
+  };
+  const auto response = [&](const char* line) {
+    return message([&] { parse_response(line, "socket", 4); });
+  };
+  EXPECT_EQ(request(R"({"schema":1,"id":"a","circuit":"c17","id":"b"})"),
+            "serve:socket:3: duplicate key \"id\"");
+  EXPECT_EQ(request(R"({"schema":1,"id":"a","circuit":"c17","frob":1})"),
+            "serve:socket:3: unknown key \"frob\"");
+  EXPECT_EQ(request(R"({"schema":1,"frob":1,"frob":1})"),
+            "serve:socket:3: unknown key \"frob\"");
+  EXPECT_EQ(request(R"({"seed":1,"schema":1,"id":"a","seed":2})"),
+            "serve:socket:3: duplicate key \"seed\"");
+  EXPECT_EQ(response(R"({"schema":1,"id":"a","ok":true,"ok":false})"),
+            "response:socket:4: duplicate key \"ok\"");
+  EXPECT_EQ(response(R"({"schema":1,"id":"a","nope":1})"),
+            "response:socket:4: unknown key \"nope\"");
+}
+
 // ---------- integers are exact or rejected ----------
 //
 // JSON numbers are doubles. A value that cannot be read back exactly, or

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,6 +17,10 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "tt/truth_table.hpp"
+#include "util/stopwatch.hpp"
+
+#include <sys/socket.h>
+#include <sys/time.h>
 
 namespace rcgp::serve {
 namespace {
@@ -48,6 +53,126 @@ TEST(Protocol, ListenRejectsOverlongPaths) {
 
 TEST(Protocol, ConnectToNothingThrows) {
   EXPECT_THROW(connect_unix(temp_socket("nobody.sock")), std::runtime_error);
+}
+
+// ---------- LineReader: poll, then block ----------
+//
+// Each writer below closes its end when it is done, so a reader that lost
+// bytes ends at EOF and fails the test instead of hanging; the writers
+// are jthreads, so a failed ASSERT still joins them.
+
+struct SocketPair {
+  SocketPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    reader = Fd(fds[0]);
+    writer = Fd(fds[1]);
+  }
+  Fd reader;
+  Fd writer;
+};
+
+/// Longer than the reader's poll window, so the reader is blocked in recv
+/// when the next bytes arrive.
+constexpr auto kPastThePollWindow = std::chrono::milliseconds(20);
+
+TEST(LineReader, ReassemblesALineSplitAcrossAPause) {
+  SocketPair sp;
+  std::jthread writer([&] {
+    ASSERT_TRUE(write_all(sp.writer.get(), "{\"id\":\"spl"));
+    std::this_thread::sleep_for(kPastThePollWindow);
+    ASSERT_TRUE(write_all(sp.writer.get(), "it\"}\nnext"));
+    std::this_thread::sleep_for(kPastThePollWindow);
+    ASSERT_TRUE(write_all(sp.writer.get(), " line\n"));
+    sp.writer.close();
+  });
+  LineReader reader(sp.reader.get());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "{\"id\":\"split\"}");
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "next line");
+  EXPECT_FALSE(reader.next(line));
+}
+
+TEST(LineReader, SplitsThreeLinesFromOneWrite) {
+  SocketPair sp;
+  ASSERT_TRUE(write_all(sp.writer.get(), "one\ntwo\n\nthree\n"));
+  sp.writer.close();
+  LineReader reader(sp.reader.get());
+  std::string line;
+  for (const char* want : {"one", "two", "", "three"}) {
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_FALSE(reader.next(line));
+  EXPECT_FALSE(reader.next(line)); // EOF stays EOF
+}
+
+TEST(LineReader, SeesEofWhilePolling) {
+  {
+    SocketPair sp; // closed before the first read
+    sp.writer.close();
+    LineReader reader(sp.reader.get());
+    std::string line;
+    EXPECT_FALSE(reader.next(line));
+  }
+  SocketPair sp; // closed inside the poll window of a read in progress
+  std::jthread closer([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    sp.writer.close();
+  });
+  LineReader reader(sp.reader.get());
+  std::string line;
+  util::Stopwatch watch;
+  EXPECT_FALSE(reader.next(line));
+  EXPECT_LT(watch.seconds(), 1.0);
+}
+
+TEST(LineReader, DropsATrailingUnterminatedLine) {
+  SocketPair sp;
+  std::jthread writer([&] {
+    ASSERT_TRUE(write_all(sp.writer.get(), "whole\npart"));
+    std::this_thread::sleep_for(kPastThePollWindow);
+    ASSERT_TRUE(write_all(sp.writer.get(), "ial"));
+    sp.writer.close();
+  });
+  LineReader reader(sp.reader.get());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "whole");
+  EXPECT_FALSE(reader.next(line));
+  EXPECT_EQ(line, "whole"); // untouched by the dropped fragment
+}
+
+TEST(LineReader, StopUnblocksAConnectionParkedInItsRead) {
+  ServeOptions opt;
+  opt.socket_path = temp_socket("parked.sock");
+  opt.executor = [](const batch::Job&, const batch::JobContext&) {
+    batch::JobExecution exec;
+    exec.verified = true;
+    return exec;
+  };
+  Server server(std::move(opt));
+  server.start();
+  Fd fd = connect_unix(server.socket_path());
+  // A reply that never comes fails the test instead of hanging it.
+  const timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  LineReader reader(fd.get());
+  ASSERT_TRUE(write_line(fd.get(), core::to_json(small_request("parked"))));
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(core::parse_response(line).id, "parked");
+  // The daemon's connection thread has long left its poll window and
+  // sleeps in a blocking recv; stop() must still wake it and join it.
+  std::this_thread::sleep_for(kPastThePollWindow);
+  util::Stopwatch watch;
+  server.stop();
+  EXPECT_LT(watch.seconds(), 1.0);
+  EXPECT_FALSE(reader.next(line)); // the daemon hung up
 }
 
 // ---------- request/response over the wire ----------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sim_cec.hpp"
 #include "core/flow.hpp"
@@ -127,12 +130,11 @@ TEST(ExactPolish, SweepReportsWhyItStopped) {
   EXPECT_EQ(stats.windows_tried, 0u);
 }
 
-TEST(ExactPolish, WindowsKeepTheSweepDeadline) {
-  // The netlist that `rcgp fuzz --targets=optimizer-differential --seed=26
-  // --case=0` hands to exact-polish: one of its windows keeps the exact
-  // search busy for the whole per-window budget (5 s). A 0.5 s sweep
-  // deadline must bound that window too.
-  const rqfp::Netlist net = io::parse_rqfp_string(R"(.rqfp 1
+/// The netlist that `rcgp fuzz --targets=optimizer-differential --seed=26
+/// --case=0` hands to exact-polish: one of its windows keeps the exact
+/// search busy for the whole per-window budget (5 s).
+rqfp::Netlist slow_window_netlist() {
+  return io::parse_rqfp_string(R"(.rqfp 1
 .pis 3 x0 x1 x2
 .pos 2
 gate 1 0 0 001-001-001
@@ -149,6 +151,11 @@ po 27 y0
 po 33 y1
 .end
 )");
+}
+
+TEST(ExactPolish, WindowsKeepTheSweepDeadline) {
+  // A 0.5 s sweep deadline must bound the slow window too.
+  const rqfp::Netlist net = slow_window_netlist();
   const auto spec = rqfp::simulate(net);
   ExactPolishParams params;
   params.budget.deadline_seconds = 0.5;
@@ -159,6 +166,29 @@ po 33 y1
   EXPECT_GT(stats.windows_tried, 0u);
   EXPECT_TRUE(cec::sim_check(polished, spec).all_match);
   EXPECT_LE(polished.num_gates(), net.num_gates());
+}
+
+TEST(ExactPolish, AStopTokenReachesTheSatSearch) {
+  // A token tripped 0.2 s into a default sweep (no deadline, 5 s per
+  // window) ends the window in the SAT solver, not at its budget's end.
+  const rqfp::Netlist net = slow_window_netlist();
+  const auto spec = rqfp::simulate(net);
+  robust::StopToken token;
+  ExactPolishParams params;
+  params.budget.stop = &token;
+  std::thread tripper([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    token.request_stop();
+  });
+  WindowStats stats;
+  util::Stopwatch watch;
+  const rqfp::Netlist polished = exact_polish(net, params, &stats);
+  const double seconds = watch.seconds();
+  tripper.join();
+  EXPECT_LT(seconds, 1.0);
+  EXPECT_EQ(stats.stop_reason, robust::StopReason::kStopRequested);
+  EXPECT_GT(stats.windows_tried, 0u);
+  EXPECT_TRUE(cec::sim_check(polished, spec).all_match);
 }
 
 } // namespace
