@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
 # Island-model fleet smoke test (docs/ISLANDS.md):
 #   1. run a 2-island ring fleet in-process and keep its netlist as the
-#      placement-independent reference (plus island.* telemetry),
+#      placement-independent reference (plus island.* telemetry); its
+#      state directory must hold exactly fleet.json and one
+#      island-<i>.ckpt per island, and `--resume` of the finished fleet
+#      must write the same bytes; then start the same fleet in a fresh
+#      state directory with periodic saves off, SIGKILL it mid-run and
+#      `--resume` it: between commits only fleet.json holds the islands,
+#      and the result must again be byte-identical,
 #   2. run the SAME fleet with both island slices farmed out to two
 #      `rcgp serve` daemons over TCP (ephemeral ports, shared
 #      --checkpoint-dir) — the result must be byte-identical to step 1;
@@ -68,6 +74,41 @@ echo "== phase 1: in-process 2-island fleet (the placement reference)"
   -o "$WORKDIR/local.rqfp" --metrics-out="$WORKDIR/island-metrics.json"
 test -s "$WORKDIR/local.rqfp" \
   || { echo "FAIL: in-process fleet wrote no netlist" >&2; exit 1; }
+LAYOUT="$(ls "$WORKDIR/state-local" | tr '\n' ' ')"
+if [ "$LAYOUT" != "fleet.json island-0.ckpt island-1.ckpt " ]; then
+  echo "FAIL: finished fleet left '$LAYOUT', not fleet.json plus one" \
+       "island file per island" >&2
+  exit 1
+fi
+"$RCGP" synth "$CIRCUIT" "${FLEET_FLAGS[@]}" --resume \
+  --island-state="$WORKDIR/state-local" -o "$WORKDIR/local-again.rqfp"
+cmp "$WORKDIR/local.rqfp" "$WORKDIR/local-again.rqfp" \
+  || { echo "FAIL: resuming the finished fleet changed its result" >&2
+       exit 1; }
+echo "   layout: $LAYOUT; resuming the finished fleet gives the same bytes"
+"$RCGP" synth "$CIRCUIT" "${FLEET_FLAGS[@]}" --checkpoint-interval=0 \
+  --island-state="$WORKDIR/state-local-kill" \
+  -o "$WORKDIR/local-killed.rqfp" > "$WORKDIR/local-killed.out" 2>&1 &
+SYNTH_PID=$!
+sleep 0.3
+kill -KILL "$SYNTH_PID" 2>/dev/null || true
+set +e
+wait "$SYNTH_PID" 2>/dev/null
+SYNTH_RC=$?
+set -e
+if [ "$SYNTH_RC" -eq 0 ]; then
+  echo "   fleet finished before the kill; checking identity directly"
+  cp "$WORKDIR/local-killed.rqfp" "$WORKDIR/local-resumed.rqfp"
+else
+  echo "   killed the in-process fleet (rc $SYNTH_RC); resuming"
+  "$RCGP" synth "$CIRCUIT" "${FLEET_FLAGS[@]}" --checkpoint-interval=0 \
+    --resume --island-state="$WORKDIR/state-local-kill" \
+    -o "$WORKDIR/local-resumed.rqfp"
+fi
+cmp "$WORKDIR/local.rqfp" "$WORKDIR/local-resumed.rqfp" \
+  || { echo "FAIL: killed and resumed in-process fleet diverged" >&2
+       exit 1; }
+echo "   killed and resumed in-process fleet is byte-identical"
 
 echo "== phase 2: same fleets on two TCP worker daemons"
 STATE2="$WORKDIR/state-remote"

@@ -1,6 +1,7 @@
 #include "cec/sim_cec.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "rqfp/simulate.hpp"
 
@@ -30,7 +31,15 @@ SimResult sim_check(const rqfp::Netlist& net,
   if (spec.size() != net.num_pos()) {
     throw std::invalid_argument("sim_check: PO count mismatch");
   }
-  const auto out = rqfp::simulate(net);
+  // One reused row buffer per thread rather than rqfp::simulate's heap
+  // table per port.
+  thread_local rqfp::SimCache sim;
+  thread_local std::vector<tt::TruthTable> out;
+  rqfp::build_sim_cache(net, sim);
+  out.resize(net.num_pos());
+  for (std::uint32_t o = 0; o < out.size(); ++o) {
+    out[o] = sim.table(net.po_at(o));
+  }
   return sim_compare(out, spec);
 }
 

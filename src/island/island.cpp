@@ -36,10 +36,7 @@ struct IslandPlan {
 };
 
 /// fleet.json format version; resume refuses any other.
-constexpr std::uint64_t kManifestSchema = 2;
-
-/// (island, post-migration checkpoint text) of an epoch's adoptions.
-using Adopted = std::vector<std::pair<unsigned, std::string>>;
+constexpr std::uint64_t kManifestSchema = 3;
 
 /// Fleet manifest (fleet.json) contents we read back on resume.
 struct ManifestData {
@@ -56,7 +53,8 @@ struct ManifestData {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::vector<std::uint64_t> immigrants;
-  Adopted adopted;
+  /// Each island's committed checkpoint text ("" = not started).
+  std::vector<std::string> checkpoints;
 };
 
 [[noreturn]] void manifest_error(const std::string& path,
@@ -103,13 +101,7 @@ ManifestData load_manifest(const std::string& path) {
         arr && arr->is_array()) {
       for (const obs::json::Value& it : arr->items()) {
         m.immigrants.push_back(integer_or(it, "immigrants", std::uint64_t{0}));
-      }
-    }
-    if (const obs::json::Value* arr = v->find("adopted");
-        arr && arr->is_array()) {
-      for (const obs::json::Value& it : arr->items()) {
-        m.adopted.emplace_back(integer_or(it, "island", 0u),
-                               it.string_or("checkpoint", ""));
+        m.checkpoints.push_back(it.string_or("checkpoint", ""));
       }
     }
   } catch (const std::invalid_argument& e) {
@@ -321,10 +313,6 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     return files ? island_state_path(options.state_dir, i) : std::string();
   };
 
-  // Post-migration states of the last committed epoch's adopters. Every
-  // manifest write carries them until the next commit replaces them.
-  Adopted adopted;
-
   const auto save_manifest = [&] {
     if (!files) return;
     obs::json::Writer w;
@@ -346,20 +334,12 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     for (unsigned i = 0; i < N; ++i) {
       w.begin_object();
       w.field("island", i);
-      w.field("started", state[i].has_value());
       w.field("done", done[i] != 0);
       w.field("reason", std::string_view(robust::to_string(reason[i])));
-      w.field("generation", state[i] ? state[i]->generations_run : 0);
-      w.field("evaluations", state[i] ? state[i]->evaluations : 0);
       w.field("immigrants", immigrants[i]);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("adopted").begin_array();
-    for (const auto& [island, checkpoint] : adopted) {
-      w.begin_object();
-      w.field("island", island);
-      w.field("checkpoint", checkpoint);
+      if (state[i]) {
+        w.field("checkpoint", robust::serialize_checkpoint(*state[i]));
+      }
       w.end_object();
     }
     w.end_array();
@@ -373,6 +353,17 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     std::filesystem::create_directories(options.state_dir);
     const std::string manifest = fleet_manifest_path(options.state_dir);
     if (options.resume) {
+      const auto lineage = [&](unsigned i, robust::EvolveCheckpoint ck,
+                               const std::string& source) {
+        if (ck.seed != plan[i].seed || ck.lambda != params.lambda ||
+            ck.mu != params.mutation.mu ||
+            ck.generations_total != plan[i].total) {
+          throw std::invalid_argument(
+              "island: checkpoint of island " + std::to_string(i) + " in " +
+              source + " was taken under a different fleet configuration");
+        }
+        return ck;
+      };
       if (std::filesystem::exists(manifest)) {
         const ManifestData m = load_manifest(manifest);
         if (m.seed != params.seed || m.lambda != params.lambda ||
@@ -392,32 +383,22 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
         rejected = m.rejected;
         for (unsigned i = 0; i < N && i < m.immigrants.size(); ++i) {
           immigrants[i] = m.immigrants[i];
-        }
-        adopted = m.adopted;
-      }
-      for (unsigned i = 0; i < N; ++i) {
-        std::optional<robust::EvolveCheckpoint> ck;
-        if (std::filesystem::exists(state_path(i))) {
-          ck = robust::load_checkpoint(state_path(i));
-        }
-        // A committed adoption wins over an island file that the next
-        // slice has not yet advanced past the migration boundary.
-        for (const auto& [island, checkpoint] : adopted) {
-          if (island != i) continue;
-          robust::EvolveCheckpoint post = robust::parse_checkpoint(checkpoint);
-          if (!ck || ck->generations_run <= post.generations_run) {
-            ck = std::move(post);
+          if (!m.checkpoints[i].empty()) {
+            state[i] = lineage(i, robust::parse_checkpoint(m.checkpoints[i]),
+                               manifest);
           }
         }
-        if (!ck) continue;
-        if (ck->seed != plan[i].seed || ck->lambda != params.lambda ||
-            ck->mu != params.mutation.mu ||
-            ck->generations_total != plan[i].total) {
-          throw std::invalid_argument(
-              "island: checkpoint " + state_path(i) +
-              " was taken under a different fleet configuration");
+      }
+      // An island file replaces the committed state only when it holds a
+      // later generation: a slice got past the commit. On a tie it is the
+      // pre-migration state of the boundary the manifest committed.
+      for (unsigned i = 0; i < N; ++i) {
+        if (!std::filesystem::exists(state_path(i))) continue;
+        robust::EvolveCheckpoint file =
+            lineage(i, robust::load_checkpoint(state_path(i)), state_path(i));
+        if (!state[i] || file.generations_run > state[i]->generations_run) {
+          state[i] = std::move(file);
         }
-        state[i] = std::move(ck);
       }
     } else {
       // Fresh fleet: clear every island file a previous run left here
@@ -508,14 +489,19 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
           std::min(p.budget.deadline_seconds,
                    state[i]->seconds + params.budget.deadline_seconds - now);
     }
-    p.checkpoint_path = state_path(i);
-    Slice s;
-    s.island = i;
-    s.epoch = epoch;
-    s.checkpoint_path = p.checkpoint_path;
+    // The epoch commit carries every island's state, so a local slice
+    // writes its island file only for a periodic save strictly inside it
+    // and for the island's last slice. A remote slice always exchanges
+    // its state through the file.
+    const std::uint64_t every = p.checkpoint_interval;
+    if (!local_slices || b == plan[i].cap ||
+        (every != 0 && (state[i]->generations_run / every + 1) * every < b)) {
+      p.checkpoint_path = state_path(i);
+    }
     log.ran = true;
     log.from = state[i]->generations_run;
-    core::EvolveResult r = executor->run(s, spec, p, *state[i]);
+    core::EvolveResult r =
+        executor->run(Slice{i, epoch, p.checkpoint_path}, spec, p, *state[i]);
     log.reason = r.stop_reason;
     // The slice advanced the lineage; its run identity stays as it was.
     static_cast<core::LineageState&>(*state[i]) = std::move(r);
@@ -603,9 +589,9 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     }
     for (std::size_t k = 0; k < active.size(); ++k) {
       if (errors[k]) {
-        // Every island that finished its slice is already checkpointed
-        // (file-backed fleets), so the fleet stays resumable after the
-        // cause — e.g. a killed worker daemon — is fixed.
+        // A file-backed fleet stays resumable from its last commit, and
+        // from any island file a slice left past it, once the cause —
+        // e.g. a killed worker daemon — is fixed.
         std::rethrow_exception(errors[k]);
       }
     }
@@ -671,8 +657,8 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     // Apply adoptions: the immigrant elite replaces the parent and the
     // stagnation clock restarts. Every next state comes from the
     // pre-migration snapshot before any is applied. For file-backed
-    // fleets the manifest write is the commit point: it carries the
-    // adopters' post-migration states, which resume prefers over island
+    // fleets the manifest write is the commit point: it carries every
+    // island's post-migration state, which resume prefers over island
     // files still at or below the boundary (docs/ISLANDS.md).
     std::vector<robust::EvolveCheckpoint> next_states;
     next_states.reserve(adoptions.size());
@@ -687,15 +673,11 @@ core::EvolveResult run_fleet(const rqfp::Netlist& initial,
     ++epoch;
     ++epochs_this_call;
     c_epochs.inc();
-    adopted.clear();
     for (std::size_t k = 0; k < adoptions.size(); ++k) {
       const unsigned to = adoptions[k].to;
       state[to] = std::move(next_states[k]);
       ++immigrants[to];
       island_immigrant_counter(to).inc();
-      if (files) {
-        adopted.emplace_back(to, robust::serialize_checkpoint(*state[to]));
-      }
       if (params.trace != nullptr) {
         params.trace->event("island_migration")
             .field("epoch", epoch)

@@ -28,11 +28,13 @@ namespace rcgp::island {
 struct Slice {
   unsigned island = 0;
   std::uint64_t epoch = 0;
-  /// Island state file ("" = in-memory fleet). When set, the executor must
-  /// leave the post-slice state saved there (the local executor lets the
-  /// evolve loop checkpoint into it; the remote executor writes the given
-  /// state there and shares it with the daemon through the daemon's
-  /// --checkpoint-dir). The fleet loop itself writes no island files.
+  /// Island state file ("" = none: an in-memory fleet, or a local slice
+  /// with no periodic save inside it that is not the island's last, whose
+  /// state the epoch commit in fleet.json carries). When set, the executor
+  /// must leave the post-slice state saved there (the local executor lets
+  /// the evolve loop checkpoint into it; the remote executor, which always
+  /// gets one, writes the given state there and shares it with the daemon
+  /// through the daemon's --checkpoint-dir).
   std::string checkpoint_path;
 };
 

@@ -75,11 +75,12 @@ void enforce_integrity(const rqfp::Netlist& net,
               " outputs but netlist has " + std::to_string(net.num_pos()),
           io::write_rqfp_string(net));
     }
-    // Exhaustive re-simulation from scratch — independent of the fitness
-    // evaluator's live-cone fast path, so it also catches bugs there.
-    const auto tables = rqfp::simulate(net);
+    // Exhaustive re-simulation from scratch on a reused row buffer,
+    // independent of the evaluator's delta path, so it catches bugs there.
+    thread_local rqfp::SimCache sim;
+    rqfp::build_sim_cache(net, sim);
     for (std::size_t o = 0; o < spec.size(); ++o) {
-      if (!(tables[o] == spec[o])) {
+      if (sim.table(net.po_at(o)) != spec[o]) {
         c_failures.inc();
         throw IntegrityError(
             IntegrityError::Kind::kFunctional, std::string(where),

@@ -107,6 +107,9 @@ void Server::stop() {
     return;
   }
   internal_stop_.request_stop();
+  // Ends the acceptor's wait on the listener at once instead of after its
+  // poll timeout.
+  ::shutdown(listener_.get(), SHUT_RDWR);
   if (acceptor_.joinable()) {
     acceptor_.join();
   }

@@ -2,6 +2,7 @@
 
 #include "cec/sat_cec.hpp"
 #include "cec/sim_cec.hpp"
+#include "fuzz/generator.hpp"
 #include "rqfp/simulate.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +49,36 @@ TEST(SimCec, CountsMismatches) {
 TEST(SimCec, PoCountMismatchThrows) {
   std::vector<tt::TruthTable> two(2, tt::TruthTable(2));
   EXPECT_THROW(sim_check(and_netlist(), two), std::invalid_argument);
+}
+
+TEST(SimCec, AgreesFieldByFieldWithScoringTheReferenceSimulation) {
+  // sim_check simulates into a reused row buffer; rqfp::simulate stays the
+  // independent reference. At 1-10 PIs (sub-word rows up to 16 words),
+  // against a netlist's own tables and with one bit per PO flipped.
+  fuzz::NetlistShape shape;
+  shape.min_pis = 1;
+  shape.max_pis = 10;
+  for (std::uint64_t c = 0; c < 500; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    util::Rng rng = util::Rng::stream(2024, c, 0);
+    const rqfp::Netlist net = fuzz::random_netlist(rng, shape);
+    std::vector<tt::TruthTable> spec = rqfp::simulate(net);
+    for (const bool flipped : {false, true}) {
+      if (flipped) {
+        for (tt::TruthTable& t : spec) {
+          const std::uint64_t bit = rng.below(t.num_bits());
+          t.set_bit(bit, !t.bit(bit));
+        }
+      }
+      const SimResult want = sim_compare(rqfp::simulate(net), spec);
+      const SimResult got = sim_check(net, spec);
+      EXPECT_EQ(got.mismatching_bits, want.mismatching_bits);
+      EXPECT_EQ(got.total_bits, want.total_bits);
+      EXPECT_EQ(got.success_rate, want.success_rate);
+      EXPECT_EQ(got.all_match, want.all_match);
+      EXPECT_EQ(got.mismatching_bits, flipped ? spec.size() : 0u);
+    }
+  }
 }
 
 TEST(SatCec, EquivalentAgainstSpec) {

@@ -24,6 +24,7 @@
 #include "core/request.hpp"
 #include "io/rqfp_writer.hpp"
 #include "island/island.hpp"
+#include "obs/metrics.hpp"
 #include "robust/stop.hpp"
 #include "serve/server.hpp"
 #include "util/stopwatch.hpp"
@@ -279,28 +280,39 @@ void copy_dir(const std::string& from, const std::string& to) {
   std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
+/// The bytes of file `path`.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
 /// Writes the first half of `from` to `to`: an unfinished durable write.
 void plant_torn_copy(const std::string& from, const std::string& to) {
-  std::ifstream in(from, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  const std::string bytes = read_file(from);
   std::ofstream(to, std::ios::binary) << bytes.substr(0, bytes.size() / 2);
 }
 
 TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
   const auto b = benchmarks::get("full_adder");
   const auto init = init_netlist("full_adder");
-  const EvolveParams p = small_params(600, 13);
 
-  // Fleets that migrate every epoch, and the one-epoch fleet without
-  // migration (each island runs its third of the budget in one slice).
+  // Fleets that migrate every epoch; the one-epoch fleet without
+  // migration (each island runs its third of the budget in one slice);
+  // and a migrating fleet whose periodic saves land halfway through every
+  // slice.
   struct Shape {
+    const char* name;
     Topology topology;
     std::uint64_t interval;
+    std::uint64_t checkpoint_interval;
     std::size_t epochs;
   };
-  for (const Shape shape : {Shape{Topology::kRing, 100, 6},
-                            Shape{Topology::kNone, 0, 1}}) {
-    SCOPED_TRACE("topology " + std::string(core::to_string(shape.topology)));
+  for (const Shape shape : {Shape{"ring", Topology::kRing, 100, 1000, 6},
+                            Shape{"none", Topology::kNone, 0, 1000, 1},
+                            Shape{"periodic", Topology::kRing, 100, 50, 6}}) {
+    SCOPED_TRACE(std::string("shape ") + shape.name);
+    EvolveParams p = small_params(600, 13);
+    p.checkpoint_interval = shape.checkpoint_interval;
     FleetOptions fleet;
     fleet.islands = 3;
     fleet.topology = shape.topology;
@@ -309,8 +321,8 @@ TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
 
     // committed[k] is the state_dir after epoch k committed; committed[0]
     // holds only the manifest a fresh fleet writes before its first slice.
-    const std::string root = temp_dir(
-        "crash_points_" + std::string(core::to_string(shape.topology)));
+    const std::string root = temp_dir(std::string("crash_points_") +
+                                      shape.name);
     fleet.state_dir = root + "/live";
     {
       robust::StopToken stop;
@@ -331,29 +343,72 @@ TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
     }
     ASSERT_EQ(committed.size(), shape.epochs + 1);
 
-    // A kill during epoch k+1 leaves the epoch-k manifest with any subset of
-    // the islands' slice checkpoints landed, or the epoch-(k+1) manifest
-    // once the commit went through; either may carry the temp file of a
-    // write that never finished.
+    // halfway[k] holds the island files the periodic saves halfway through
+    // epoch k+1 leave: resumed from committed[k] under a generation cap
+    // there, each island's last slice saves the same state at the cap.
+    std::vector<std::string> halfway;
     fleet.max_epochs = 0;
+    if (shape.checkpoint_interval < shape.interval) {
+      for (std::size_t k = 0; k + 1 < committed.size(); ++k) {
+        halfway.push_back(root + "/halfway" + std::to_string(k));
+        copy_dir(committed[k], halfway.back());
+        fleet.state_dir = halfway.back();
+        EvolveParams capped = p;
+        capped.budget.max_generations =
+            k * shape.interval + shape.checkpoint_interval;
+        (void)island::run_fleet(init, b.spec, capped, fleet);
+      }
+    }
+
+    // A kill during epoch k+1 leaves the epoch-k manifest with each
+    // island's file as epoch k left it, saved halfway, or saved by the
+    // island's last slice; or the epoch-(k+1) manifest once the commit
+    // went through. Either may carry the temp file of a write that never
+    // finished.
     const std::string crashed = root + "/crashed";
     const std::string manifest = island::fleet_manifest_path(crashed);
-    const unsigned subsets = 1u << fleet.islands;
     for (std::size_t k = 0; k + 1 < committed.size(); ++k) {
       const std::string& before = committed[k];
       const std::string& after = committed[k + 1];
-      for (unsigned point = 0; point <= subsets; ++point) {
+      std::vector<std::string> sources{before};
+      if (k < halfway.size()) sources.push_back(halfway[k]);
+      sources.push_back(after);
+      // versions[i]: the sources whose file of island i a crash can leave
+      // (`before` stands for its file or for none).
+      std::vector<std::vector<std::string>> versions(fleet.islands);
+      std::size_t states = 1;
+      for (unsigned i = 0; i < fleet.islands; ++i) {
+        versions[i].push_back(before);
+        for (std::size_t v = 1; v < sources.size(); ++v) {
+          if (std::filesystem::exists(
+                  island::island_state_path(sources[v], i))) {
+            versions[i].push_back(sources[v]);
+          }
+        }
+        states *= versions[i].size();
+      }
+      // Island files come only from the periodic saves inside a slice and
+      // from each island's last slice.
+      const bool last_epoch = k + 2 == committed.size();
+      EXPECT_EQ(states, halfway.empty() ? (last_epoch ? 8u : 1u) : 27u)
+          << "epoch " << k + 1;
+      for (std::size_t point = 0; point <= states; ++point) {
         for (const bool torn : {false, true}) {
           SCOPED_TRACE("epoch " + std::to_string(k + 1) + ", crash point " +
-                       std::to_string(point) + (torn ? ", torn write" : ""));
-          if (point == subsets) {
+                       std::to_string(point) + " of " +
+                       std::to_string(states) + (torn ? ", torn write" : ""));
+          if (point == states) {
             copy_dir(after, crashed);
           } else {
             copy_dir(before, crashed);
+            std::size_t rest = point;
             for (unsigned i = 0; i < fleet.islands; ++i) {
-              if ((point >> i) & 1u) {
+              const std::string& from =
+                  versions[i][rest % versions[i].size()];
+              rest /= versions[i].size();
+              if (from != before) {
                 std::filesystem::copy_file(
-                    island::island_state_path(after, i),
+                    island::island_state_path(from, i),
                     island::island_state_path(crashed, i),
                     std::filesystem::copy_options::overwrite_existing);
               }
@@ -362,8 +417,11 @@ TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
           if (torn) {
             plant_torn_copy(island::fleet_manifest_path(after),
                             manifest + ".tmp.1.0");
-            plant_torn_copy(island::island_state_path(after, 0),
-                            island::island_state_path(crashed, 0) + ".tmp.1.1");
+            if (std::filesystem::exists(island::island_state_path(after, 0))) {
+              plant_torn_copy(island::island_state_path(after, 0),
+                              island::island_state_path(crashed, 0) +
+                                  ".tmp.1.1");
+            }
           }
           fleet.state_dir = crashed;
           const EvolveResult resumed =
@@ -381,6 +439,37 @@ TEST(IslandFleet, ResumeFromEveryCrashPointMatchesUninterrupted) {
   }
 }
 
+TEST(IslandFleet, AnEpochCommitsInTheManifestAlone) {
+  // Every slice but each island's last leaves its state to the epoch
+  // commit in fleet.json: 10 epochs of 4 islands save 4 island files.
+  const auto b = benchmarks::get("full_adder");
+  const auto init = init_netlist("full_adder");
+  EvolveParams p = small_params(1000, 11);
+  p.checkpoint_interval = 100;
+
+  FleetOptions fleet;
+  fleet.islands = 4;
+  fleet.topology = Topology::kRing;
+  fleet.migration_interval = 100;
+  fleet.state_dir = temp_dir("one_commit");
+  obs::Counter& saves = obs::registry().counter("robust.checkpoint_saves");
+  const std::uint64_t saved_before = saves.value();
+  const EvolveResult r = island::run_fleet(init, b.spec, p, fleet);
+  EXPECT_EQ(r.stop_reason, robust::StopReason::kCompleted);
+  EXPECT_EQ(saves.value() - saved_before, 4u);
+
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(fleet.state_dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"fleet.json", "island-0.ckpt",
+                                             "island-1.ckpt", "island-2.ckpt",
+                                             "island-3.ckpt"}));
+  std::filesystem::remove_all(fleet.state_dir);
+}
+
 TEST(IslandFleet, ResumeRefusesASchemaOneManifest) {
   const auto b = benchmarks::get("full_adder");
   const auto init = init_netlist("full_adder");
@@ -393,25 +482,26 @@ TEST(IslandFleet, ResumeRefusesASchemaOneManifest) {
   fleet.max_epochs = 1;
   (void)island::run_fleet(init, b.spec, p, fleet);
 
-  // Rewrite the manifest as a schema-1 fleet would have left it.
+  // Rewrite the manifest as a schema-1 or schema-2 fleet would have left
+  // it: schema 2 kept only the adopters' states in the manifest.
   const std::string manifest = island::fleet_manifest_path(fleet.state_dir);
-  std::string text;
-  {
-    std::ifstream in(manifest);
-    text.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const std::string schema2 = "\"schema\":2";
-  ASSERT_NE(text.find(schema2), std::string::npos);
-  text.replace(text.find(schema2), schema2.size(), "\"schema\":1");
-  std::ofstream(manifest, std::ios::trunc) << text;
-
+  const std::string text = read_file(manifest);
+  const std::string schema3 = "\"schema\":3";
+  ASSERT_NE(text.find(schema3), std::string::npos);
   fleet.resume = true;
-  try {
-    (void)island::run_fleet(init, b.spec, p, fleet);
-    ADD_FAILURE() << "a schema-1 manifest was resumed";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
-        << e.what();
+  for (const char* old : {"\"schema\":1", "\"schema\":2"}) {
+    SCOPED_TRACE(old);
+    std::string damaged = text;
+    damaged.replace(damaged.find(schema3), schema3.size(), old);
+    std::ofstream(manifest, std::ios::trunc) << damaged;
+    try {
+      (void)island::run_fleet(init, b.spec, p, fleet);
+      ADD_FAILURE() << "an old manifest was resumed";
+    } catch (const robust::IntegrityError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(manifest), std::string::npos) << what;
+      EXPECT_NE(what.find("rerun the fleet"), std::string::npos) << what;
+    }
   }
   std::filesystem::remove_all(fleet.state_dir);
 }

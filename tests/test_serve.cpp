@@ -435,5 +435,17 @@ TEST(Server, StopIsIdempotentAndRestartable) {
   server.stop();
 }
 
+TEST(Server, StopDoesNotWaitOutTheAcceptPoll) {
+  ServeOptions opt;
+  opt.socket_path = temp_socket("prompt.sock");
+  Server server(std::move(opt));
+  server.start();
+  // By now the acceptor waits on the listener, with a 200 ms poll timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  util::Stopwatch watch;
+  server.stop();
+  EXPECT_LT(watch.seconds(), 0.05);
+}
+
 } // namespace
 } // namespace rcgp::serve
